@@ -385,8 +385,10 @@ agl::Result<ActiveSet> GlobalActive(flat::Exchange* exchange, int shard,
   return total;
 }
 
-}  // namespace
-
+/// Upfront table validation + adjacency normalization: duplicate node ids
+/// and dangling edge endpoints are kInvalidArgument; undirected programs
+/// get a symmetrized edge table; parallel (src, dst) rows collapse to the
+/// minimum-weight edge.
 agl::Result<std::vector<EdgeRecord>> NormalizeEdgeTable(
     const VertexProgram& program, const std::vector<NodeRecord>& nodes,
     const std::vector<EdgeRecord>& edges) {
@@ -434,6 +436,8 @@ agl::Result<std::vector<EdgeRecord>> NormalizeEdgeTable(
   return normalized;
 }
 
+}  // namespace
+
 agl::Status AnalyticsConfig::Validate() const {
   if (max_supersteps < 1) {
     return agl::Status::InvalidArgument(
@@ -460,14 +464,15 @@ std::string AnalyticsResult::SerializeValues() const {
   return w.Release();
 }
 
-agl::Result<std::vector<mr::KeyValue>> RunAnalyticsShard(
-    const AnalyticsConfig& config, const VertexProgram& program, int shard,
+agl::Result<AnalyticsShardOutput> RunAnalyticsShard(
+    const AnalyticsShardJob& job, const VertexProgram& program, int shard,
     const std::vector<NodeRecord>& shard_nodes,
-    const std::vector<EdgeRecord>& shard_edges, int64_t num_vertices,
-    flat::Exchange* exchange, AnalyticsStats* stats) {
-  AnalyticsStats local;
+    const std::vector<EdgeRecord>& shard_edges, flat::Exchange* exchange) {
+  const AnalyticsConfig& config = job.config;
+  AnalyticsShardOutput out;
+  AnalyticsStats& local = out.stats;
   RoundCtx ctx;
-  ctx.num_vertices = num_vertices;
+  ctx.num_vertices = job.num_vertices;
   ctx.program = &program;
 
   const int num_shards = std::max(1, config.num_shards);
@@ -541,19 +546,22 @@ agl::Result<std::vector<mr::KeyValue>> RunAnalyticsShard(
         GlobalActive(exchange, shard, local.supersteps, records));
     local.converged = active.messages == 0;
   }
-  if (stats != nullptr) *stats = std::move(local);
-  return records;
+  out.records = std::move(records);
+  return out;
 }
 
+namespace {
+
+/// Folds the shards' final 'S'-tagged records into the id-sorted value
+/// list, validating that exactly `num_vertices` states survived.
 agl::Result<std::vector<std::pair<NodeId, double>>> CollectFinalValues(
-    const std::vector<std::vector<mr::KeyValue>>& shard_records,
-    int64_t num_vertices) {
+    const std::vector<AnalyticsShardOutput>& shards, int64_t num_vertices) {
   // Messages a hit superstep cap left behind are dropped — they were never
   // applied anywhere.
   std::vector<std::pair<NodeId, double>> values;
   values.reserve(num_vertices);
-  for (const auto& records : shard_records) {
-    for (const mr::KeyValue& kv : records) {
+  for (const AnalyticsShardOutput& shard : shards) {
+    for (const mr::KeyValue& kv : shard.records) {
       if (kv.value.empty() || kv.value[0] != kTagState) continue;
       AGL_ASSIGN_OR_RETURN(VertexState state,
                            VertexState::Parse(kv.value.substr(1)));
@@ -570,10 +578,40 @@ agl::Result<std::vector<std::pair<NodeId, double>>> CollectFinalValues(
   return values;
 }
 
+}  // namespace
+
 agl::Result<AnalyticsResult> RunVertexProgram(
     const AnalyticsConfig& config, const VertexProgram& program,
     const std::vector<NodeRecord>& nodes,
     const std::vector<EdgeRecord>& edges) {
+  return RunVertexProgram(
+      config, program, nodes, edges,
+      [&program](const AnalyticsShardJob& job,
+                 const flat::ShardedTables& tables)
+          -> agl::Result<std::vector<AnalyticsShardOutput>> {
+        std::vector<AnalyticsShardOutput> shards(tables.nodes.size());
+        AGL_ASSIGN_OR_RETURN(
+            const flat::ExchangeStats exchange,
+            flat::RunShardsInProcess(
+                static_cast<int>(shards.size()),
+                [&](int s, flat::Exchange* ex) -> agl::Status {
+                  AGL_ASSIGN_OR_RETURN(
+                      shards[s], RunAnalyticsShard(job, program, s,
+                                                   tables.nodes[s],
+                                                   tables.edges[s], ex));
+                  return agl::Status::OK();
+                }));
+        // One exchange carried every shard's traffic; sums over shards
+        // stay exact when it is booked on shard 0.
+        shards[0].stats.exchange = exchange;
+        return shards;
+      });
+}
+
+agl::Result<AnalyticsResult> RunVertexProgram(
+    const AnalyticsConfig& config, const VertexProgram& program,
+    const std::vector<NodeRecord>& nodes, const std::vector<EdgeRecord>& edges,
+    const AnalyticsShardRunner& run_shards) {
   Stopwatch watch;
   if (config.max_supersteps < 0) {
     return agl::Status::InvalidArgument("analytics: max_supersteps < 0");
@@ -581,51 +619,31 @@ agl::Result<AnalyticsResult> RunVertexProgram(
   AGL_ASSIGN_OR_RETURN(std::vector<EdgeRecord> normalized,
                        NormalizeEdgeTable(program, nodes, edges));
 
-  AnalyticsResult result;
-  result.stats.num_vertices = static_cast<int64_t>(nodes.size());
-  result.stats.num_gather_edges = static_cast<int64_t>(normalized.size());
-
-  const int num_shards = std::max(1, config.num_shards);
-  flat::ShardRouter router{flat::ShardPlan(num_shards)};
-  const flat::ShardedTables tables =
-      router.PartitionTables(nodes, normalized);
-
-  flat::InMemoryExchange exchange{flat::ShardPlan(num_shards)};
-  std::vector<std::vector<mr::KeyValue>> shard_records(num_shards);
-  std::vector<AnalyticsStats> shard_stats(num_shards);
-  AGL_RETURN_IF_ERROR(flat::ParallelOverShards(num_shards, [&](int s) {
-    auto records = RunAnalyticsShard(config, program, s, tables.nodes[s],
-                                     tables.edges[s],
-                                     static_cast<int64_t>(nodes.size()),
-                                     &exchange, &shard_stats[s]);
-    if (!records.ok()) {
-      // A failed shard never publishes again — release the peers parked
-      // at the next barrier instead of deadlocking the pool.
-      exchange.Abort(records.status());
-      return records.status();
-    }
-    shard_records[s] = *std::move(records);
-    return agl::Status::OK();
-  }));
-
+  AnalyticsShardJob job{config, static_cast<int64_t>(nodes.size())};
+  job.config.num_shards = std::max(1, config.num_shards);
+  flat::ShardRouter router{flat::ShardPlan(job.config.num_shards)};
   AGL_ASSIGN_OR_RETURN(
-      result.values,
-      CollectFinalValues(shard_records,
-                         static_cast<int64_t>(nodes.size())));
+      std::vector<AnalyticsShardOutput> shards,
+      run_shards(job, router.PartitionTables(nodes, normalized)));
 
+  AnalyticsResult result;
+  AGL_ASSIGN_OR_RETURN(result.values,
+                       CollectFinalValues(shards, job.num_vertices));
   // The superstep accounting is a pure function of the AllGather'd sums,
-  // so every shard computed identical numbers — take shard 0's. Job
-  // counters are per-shard work; accumulate them.
-  result.stats.supersteps = shard_stats[0].supersteps;
-  result.stats.converged = shard_stats[0].converged;
-  result.stats.active_per_round = std::move(shard_stats[0].active_per_round);
-  result.stats.messages_per_round =
-      std::move(shard_stats[0].messages_per_round);
-  for (const AnalyticsStats& ss : shard_stats) {
-    result.stats.job_stats.Accumulate(ss.job_stats);
+  // so every shard computed identical numbers — take shard 0's. Job and
+  // exchange counters are per-shard work; accumulate them.
+  AnalyticsStats& stats = result.stats;
+  stats.supersteps = shards[0].stats.supersteps;
+  stats.converged = shards[0].stats.converged;
+  stats.active_per_round = std::move(shards[0].stats.active_per_round);
+  stats.messages_per_round = std::move(shards[0].stats.messages_per_round);
+  for (const AnalyticsShardOutput& shard : shards) {
+    stats.job_stats.Accumulate(shard.stats.job_stats);
+    stats.exchange.Accumulate(shard.stats.exchange);
   }
-  result.stats.exchange = exchange.stats();
-  result.stats.elapsed_seconds = watch.Seconds();
+  stats.num_vertices = job.num_vertices;
+  stats.num_gather_edges = static_cast<int64_t>(normalized.size());
+  stats.elapsed_seconds = watch.Seconds();
   return result;
 }
 

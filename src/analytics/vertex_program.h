@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -32,6 +33,7 @@
 
 #include "common/status.h"
 #include "flat/exchange.h"
+#include "flat/shard.h"
 #include "flat/tables.h"
 #include "mr/local_dfs.h"
 #include "mr/mapreduce.h"
@@ -147,47 +149,58 @@ struct AnalyticsResult {
 };
 
 /// Runs `program` over the node/edge tables until convergence (zero active
-/// vertices) or `config.max_supersteps`. Validates the tables up front:
-/// duplicate node ids and edges whose endpoints are missing from the node
-/// table are kInvalidArgument.
+/// vertices) or `config.max_supersteps`, its shards on threads over an
+/// InMemoryExchange. Validates the tables up front: duplicate node ids and
+/// edges whose endpoints are missing from the node table are
+/// kInvalidArgument.
 agl::Result<AnalyticsResult> RunVertexProgram(
     const AnalyticsConfig& config, const VertexProgram& program,
     const std::vector<NodeRecord>& nodes, const std::vector<EdgeRecord>& edges);
 
-/// Upfront table validation + adjacency normalization: duplicate node ids
-/// and dangling edge endpoints are kInvalidArgument; undirected programs
-/// get a symmetrized edge table; parallel (src, dst) rows collapse to the
-/// minimum-weight edge. Exposed for the multi-process driver, which
-/// normalizes once and partitions the result across shard processes.
-agl::Result<std::vector<EdgeRecord>> NormalizeEdgeTable(
-    const VertexProgram& program, const std::vector<NodeRecord>& nodes,
-    const std::vector<EdgeRecord>& edges);
+/// An analytics job as each shard sees it: the config with `num_shards` >=
+/// 1 and the global vertex count every shard's bookkeeping divides by.
+struct AnalyticsShardJob {
+  AnalyticsConfig config;
+  int64_t num_vertices = 0;
+};
+
+/// One shard's output: its final 'S'-tagged VertexState records and its
+/// stats — shard-local job and exchange counters plus the globally agreed
+/// superstep accounting (identical on every shard).
+struct AnalyticsShardOutput {
+  std::vector<mr::KeyValue> records;
+  AnalyticsStats stats;
+};
+
+/// How a job's S shards run: shard s runs RunAnalyticsShard over
+/// tables.nodes[s]/tables.edges[s] and every shard's output is returned.
+/// RunVertexProgram runs them on threads; the multi-process driver runs
+/// each in its own process over a DfsExchange.
+using AnalyticsShardRunner =
+    std::function<agl::Result<std::vector<AnalyticsShardOutput>>(
+        const AnalyticsShardJob& job, const flat::ShardedTables& tables)>;
+
+/// The job shell every substrate shares: validates and normalizes the
+/// tables, partitions them over `config.num_shards`, runs the shards
+/// through `run_shards`, and assembles the values and stats.
+agl::Result<AnalyticsResult> RunVertexProgram(
+    const AnalyticsConfig& config, const VertexProgram& program,
+    const std::vector<NodeRecord>& nodes, const std::vector<EdgeRecord>& edges,
+    const AnalyticsShardRunner& run_shards);
 
 /// One shard's complete superstep loop against an Exchange: map over the
-/// shard's table slice (post-NormalizeEdgeTable), the init reduce, then
-/// gather-apply-scatter rounds with Publish/Collect of boundary messages
-/// between them. Convergence is decided identically on every shard from an
-/// AllGather of the per-shard active counts (messages home uniquely, so
-/// the sums are exact), which keeps the shards' control flow in lockstep
-/// without a central coordinator. Returns the shard's final 'S'-tagged
-/// VertexState records. `stats` (optional) receives the shard-local job
-/// counters plus the globally-agreed superstep/convergence numbers
-/// (identical on every shard). This is the unit the in-process path runs
-/// on S threads over an InMemoryExchange and the multi-process driver runs
-/// in S shard worker processes over a DfsExchange.
-agl::Result<std::vector<mr::KeyValue>> RunAnalyticsShard(
-    const AnalyticsConfig& config, const VertexProgram& program, int shard,
+/// shard's table slice (after the shell's adjacency normalization), the
+/// init reduce, then gather-apply-scatter rounds with Publish/Collect of
+/// boundary messages between them. Convergence is decided identically on
+/// every shard from an AllGather of the per-shard active counts (messages
+/// home uniquely, so the sums are exact), which keeps the shards' control
+/// flow in lockstep without a central coordinator. The output's exchange
+/// counters stay zero; the runner books the traffic. This is the unit
+/// every AnalyticsShardRunner runs, on a thread or in a shard process.
+agl::Result<AnalyticsShardOutput> RunAnalyticsShard(
+    const AnalyticsShardJob& job, const VertexProgram& program, int shard,
     const std::vector<NodeRecord>& shard_nodes,
-    const std::vector<EdgeRecord>& shard_edges, int64_t num_vertices,
-    flat::Exchange* exchange, AnalyticsStats* stats = nullptr);
-
-/// Folds the shards' final 'S'-tagged records into the id-sorted value
-/// list, validating that exactly `num_vertices` states survived. Exposed
-/// for the multi-process driver, which collects the records from the shard
-/// processes' output datasets.
-agl::Result<std::vector<std::pair<NodeId, double>>> CollectFinalValues(
-    const std::vector<std::vector<mr::KeyValue>>& shard_records,
-    int64_t num_vertices);
+    const std::vector<EdgeRecord>& shard_edges, flat::Exchange* exchange);
 
 /// Same, then stores the result on `dfs`/`dataset` as a GraphFeatures
 /// dataset: one single-node GraphFeature per vertex (target_id = vertex,

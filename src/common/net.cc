@@ -123,6 +123,10 @@ agl::Result<std::string> Socket::ReadFrame() {
   return payload;
 }
 
+void Socket::Shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Socket::Close() {
   if (fd_ >= 0) {
     ::shutdown(fd_, SHUT_RDWR);
@@ -189,6 +193,10 @@ agl::Result<Socket> Listener::Accept() {
     }
     return Errno("accept");
   }
+}
+
+void Listener::Shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void Listener::Close() {

@@ -47,6 +47,11 @@ class Socket {
   /// kCorruption on an insane length prefix.
   agl::Result<std::string> ReadFrame();
 
+  /// Wakes a thread blocked in ReadFrame/WriteFrame on this socket without
+  /// releasing the descriptor, so it is safe to call while another thread
+  /// uses the socket. Close (or destruction) releases it afterwards.
+  void Shutdown();
+
   void Close();
 
   const SocketStats& stats() const { return stats_; }
@@ -76,6 +81,10 @@ class Listener {
   /// Blocks for the next connection. kUnavailable once Close() ran
   /// (the accept loop's shutdown signal).
   agl::Result<Socket> Accept();
+
+  /// Unblocks pending Accept calls without releasing the descriptor, so
+  /// it is safe to call while another thread is in Accept.
+  void Shutdown();
 
   /// Unblocks pending Accept calls; idempotent.
   void Close();

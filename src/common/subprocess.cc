@@ -50,6 +50,20 @@ agl::Result<pid_t> Spawn(const std::vector<std::string>& argv,
   return pid;
 }
 
+agl::Status AwaitExit(pid_t pid) {
+  siginfo_t info;
+  std::memset(&info, 0, sizeof(info));
+  for (;;) {
+    if (::waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOWAIT) ==
+        0) {
+      return agl::Status::OK();
+    }
+    if (errno == EINTR) continue;
+    return agl::Status::Internal(std::string("waitid: ") +
+                                 std::strerror(errno));
+  }
+}
+
 agl::Result<ExitStatus> Wait(pid_t pid) {
   int wstatus = 0;
   for (;;) {

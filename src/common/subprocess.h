@@ -35,6 +35,11 @@ agl::Result<pid_t> Spawn(const std::vector<std::string>& argv,
 /// Blocks until `pid` exits.
 agl::Result<ExitStatus> Wait(pid_t pid);
 
+/// Blocks until `pid` exits but leaves it unreaped, so its pid stays
+/// reserved and a concurrent Kill cannot reach a recycled pid. Reap it
+/// with Wait.
+agl::Status AwaitExit(pid_t pid);
+
 /// Sends `sig` to `pid`; kNotFound when the process is already gone.
 agl::Status Kill(pid_t pid, int sig);
 

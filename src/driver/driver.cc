@@ -1,22 +1,18 @@
 #include "driver/driver.h"
 
-#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
-#include <map>
+#include <memory>
 #include <thread>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/mutex.h"
 #include "common/subprocess.h"
-#include "common/timer.h"
-#include "gnn/model.h"
+#include "common/thread_annotations.h"
 #include "io/codec.h"
-#include "nn/state_io.h"
 #include "ps/client.h"
 #include "ps/parameter_server.h"
 #include "ps/remote.h"
@@ -58,22 +54,6 @@ std::string TrainErrName(const std::string& prefix, int epoch, int worker) {
          std::to_string(worker);
 }
 
-/// Splits [0, n) into `parts` nearly equal contiguous ranges — must stay
-/// identical to the trainer's partitioner so a worker process picks up
-/// exactly the slice the in-process path would give it.
-std::vector<std::pair<std::size_t, std::size_t>> SplitRanges(std::size_t n,
-                                                             int parts) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  parts = std::max(1, parts);
-  const std::size_t chunk = (n + parts - 1) / parts;
-  for (int p = 0; p < parts; ++p) {
-    const std::size_t begin = static_cast<std::size_t>(p) * chunk;
-    if (begin >= n) break;
-    out.emplace_back(begin, std::min(n, begin + chunk));
-  }
-  return out;
-}
-
 void MergeStats(DriverStats* into, const DriverStats& from) {
   into->spawns += from.spawns;
   into->restarts += from.restarts;
@@ -88,13 +68,46 @@ void MergeStats(DriverStats* into, const DriverStats& from) {
   into->ps_transport.failed_requests += from.ps_transport.failed_requests;
 }
 
+void CountExit(const ExitStatus& exit, DriverStats* stats) {
+  if (exit.clean()) {
+    stats->clean_exits++;
+  } else if (exit.signaled) {
+    stats->signal_exits++;
+  } else {
+    stats->error_exits++;
+  }
+}
+
+/// The env of a worker's launch: `first_attempt_env` (the chaos hook)
+/// applies only to attempt 0, so every retry runs clean.
+std::vector<std::string> AttemptEnv(const DriverOptions& options,
+                                    int attempt) {
+  std::vector<std::string> env = options.worker_env;
+  if (attempt == 0) {
+    env.insert(env.end(), options.first_attempt_env.begin(),
+               options.first_attempt_env.end());
+  }
+  return env;
+}
+
+/// The one record of `dataset`; kCorruption for any other record count.
+agl::Result<std::string> ReadSingleRecord(const mr::LocalDfs& dfs,
+                                          const std::string& dataset) {
+  AGL_ASSIGN_OR_RETURN(std::vector<std::string> records,
+                       dfs.ReadDataset(dataset));
+  if (records.size() != 1) {
+    return agl::Status::Corruption(dataset + " must hold exactly 1 record");
+  }
+  return std::move(records[0]);
+}
+
 /// Reads the status a failed worker left behind; nullopt when it died
 /// before reporting (or the record is unreadable).
-std::optional<agl::Status> ReadReportedError(mr::LocalDfs* dfs,
+std::optional<agl::Status> ReadReportedError(const mr::LocalDfs& dfs,
                                              const std::string& dataset) {
-  auto records = dfs->ReadDataset(dataset);
-  if (!records.ok() || records->size() != 1) return std::nullopt;
-  io::BufferReader r((*records)[0]);
+  auto record = ReadSingleRecord(dfs, dataset);
+  if (!record.ok()) return std::nullopt;
+  io::BufferReader r(*record);
   agl::Status reported;
   if (!GetStatus(&r, &reported).ok() || reported.ok()) return std::nullopt;
   return reported;
@@ -102,99 +115,57 @@ std::optional<agl::Status> ReadReportedError(mr::LocalDfs* dfs,
 
 // --- worker-process role bodies ---------------------------------------------
 
-agl::Status RunFlatShardWorker(const std::string& root,
-                               const std::string& prefix, int shard) {
+/// One shard of a GraphFlat or analytics job: reads the job meta and this
+/// shard's table slice, runs the pipeline's shard unit over a DfsExchange
+/// paced by `xopts`, and publishes the shard's output for the driver.
+agl::Status RunShardWorker(const std::string& role, const std::string& root,
+                           const std::string& prefix, int shard,
+                           const flat::DfsExchange::Options& xopts) {
   AGL_ASSIGN_OR_RETURN(mr::LocalDfs dfs, mr::LocalDfs::Open(root));
-  AGL_ASSIGN_OR_RETURN(std::vector<std::string> meta_records,
-                       dfs.ReadDataset(MetaName(prefix)));
-  if (meta_records.size() != 1) {
-    return agl::Status::Corruption("flat job meta must hold exactly 1 record");
-  }
-  AGL_ASSIGN_OR_RETURN(const FlatJobMeta meta,
-                       DecodeFlatJobMeta(meta_records[0]));
-  AGL_ASSIGN_OR_RETURN(std::vector<std::string> slice_records,
-                       dfs.ReadDataset(SliceName(prefix, shard)));
-  if (slice_records.size() != 1) {
-    return agl::Status::Corruption("table slice must hold exactly 1 record");
-  }
+  AGL_ASSIGN_OR_RETURN(const std::string meta,
+                       ReadSingleRecord(dfs, MetaName(prefix)));
+  AGL_ASSIGN_OR_RETURN(const std::string slice,
+                       ReadSingleRecord(dfs, SliceName(prefix, shard)));
   std::vector<flat::NodeRecord> nodes;
   std::vector<flat::EdgeRecord> edges;
-  AGL_RETURN_IF_ERROR(DecodeTableSlice(slice_records[0], &nodes, &edges));
+  AGL_RETURN_IF_ERROR(DecodeTableSlice(slice, &nodes, &edges));
 
-  flat::DfsExchange::Options xopts;
-  xopts.poll_interval_ms = meta.exchange_poll_ms;
-  xopts.timeout_ms = meta.exchange_timeout_ms;
-  flat::DfsExchange exchange(
-      &dfs, ExchangePrefix(prefix),
-      flat::ShardPlan(std::max(1, meta.config.num_shards)), xopts);
-
-  mr::JobStats job_stats;
-  AGL_ASSIGN_OR_RETURN(
-      std::vector<mr::KeyValue> records,
-      flat::RunFlatShard(meta.config, shard, nodes, edges,
-                         meta.node_feature_dim, meta.edge_feature_dim,
-                         &exchange, &job_stats));
-
-  io::BufferWriter stats_blob;
-  PutJobStats(&stats_blob, job_stats);
-  PutExchangeStats(&stats_blob, exchange.stats());
-  return dfs.WriteDataset(
-      OutName(prefix, shard),
-      {flat::SerializeExchangeRecords(records), stats_blob.Release()},
-      /*num_parts=*/1);
-}
-
-agl::Status RunAnalyticsShardWorker(const std::string& root,
-                                    const std::string& prefix, int shard) {
-  AGL_ASSIGN_OR_RETURN(mr::LocalDfs dfs, mr::LocalDfs::Open(root));
-  AGL_ASSIGN_OR_RETURN(std::vector<std::string> meta_records,
-                       dfs.ReadDataset(MetaName(prefix)));
-  if (meta_records.size() != 1) {
-    return agl::Status::Corruption(
-        "analytics job meta must hold exactly 1 record");
+  std::string output;
+  if (role == kRoleFlat) {
+    AGL_ASSIGN_OR_RETURN(const flat::FlatShardJob job,
+                         DecodeFlatShardJob(meta));
+    flat::DfsExchange exchange(&dfs, ExchangePrefix(prefix),
+                               flat::ShardPlan(job.config.num_shards), xopts);
+    AGL_ASSIGN_OR_RETURN(
+        flat::FlatShardOutput out,
+        flat::RunFlatShard(job, shard, nodes, edges, &exchange));
+    out.exchange = exchange.stats();
+    output = EncodeFlatShardOutput(out);
+  } else {
+    AGL_ASSIGN_OR_RETURN(const AnalyticsJob job, DecodeAnalyticsJob(meta));
+    AGL_ASSIGN_OR_RETURN(std::unique_ptr<analytics::VertexProgram> program,
+                         MakeProgram(job.program));
+    flat::DfsExchange exchange(&dfs, ExchangePrefix(prefix),
+                               flat::ShardPlan(job.shard.config.num_shards),
+                               xopts);
+    AGL_ASSIGN_OR_RETURN(analytics::AnalyticsShardOutput out,
+                         analytics::RunAnalyticsShard(job.shard, *program,
+                                                      shard, nodes, edges,
+                                                      &exchange));
+    out.stats.exchange = exchange.stats();
+    output = EncodeAnalyticsShardOutput(out);
   }
-  AGL_ASSIGN_OR_RETURN(const AnalyticsJobMeta meta,
-                       DecodeAnalyticsJobMeta(meta_records[0]));
-  AGL_ASSIGN_OR_RETURN(std::unique_ptr<analytics::VertexProgram> program,
-                       MakeProgram(meta.program));
-  AGL_ASSIGN_OR_RETURN(std::vector<std::string> slice_records,
-                       dfs.ReadDataset(SliceName(prefix, shard)));
-  if (slice_records.size() != 1) {
-    return agl::Status::Corruption("table slice must hold exactly 1 record");
-  }
-  std::vector<flat::NodeRecord> nodes;
-  std::vector<flat::EdgeRecord> edges;
-  AGL_RETURN_IF_ERROR(DecodeTableSlice(slice_records[0], &nodes, &edges));
-
-  flat::DfsExchange::Options xopts;
-  xopts.poll_interval_ms = meta.exchange_poll_ms;
-  xopts.timeout_ms = meta.exchange_timeout_ms;
-  flat::DfsExchange exchange(
-      &dfs, ExchangePrefix(prefix),
-      flat::ShardPlan(std::max(1, meta.config.num_shards)), xopts);
-
-  analytics::AnalyticsStats stats;
-  AGL_ASSIGN_OR_RETURN(
-      std::vector<mr::KeyValue> records,
-      analytics::RunAnalyticsShard(meta.config, *program, shard, nodes, edges,
-                                   meta.num_vertices, &exchange, &stats));
-  stats.exchange = exchange.stats();
-  return dfs.WriteDataset(
-      OutName(prefix, shard),
-      {flat::SerializeExchangeRecords(records), EncodeAnalyticsStats(stats)},
-      /*num_parts=*/1);
+  return dfs.WriteDataset(OutName(prefix, shard), {std::move(output)},
+                          /*num_parts=*/1);
 }
 
 agl::Status RunTrainWorker(const std::string& root, const std::string& prefix,
                            int worker, int epoch, int port) {
   AGL_ASSIGN_OR_RETURN(mr::LocalDfs dfs, mr::LocalDfs::Open(root));
-  AGL_ASSIGN_OR_RETURN(std::vector<std::string> meta_records,
-                       dfs.ReadDataset(MetaName(prefix)));
-  if (meta_records.size() != 1) {
-    return agl::Status::Corruption("train job meta must hold exactly 1 record");
-  }
+  AGL_ASSIGN_OR_RETURN(const std::string meta_record,
+                       ReadSingleRecord(dfs, MetaName(prefix)));
   AGL_ASSIGN_OR_RETURN(const TrainJobMeta meta,
-                       DecodeTrainJobMeta(meta_records[0]));
+                       DecodeTrainJobMeta(meta_record));
   AGL_ASSIGN_OR_RETURN(std::vector<std::string> feature_records,
                        dfs.ReadDataset(FeatName(prefix)));
   if (static_cast<int64_t>(feature_records.size()) != meta.num_examples) {
@@ -207,8 +178,8 @@ agl::Status RunTrainWorker(const std::string& root, const std::string& prefix,
                          subgraph::GraphFeature::Parse(record));
     features.push_back(std::move(gf));
   }
-  const auto partitions =
-      SplitRanges(features.size(), meta.config.num_workers);
+  const auto partitions = trainer::internal::SplitRanges(
+      features.size(), meta.config.num_workers);
   if (static_cast<int>(partitions.size()) != meta.active_workers ||
       worker < 0 || worker >= meta.active_workers) {
     return agl::Status::Internal("train worker partition mismatch");
@@ -250,55 +221,102 @@ int FinishWorker(const agl::Status& status, const std::string& root,
 
 // --- driver-side supervision ------------------------------------------------
 
+/// The live shard processes of one job. The first shard that fails for
+/// good stops the rest: its peers would otherwise poll the exchange for a
+/// publish that never comes until `exchange_timeout_ms`, and then be
+/// restarted into the same wait.
+class ShardFleet {
+ public:
+  explicit ShardFleet(int num_shards) : pids_(num_shards, -1) {}
+
+  /// Records shard `shard`'s live child, killing it at once when the
+  /// fleet has already stopped.
+  void Track(int shard, pid_t pid) {
+    common::MutexLock lock(&mu_);
+    if (!failure_.ok()) {
+      (void)common::Kill(pid, SIGKILL);
+      return;
+    }
+    pids_[shard] = pid;
+  }
+
+  /// Forgets shard `shard`'s child. Call after it exited and before it is
+  /// reaped, so Stop never signals a recycled pid.
+  void Untrack(int shard) {
+    common::MutexLock lock(&mu_);
+    pids_[shard] = -1;
+  }
+
+  /// Records `status` as the job's failure unless one came first, and
+  /// kills every tracked child.
+  void Stop(const agl::Status& status) {
+    common::MutexLock lock(&mu_);
+    if (!failure_.ok()) return;
+    failure_ = status;
+    for (pid_t pid : pids_) {
+      if (pid > 0) (void)common::Kill(pid, SIGKILL);
+    }
+  }
+
+  /// The failure that stopped the fleet; OK while it runs.
+  agl::Status failure() const {
+    common::MutexLock lock(&mu_);
+    return failure_;
+  }
+
+ private:
+  mutable common::Mutex mu_;
+  std::vector<pid_t> pids_ GUARDED_BY(mu_);
+  agl::Status failure_ GUARDED_BY(mu_);
+};
+
 /// Runs one shard worker to a clean exit, restarting signal deaths (and
-/// retryable worker-reported errors, e.g. an exchange timeout caused by a
-/// dead peer) up to the classified-retry budget. Runs concurrently for all
-/// shards, hence the guarded stats.
+/// retryable worker-reported errors) up to the classified-retry budget. A
+/// shard that fails for good stops the fleet; a shard the stopped fleet
+/// killed gives up without a restart. Runs concurrently for all shards,
+/// hence the guarded stats.
 agl::Status SuperviseShard(const DriverOptions& options,
                            const std::vector<std::string>& argv,
                            const std::string& err_dataset,
-                           const std::string& what, DriverStats* stats,
+                           const std::string& what, int shard,
+                           ShardFleet* fleet, DriverStats* stats,
                            common::Mutex* mu) {
   for (int attempt = 0;; ++attempt) {
     // A fresh attempt must not inherit a stale error report.
     (void)options.dfs->DropDataset(err_dataset);
-    std::vector<std::string> env = options.worker_env;
-    if (attempt == 0) {
-      env.insert(env.end(), options.first_attempt_env.begin(),
-                 options.first_attempt_env.end());
-    }
-    agl::Status attempt_status;
-    auto pid = common::Spawn(argv, env);
+    agl::Status status;
+    auto pid = common::Spawn(argv, AttemptEnv(options, attempt));
     if (pid.ok()) {
       {
         common::MutexLock lock(mu);
         stats->spawns++;
       }
+      fleet->Track(shard, *pid);
+      AGL_RETURN_IF_ERROR(common::AwaitExit(*pid));
+      fleet->Untrack(shard);
       AGL_ASSIGN_OR_RETURN(const ExitStatus exit, common::Wait(*pid));
       {
         common::MutexLock lock(mu);
-        if (exit.clean()) {
-          stats->clean_exits++;
-        } else if (exit.signaled) {
-          stats->signal_exits++;
-        } else {
-          stats->error_exits++;
-        }
+        CountExit(exit, stats);
       }
-      attempt_status = common::ClassifyExit(exit, what);
-      if (attempt_status.ok()) return agl::Status::OK();
+      status = common::ClassifyExit(exit, what);
+      if (status.ok()) return status;
       if (!exit.signaled) {
-        if (auto reported = ReadReportedError(options.dfs, err_dataset)) {
-          attempt_status = *std::move(reported);
+        if (auto reported = ReadReportedError(*options.dfs, err_dataset)) {
+          status = *std::move(reported);
         }
-        if (!agl::IsRetryableError(attempt_status)) return attempt_status;
       }
     } else {
       // Spawn failure (the driver.spawn failpoint, or fork/exec trouble).
-      attempt_status = pid.status();
-      if (!agl::IsRetryableError(attempt_status)) return attempt_status;
+      status = pid.status();
     }
-    if (attempt >= options.max_restarts) return attempt_status;
+    if (!fleet->failure().ok()) {
+      return agl::Status::Aborted(what + " stopped after a peer failed");
+    }
+    if (!agl::IsRetryableError(status) || attempt >= options.max_restarts) {
+      fleet->Stop(status);
+      return status;
+    }
     {
       common::MutexLock lock(mu);
       stats->restarts++;
@@ -319,39 +337,20 @@ agl::Status ValidateDriverOptions(const DriverOptions& options) {
   return agl::Status::OK();
 }
 
-}  // namespace
-
-agl::Result<flat::GraphFlatStats> RunGraphFlatProcesses(
-    const DriverOptions& options, const flat::GraphFlatConfig& config,
-    const std::vector<flat::NodeRecord>& nodes,
-    const std::vector<flat::EdgeRecord>& edges, mr::LocalDfs* out_dfs,
-    const std::string& dataset, DriverStats* stats) {
-  Stopwatch watch;
-  AGL_RETURN_IF_ERROR(ValidateDriverOptions(options));
-  AGL_RETURN_IF_ERROR(config.Validate());
-  if (out_dfs == nullptr) {
-    return agl::Status::InvalidArgument("driver: out_dfs is required");
-  }
-  if (nodes.empty()) {
-    return agl::Status::InvalidArgument("GraphFlat: empty node table");
-  }
+/// The process substrate of both shard pipelines: publishes the job meta
+/// and every shard's table slice, runs one supervised worker process per
+/// shard, and returns each shard's decoded output. The first shard to fail
+/// for good stops its peers, and its error is the job's.
+template <typename Output>
+agl::Result<std::vector<Output>> RunShardProcesses(
+    const DriverOptions& options, const char* role, std::string job,
+    const flat::ShardedTables& tables,
+    agl::Result<Output> (*decode)(const std::string&), DriverStats* stats) {
   const std::string& prefix = options.job_prefix;
   AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
-
-  const int num_shards = std::max(1, config.num_shards);
-  FlatJobMeta meta;
-  meta.config = config;
-  meta.config.num_shards = num_shards;
-  meta.node_feature_dim = static_cast<int64_t>(nodes[0].features.size());
-  meta.edge_feature_dim =
-      edges.empty() ? 0 : static_cast<int64_t>(edges[0].features.size());
-  meta.exchange_poll_ms = options.exchange_poll_ms;
-  meta.exchange_timeout_ms = options.exchange_timeout_ms;
+  const int num_shards = static_cast<int>(tables.nodes.size());
   AGL_RETURN_IF_ERROR(options.dfs->WriteDataset(
-      MetaName(prefix), {EncodeFlatJobMeta(meta)}, /*num_parts=*/1));
-
-  flat::ShardRouter router{flat::ShardPlan(num_shards)};
-  const flat::ShardedTables tables = router.PartitionTables(nodes, edges);
+      MetaName(prefix), {std::move(job)}, /*num_parts=*/1));
   for (int s = 0; s < num_shards; ++s) {
     AGL_RETURN_IF_ERROR(options.dfs->WriteDataset(
         SliceName(prefix, s),
@@ -360,143 +359,31 @@ agl::Result<flat::GraphFlatStats> RunGraphFlatProcesses(
   }
 
   AGL_ASSIGN_OR_RETURN(const std::string self, common::SelfExecutable());
-  DriverStats local;
+  ShardFleet fleet(num_shards);
   common::Mutex stats_mu;
-  AGL_RETURN_IF_ERROR(flat::ParallelOverShards(num_shards, [&](int s) {
+  const agl::Status status = flat::ParallelOverShards(num_shards, [&](int s) {
     return SuperviseShard(
         options,
-        {self, kWorkerArgv1, kRoleFlat, options.dfs->root(), prefix,
-         std::to_string(s)},
-        ShardErrName(prefix, s), "flat shard " + std::to_string(s), &local,
-        &stats_mu);
-  }));
+        {self, kWorkerArgv1, role, options.dfs->root(), prefix,
+         std::to_string(s), std::to_string(options.exchange_poll_ms),
+         std::to_string(options.exchange_timeout_ms)},
+        ShardErrName(prefix, s), std::string(role) + " shard " +
+        std::to_string(s), s, &fleet, stats, &stats_mu);
+  });
+  // The peers a stopped fleet killed report only their own cancellation.
+  AGL_RETURN_IF_ERROR(fleet.failure());
+  AGL_RETURN_IF_ERROR(status);
 
-  flat::GraphFlatStats out_stats;
-  std::vector<std::pair<flat::NodeId, std::string>> finals;
+  std::vector<Output> outputs;
   for (int s = 0; s < num_shards; ++s) {
-    AGL_ASSIGN_OR_RETURN(std::vector<std::string> records,
-                         options.dfs->ReadDataset(OutName(prefix, s)));
-    if (records.size() != 2) {
-      return agl::Status::Corruption("shard output must hold 2 records");
-    }
-    AGL_ASSIGN_OR_RETURN(std::vector<mr::KeyValue> shard_records,
-                         flat::ParseExchangeRecords(records[0]));
-    for (mr::KeyValue& kv : shard_records) {
-      // 'F' tags the final GraphFeature records RunFlatShard emits.
-      if (kv.value.empty() || kv.value[0] != 'F') continue;
-      finals.emplace_back(static_cast<flat::NodeId>(std::stoull(kv.key)),
-                          kv.value.substr(1));
-    }
-    io::BufferReader r(records[1]);
-    mr::JobStats job_stats;
-    flat::ExchangeStats exchange_stats;
-    AGL_RETURN_IF_ERROR(GetJobStats(&r, &job_stats));
-    AGL_RETURN_IF_ERROR(GetExchangeStats(&r, &exchange_stats));
-    out_stats.job_stats.Accumulate(job_stats);
-    out_stats.exchange.Accumulate(exchange_stats);
+    AGL_ASSIGN_OR_RETURN(const std::string record,
+                         ReadSingleRecord(*options.dfs, OutName(prefix, s)));
+    AGL_ASSIGN_OR_RETURN(Output output, decode(record));
+    outputs.push_back(std::move(output));
   }
-  for (const auto& [id, bytes] : finals) {
-    AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
-                         subgraph::GraphFeature::Parse(bytes));
-    out_stats.num_features++;
-    out_stats.total_nodes += gf.num_nodes();
-    out_stats.total_edges += gf.num_edges();
-    out_stats.max_nodes = std::max(out_stats.max_nodes, gf.num_nodes());
-  }
-  AGL_RETURN_IF_ERROR(
-      flat::StoreFeaturePayloads(meta.config, std::move(finals), out_dfs,
-                                 dataset));
   AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
-  out_stats.elapsed_seconds = watch.Seconds();
-  local.exchange = out_stats.exchange;
-  if (stats != nullptr) MergeStats(stats, local);
-  return out_stats;
+  return outputs;
 }
-
-agl::Result<analytics::AnalyticsResult> RunAnalyticsProcesses(
-    const DriverOptions& options, const analytics::AnalyticsConfig& config,
-    const ProgramSpec& program, const std::vector<flat::NodeRecord>& nodes,
-    const std::vector<flat::EdgeRecord>& edges, DriverStats* stats) {
-  Stopwatch watch;
-  AGL_RETURN_IF_ERROR(ValidateDriverOptions(options));
-  AGL_RETURN_IF_ERROR(config.Validate());
-  AGL_ASSIGN_OR_RETURN(std::unique_ptr<analytics::VertexProgram> prog,
-                       MakeProgram(program));
-  AGL_ASSIGN_OR_RETURN(std::vector<flat::EdgeRecord> normalized,
-                       analytics::NormalizeEdgeTable(*prog, nodes, edges));
-  const std::string& prefix = options.job_prefix;
-  AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
-
-  const int num_shards = std::max(1, config.num_shards);
-  AnalyticsJobMeta meta;
-  meta.config = config;
-  meta.config.num_shards = num_shards;
-  meta.program = program;
-  meta.num_vertices = static_cast<int64_t>(nodes.size());
-  meta.exchange_poll_ms = options.exchange_poll_ms;
-  meta.exchange_timeout_ms = options.exchange_timeout_ms;
-  AGL_RETURN_IF_ERROR(options.dfs->WriteDataset(
-      MetaName(prefix), {EncodeAnalyticsJobMeta(meta)}, /*num_parts=*/1));
-
-  flat::ShardRouter router{flat::ShardPlan(num_shards)};
-  const flat::ShardedTables tables = router.PartitionTables(nodes, normalized);
-  for (int s = 0; s < num_shards; ++s) {
-    AGL_RETURN_IF_ERROR(options.dfs->WriteDataset(
-        SliceName(prefix, s),
-        {EncodeTableSlice(tables.nodes[s], tables.edges[s])},
-        /*num_parts=*/1));
-  }
-
-  AGL_ASSIGN_OR_RETURN(const std::string self, common::SelfExecutable());
-  DriverStats local;
-  common::Mutex stats_mu;
-  AGL_RETURN_IF_ERROR(flat::ParallelOverShards(num_shards, [&](int s) {
-    return SuperviseShard(
-        options,
-        {self, kWorkerArgv1, kRoleAnalytics, options.dfs->root(), prefix,
-         std::to_string(s)},
-        ShardErrName(prefix, s), "analytics shard " + std::to_string(s),
-        &local, &stats_mu);
-  }));
-
-  analytics::AnalyticsResult result;
-  result.stats.num_vertices = static_cast<int64_t>(nodes.size());
-  result.stats.num_gather_edges = static_cast<int64_t>(normalized.size());
-  std::vector<std::vector<mr::KeyValue>> shard_records(num_shards);
-  std::vector<analytics::AnalyticsStats> shard_stats(num_shards);
-  for (int s = 0; s < num_shards; ++s) {
-    AGL_ASSIGN_OR_RETURN(std::vector<std::string> records,
-                         options.dfs->ReadDataset(OutName(prefix, s)));
-    if (records.size() != 2) {
-      return agl::Status::Corruption("shard output must hold 2 records");
-    }
-    AGL_ASSIGN_OR_RETURN(shard_records[s],
-                         flat::ParseExchangeRecords(records[0]));
-    AGL_ASSIGN_OR_RETURN(shard_stats[s], DecodeAnalyticsStats(records[1]));
-  }
-  AGL_ASSIGN_OR_RETURN(
-      result.values,
-      analytics::CollectFinalValues(shard_records,
-                                    static_cast<int64_t>(nodes.size())));
-  // Superstep accounting is AllGather-agreed and identical on every shard;
-  // job and exchange counters are per-shard work.
-  result.stats.supersteps = shard_stats[0].supersteps;
-  result.stats.converged = shard_stats[0].converged;
-  result.stats.active_per_round = std::move(shard_stats[0].active_per_round);
-  result.stats.messages_per_round =
-      std::move(shard_stats[0].messages_per_round);
-  for (const analytics::AnalyticsStats& ss : shard_stats) {
-    result.stats.job_stats.Accumulate(ss.job_stats);
-    result.stats.exchange.Accumulate(ss.exchange);
-  }
-  AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
-  result.stats.elapsed_seconds = watch.Seconds();
-  local.exchange = result.stats.exchange;
-  if (stats != nullptr) MergeStats(stats, local);
-  return result;
-}
-
-namespace {
 
 /// One spawn-run-reap cycle of a trainer epoch's worker fleet. OK means
 /// every worker exited clean and `results` holds their decoded reports;
@@ -506,7 +393,7 @@ agl::Status RunTrainEpochAttempt(
     const DriverOptions& options, const std::string& self, int epoch,
     int attempt, int active_workers, int64_t staleness_bound, int port,
     ps::PsClient* client, std::vector<WorkerResult>* results,
-    DriverStats* stats, common::Mutex* mu) {
+    DriverStats* stats) {
   const std::string& prefix = options.job_prefix;
   for (int w = 0; w < active_workers; ++w) {
     (void)options.dfs->DropDataset(ResName(prefix, epoch, w));
@@ -517,12 +404,8 @@ agl::Status RunTrainEpochAttempt(
   std::vector<pid_t> pids;
   pids.reserve(active_workers);
   agl::Status spawn_status;
+  const std::vector<std::string> env = AttemptEnv(options, attempt);
   for (int w = 0; w < active_workers; ++w) {
-    std::vector<std::string> env = options.worker_env;
-    if (attempt == 0) {
-      env.insert(env.end(), options.first_attempt_env.begin(),
-                 options.first_attempt_env.end());
-    }
     auto pid = common::Spawn(
         {self, kWorkerArgv1, kRoleTrain, options.dfs->root(), prefix,
          std::to_string(w), std::to_string(epoch), std::to_string(port)},
@@ -531,10 +414,7 @@ agl::Status RunTrainEpochAttempt(
       spawn_status = pid.status();
       break;
     }
-    {
-      common::MutexLock lock(mu);
-      stats->spawns++;
-    }
+    stats->spawns++;
     pids.push_back(*pid);
   }
   if (!spawn_status.ok()) {
@@ -579,16 +459,7 @@ agl::Status RunTrainEpochAttempt(
   bool signaled = false;
   for (int w = 0; w < active_workers; ++w) {
     AGL_RETURN_IF_ERROR(wait_errors[w]);
-    {
-      common::MutexLock lock(mu);
-      if (exits[w].clean()) {
-        stats->clean_exits++;
-      } else if (exits[w].signaled) {
-        stats->signal_exits++;
-      } else {
-        stats->error_exits++;
-      }
-    }
+    CountExit(exits[w], stats);
     if (exits[w].signaled) signaled = true;
   }
   if (signaled) {
@@ -605,7 +476,7 @@ agl::Status RunTrainEpochAttempt(
     agl::Status reported = common::ClassifyExit(
         exits[w], "trainer worker " + std::to_string(w));
     if (auto from_dfs =
-            ReadReportedError(options.dfs, TrainErrName(prefix, epoch, w))) {
+            ReadReportedError(*options.dfs, TrainErrName(prefix, epoch, w))) {
       reported = *std::move(from_dfs);
     }
     if (reported.code() != agl::StatusCode::kAborted) return reported;
@@ -614,25 +485,64 @@ agl::Status RunTrainEpochAttempt(
   AGL_RETURN_IF_ERROR(first_error);
 
   for (int w = 0; w < active_workers; ++w) {
-    AGL_ASSIGN_OR_RETURN(std::vector<std::string> records,
-                         options.dfs->ReadDataset(ResName(prefix, epoch, w)));
-    if (records.size() != 1) {
-      return agl::Status::Corruption(
-          "worker result must hold exactly 1 record");
-    }
-    AGL_ASSIGN_OR_RETURN((*results)[w], DecodeWorkerResult(records[0]));
+    AGL_ASSIGN_OR_RETURN(
+        const std::string record,
+        ReadSingleRecord(*options.dfs, ResName(prefix, epoch, w)));
+    AGL_ASSIGN_OR_RETURN((*results)[w], DecodeWorkerResult(record));
   }
   return agl::Status::OK();
 }
 
 }  // namespace
 
+agl::Result<flat::GraphFlatStats> RunGraphFlatProcesses(
+    const DriverOptions& options, const flat::GraphFlatConfig& config,
+    const std::vector<flat::NodeRecord>& nodes,
+    const std::vector<flat::EdgeRecord>& edges, mr::LocalDfs* out_dfs,
+    const std::string& dataset, DriverStats* stats) {
+  AGL_RETURN_IF_ERROR(ValidateDriverOptions(options));
+  AGL_RETURN_IF_ERROR(config.Validate());
+  if (out_dfs == nullptr) {
+    return agl::Status::InvalidArgument("driver: out_dfs is required");
+  }
+  DriverStats local;
+  auto result = flat::RunGraphFlat(
+      config, nodes, edges, out_dfs, dataset,
+      [&](const flat::FlatShardJob& job, const flat::ShardedTables& tables) {
+        return RunShardProcesses(options, kRoleFlat, EncodeFlatShardJob(job),
+                                 tables, DecodeFlatShardOutput, &local);
+      });
+  if (result.ok()) local.exchange = result->exchange;
+  if (stats != nullptr) MergeStats(stats, local);
+  return result;
+}
+
+agl::Result<analytics::AnalyticsResult> RunAnalyticsProcesses(
+    const DriverOptions& options, const analytics::AnalyticsConfig& config,
+    const ProgramSpec& program, const std::vector<flat::NodeRecord>& nodes,
+    const std::vector<flat::EdgeRecord>& edges, DriverStats* stats) {
+  AGL_RETURN_IF_ERROR(ValidateDriverOptions(options));
+  AGL_RETURN_IF_ERROR(config.Validate());
+  AGL_ASSIGN_OR_RETURN(std::unique_ptr<analytics::VertexProgram> prog,
+                       MakeProgram(program));
+  DriverStats local;
+  auto result = analytics::RunVertexProgram(
+      config, *prog, nodes, edges,
+      [&](const analytics::AnalyticsShardJob& job,
+          const flat::ShardedTables& tables) {
+        return RunShardProcesses(options, kRoleAnalytics,
+                                 EncodeAnalyticsJob({job, program}), tables,
+                                 DecodeAnalyticsShardOutput, &local);
+      });
+  if (result.ok()) local.exchange = result->stats.exchange;
+  if (stats != nullptr) MergeStats(stats, local);
+  return result;
+}
+
 agl::Result<trainer::TrainReport> TrainProcesses(
     const DriverOptions& options, const trainer::TrainerConfig& config,
     std::span<const subgraph::GraphFeature> train,
     std::span<const subgraph::GraphFeature> val, DriverStats* stats) {
-  using StateDict = std::map<std::string, tensor::Tensor>;
-  using PsSnapshot = std::map<std::string, ps::ExportedParam>;
   AGL_RETURN_IF_ERROR(ValidateDriverOptions(options));
   AGL_RETURN_IF_ERROR(config.Validate());
   if (train.empty()) {
@@ -643,20 +553,13 @@ agl::Result<trainer::TrainReport> TrainProcesses(
         "TrainProcesses: kAsync has no replayable schedule across a process "
         "respawn; use kBsp or kSsp");
   }
-  if (config.staleness_bound < 0) {
-    return agl::Status::InvalidArgument("staleness_bound must be >= 0");
-  }
-  if (config.checkpoint_every_batches > 0 || config.resume) {
-    return agl::Status::InvalidArgument(
-        "TrainProcesses: mid-epoch checkpoint/resume is in-process only; "
-        "recovery here is epoch-grained");
-  }
 
   const std::string& prefix = options.job_prefix;
   AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
 
-  const auto partitions = SplitRanges(train.size(), config.num_workers);
-  const int active_workers = static_cast<int>(partitions.size());
+  const int active_workers = static_cast<int>(
+      trainer::internal::SplitRanges(train.size(), config.num_workers)
+          .size());
   // kBsp rides the wire as SSP at bound 0 — proven bit-identical by the
   // consistency suite, and it gives both modes one recovery protocol.
   const int64_t staleness_bound =
@@ -685,96 +588,40 @@ agl::Result<trainer::TrainReport> TrainProcesses(
                                                   /*num_parts=*/1));
   }
 
-  Stopwatch total_watch;
-  gnn::GnnModel init_model(config.model);
-  ps::ServerOptions ps_opts;
-  ps_opts.num_shards = config.ps_shards;
-  ps_opts.adam = config.adam;
-  ps::ParameterServer server(ps_opts);
-  ps::LocalPsClient client(&server);
-  if (config.initial_state.empty()) {
-    AGL_RETURN_IF_ERROR(client.Initialize(init_model.StateDict()));
-  } else {
-    AGL_RETURN_IF_ERROR(init_model.LoadStateDict(config.initial_state));
-    AGL_RETURN_IF_ERROR(client.Initialize(config.initial_state));
-  }
+  AGL_ASSIGN_OR_RETURN(const std::string self, common::SelfExecutable());
+  ps::ParameterServer server(trainer::internal::PsServerOptions(config));
   ps::PsServer wire(&server);
   AGL_RETURN_IF_ERROR(wire.Start());
-
-  AGL_ASSIGN_OR_RETURN(const std::string self, common::SelfExecutable());
-  trainer::GraphTrainer evaluator(config);
   DriverStats local;
-  common::Mutex stats_mu;
-
-  trainer::TrainReport report;
-  report.best_val_metric = -std::numeric_limits<double>::infinity();
-  int bad_evals = 0;
-
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    Stopwatch epoch_watch;
-    std::vector<WorkerResult> results(active_workers);
-    // Epoch-grained recovery point: values + Adam moments as of the epoch
-    // start. A worker-epoch is a pure function of (config, seed, epoch,
-    // worker) given this state, so a respawned attempt recomputes the
-    // identical bytes.
-    AGL_ASSIGN_OR_RETURN(const PsSnapshot snapshot, client.ExportState());
-    for (int attempt = 0;; ++attempt) {
-      agl::Status st = RunTrainEpochAttempt(
-          options, self, epoch, attempt, active_workers, staleness_bound,
-          wire.port(), &client, &results, &local, &stats_mu);
-      if (st.ok()) break;
-      if (!agl::IsRetryableError(st) || attempt >= options.max_restarts) {
-        return st;
-      }
-      {
-        common::MutexLock lock(&stats_mu);
-        local.restarts++;
-      }
-      AGL_RETURN_IF_ERROR(client.ImportState(snapshot));
-    }
-
-    trainer::EpochRecord rec;
-    rec.epoch = epoch;
-    double loss_sum = 0;
-    int64_t batches = 0;
-    for (const WorkerResult& r : results) {
-      loss_sum += r.loss_sum;
-      batches += r.batches;
-      rec.prep_seconds += r.prep_seconds;
-      rec.compute_seconds += r.compute_seconds;
-      rec.comm_seconds += r.comm_seconds;
-    }
-    rec.mean_train_loss = batches > 0 ? loss_sum / batches : 0;
-    rec.seconds = epoch_watch.Seconds();
-    rec.val_metric = std::numeric_limits<double>::quiet_NaN();
-    if (!val.empty() && config.eval_every > 0 &&
-        (epoch + 1) % config.eval_every == 0) {
-      AGL_ASSIGN_OR_RETURN(const StateDict eval_state, client.PullAll());
-      AGL_ASSIGN_OR_RETURN(rec.val_metric, evaluator.Evaluate(eval_state, val));
-      if (rec.val_metric > report.best_val_metric) {
-        report.best_val_metric = rec.val_metric;
-        bad_evals = 0;
-      } else {
-        ++bad_evals;
-      }
-    }
-    report.epochs.push_back(rec);
-    if (config.checkpoint_dfs != nullptr) {
-      AGL_ASSIGN_OR_RETURN(const StateDict ckpt_state, client.PullAll());
-      AGL_RETURN_IF_ERROR(config.checkpoint_dfs->WriteDataset(
-          config.checkpoint_prefix + "-epoch-" + std::to_string(epoch),
-          {nn::SerializeStateDict(ckpt_state)}, /*num_parts=*/1));
-    }
-    if (config.patience > 0 && bad_evals >= config.patience) break;
-  }
-
-  AGL_ASSIGN_OR_RETURN(report.final_state, client.PullAll());
-  AGL_ASSIGN_OR_RETURN(report.ps_stats, client.Stats());
-  report.total_seconds = total_watch.Seconds();
+  // The in-process trainer's epoch loop, with each epoch's workers spawned
+  // as processes against the wire PS in front of the loop's server.
+  auto report = trainer::GraphTrainer(config).TrainLoop(
+      &server,
+      [&](int epoch, ps::PsClient* client, std::vector<WorkerResult>* results,
+          const trainer::internal::MidCheckpointEnv*) -> agl::Status {
+        // Epoch-grained recovery point: values + Adam moments as of the
+        // epoch start. A worker-epoch is a pure function of (config, seed,
+        // epoch, worker) given this state, so a respawned attempt
+        // recomputes the identical bytes.
+        AGL_ASSIGN_OR_RETURN(const auto snapshot, client->ExportState());
+        for (int attempt = 0;; ++attempt) {
+          agl::Status st = RunTrainEpochAttempt(
+              options, self, epoch, attempt, active_workers, staleness_bound,
+              wire.port(), client, results, &local);
+          if (st.ok() || !agl::IsRetryableError(st) ||
+              attempt >= options.max_restarts) {
+            return st;
+          }
+          local.restarts++;
+          AGL_RETURN_IF_ERROR(client->ImportState(snapshot));
+        }
+      },
+      active_workers, val, /*num_examples=*/std::nullopt);
   wire.Stop();
   local.ps_transport = wire.transport_stats();
-  AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
   if (stats != nullptr) MergeStats(stats, local);
+  AGL_RETURN_IF_ERROR(report.status());
+  AGL_RETURN_IF_ERROR(flat::DfsExchange::CleanupPrefix(options.dfs, prefix));
   return report;
 }
 
@@ -787,14 +634,17 @@ std::optional<int> RunWorkerIfSpawned(int argc, char** argv) {
   if (argc < 3) return usage("missing role");
   const std::string role = argv[2];
   if (role == kRoleFlat || role == kRoleAnalytics) {
-    if (argc != 6) return usage("shard worker wants: role root prefix shard");
+    if (argc != 8) {
+      return usage("shard worker wants: role root prefix shard poll timeout");
+    }
     const std::string root = argv[3];
     const std::string prefix = argv[4];
     const int shard = std::atoi(argv[5]);
-    agl::Status status =
-        role == kRoleFlat ? RunFlatShardWorker(root, prefix, shard)
-                          : RunAnalyticsShardWorker(root, prefix, shard);
-    return FinishWorker(status, root, ShardErrName(prefix, shard));
+    flat::DfsExchange::Options xopts;
+    xopts.poll_interval_ms = std::atoi(argv[6]);
+    xopts.timeout_ms = std::atoi(argv[7]);
+    return FinishWorker(RunShardWorker(role, root, prefix, shard, xopts),
+                        root, ShardErrName(prefix, shard));
   }
   if (role == kRoleTrain) {
     if (argc != 8) {

@@ -1,30 +1,41 @@
-// The supervising driver: promotes shards and trainer workers to real OS
-// processes while keeping the in-process thread path's output byte-
-// identical.
+// The supervising driver: runs the shards and trainer workers of a job as
+// real OS processes while keeping the in-process thread path's output
+// byte-identical.
+//
+// One job shell. Each pipeline's job logic exists once, parameterized only
+// by how its S shards or W workers run: flat::RunGraphFlat with a
+// FlatShardRunner, analytics::RunVertexProgram with an
+// AnalyticsShardRunner, and GraphTrainer::TrainLoop with an EpochRunner.
+// The driver passes process runners and keeps only what the process
+// boundary adds: job metas and table slices on the DFS, spawning,
+// classified-retry supervision, reading worker outputs back, and hosting
+// the PsServer in front of the loop's ParameterServer.
 //
 // Topology. The driver process (the one the user invoked) re-execs ITSELF
-// as workers: `Spawn(SelfExecutable(), "__agl_worker", role, ...)`. A
-// binary opts in by calling RunWorkerIfSpawned() first thing in main();
-// when argv marks the process as a worker it runs its role and exits
-// instead of parsing user flags. All bulk data crosses the boundary
-// through the crash-consistent LocalDfs (job specs, table slices, the
-// DfsExchange's boundary buckets, worker results); the trainer's hot path
-// speaks the ps/ wire protocol to a PsServer the driver hosts.
+// as workers: `Spawn(SelfExecutable(), "__agl_worker", role, ...)`. A binary
+// opts in by calling RunWorkerIfSpawned() first thing in main(); when argv
+// marks the process as a worker it runs its role and exits instead of
+// parsing user flags. All bulk data crosses the boundary through the
+// crash-consistent LocalDfs (job metas, table slices, the DfsExchange's
+// boundary buckets, worker outputs); the trainer's hot path speaks the ps/
+// wire protocol to a PsServer the driver hosts.
 //
 // Failure semantics. Worker exits feed common::ClassifyExit into the same
 // classified-retry policy the in-process layers use: a signal death (the
 // chaos harness's SIGKILL, an OOM kill, or a worker turning an injected
 // crash failpoint into a real `raise(SIGKILL)`) is kUnavailable and
 // retryable up to `max_restarts`; a nonzero exit carries a worker-reported
-// Status read back off the DFS and is fatal. GraphFlat/analytics shards
-// restart individually — their DfsExchange publishes are idempotent
-// (atomic replace, byte-identical recomputation), so peers simply keep
-// polling. Trainer recovery is epoch-grained: the driver exports the PS
-// state at each epoch start, and on a worker death cancels the SSP epoch,
-// re-imports the snapshot (values + Adam moments), and respawns the
-// epoch's workers — bit-exact for kBsp and kSsp at bound 0 because each
-// worker-epoch's schedule and RNG are pure functions of (config, seed,
-// epoch, worker).
+// Status read back off the DFS and is fatal unless it is retryable.
+// GraphFlat/analytics shards restart individually — their DfsExchange
+// publishes are idempotent (atomic replace, byte-identical recomputation),
+// so peers keep polling while one restarts. A shard that fails for good
+// stops the job at once: its surviving peers are killed without a restart
+// and the job returns that shard's error. Trainer recovery is
+// epoch-grained: the driver exports the PS state at each epoch start, and
+// on a worker death cancels the SSP epoch, re-imports the snapshot (values
+// + Adam moments), and respawns the epoch's workers — bit-exact for kBsp
+// and kSsp at bound 0 because each worker-epoch's schedule and RNG are
+// pure functions of (config, seed, epoch, worker).
 
 #pragma once
 
@@ -68,7 +79,7 @@ struct DriverOptions {
 };
 
 /// Supervision counters (the driver-side complement of the transport
-/// stats), printed by `agl_cli driver`.
+/// stats), printed by `agl_cli driver`. Filled in on failure too.
 struct DriverStats {
   int64_t spawns = 0;
   int64_t restarts = 0;
@@ -104,8 +115,8 @@ agl::Result<analytics::AnalyticsResult> RunAnalyticsProcesses(
 /// hosted by the driver. Supports kBsp (run as SSP bound 0 on the wire —
 /// proven bit-identical by the consistency suite) and kSsp; kAsync and
 /// mid-epoch checkpointing are rejected (no replayable schedule across a
-/// process respawn). Epoch-boundary checkpoints (`checkpoint_dfs`),
-/// eval_every and patience behave exactly as GraphTrainer::Train.
+/// process respawn). Runs GraphTrainer::TrainLoop, so epoch-boundary
+/// checkpoints (`checkpoint_dfs`), eval_every and patience are Train's.
 agl::Result<trainer::TrainReport> TrainProcesses(
     const DriverOptions& options, const trainer::TrainerConfig& config,
     std::span<const subgraph::GraphFeature> train,

@@ -29,6 +29,9 @@ void PutInt64Vector(io::BufferWriter* w, const std::vector<int64_t>& v) {
 agl::Status GetInt64Vector(io::BufferReader* r, std::vector<int64_t>* out) {
   uint64_t n = 0;
   AGL_RETURN_IF_ERROR(r->GetVarint64(&n));
+  if (n > r->remaining()) {
+    return agl::Status::Corruption("vector length overflows its record");
+  }
   out->clear();
   out->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -59,49 +62,6 @@ agl::Status GetJobConfig(io::BufferReader* r, mr::JobConfig* c) {
   AGL_RETURN_IF_ERROR(r->GetDouble(&c->backoff_max_ms));
   AGL_RETURN_IF_ERROR(r->GetDouble(&c->retry_deadline_ms));
   return r->GetVarint64(&c->seed);
-}
-
-}  // namespace
-
-agl::Result<std::unique_ptr<analytics::VertexProgram>> MakeProgram(
-    const ProgramSpec& spec) {
-  if (spec.name == "pagerank") {
-    return std::unique_ptr<analytics::VertexProgram>(
-        new analytics::PageRankProgram(spec.damping, spec.tolerance));
-  }
-  if (spec.name == "cc") {
-    return std::unique_ptr<analytics::VertexProgram>(
-        new analytics::ConnectedComponentsProgram());
-  }
-  if (spec.name == "sssp") {
-    return std::unique_ptr<analytics::VertexProgram>(
-        new analytics::SsspProgram(spec.source));
-  }
-  if (spec.name == "lp") {
-    return std::unique_ptr<analytics::VertexProgram>(
-        new analytics::LabelPropagationProgram());
-  }
-  return agl::Status::InvalidArgument("unknown vertex program '" +
-                                      spec.name + "'");
-}
-
-void PutStatus(io::BufferWriter* w, const agl::Status& status) {
-  w->PutVarint64(static_cast<uint64_t>(status.code()));
-  w->PutString(status.message());
-}
-
-agl::Status GetStatus(io::BufferReader* r, agl::Status* out) {
-  uint64_t code = 0;
-  std::string message;
-  AGL_RETURN_IF_ERROR(r->GetVarint64(&code));
-  AGL_RETURN_IF_ERROR(r->GetString(&message));
-  if (code > static_cast<uint64_t>(agl::StatusCode::kInternal)) {
-    return agl::Status::Corruption("status code out of range");
-  }
-  *out = code == 0 ? agl::Status::OK()
-                   : agl::Status(static_cast<agl::StatusCode>(code),
-                                 std::move(message));
-  return agl::Status::OK();
 }
 
 void PutJobStats(io::BufferWriter* w, const mr::JobStats& stats) {
@@ -152,6 +112,49 @@ agl::Status GetExchangeStats(io::BufferReader* r, flat::ExchangeStats* out) {
   return r->GetDouble(&out->wait_seconds);
 }
 
+}  // namespace
+
+agl::Result<std::unique_ptr<analytics::VertexProgram>> MakeProgram(
+    const ProgramSpec& spec) {
+  if (spec.name == "pagerank") {
+    return std::unique_ptr<analytics::VertexProgram>(
+        new analytics::PageRankProgram(spec.damping, spec.tolerance));
+  }
+  if (spec.name == "cc") {
+    return std::unique_ptr<analytics::VertexProgram>(
+        new analytics::ConnectedComponentsProgram());
+  }
+  if (spec.name == "sssp") {
+    return std::unique_ptr<analytics::VertexProgram>(
+        new analytics::SsspProgram(spec.source));
+  }
+  if (spec.name == "lp") {
+    return std::unique_ptr<analytics::VertexProgram>(
+        new analytics::LabelPropagationProgram());
+  }
+  return agl::Status::InvalidArgument("unknown vertex program '" +
+                                      spec.name + "'");
+}
+
+void PutStatus(io::BufferWriter* w, const agl::Status& status) {
+  w->PutVarint64(static_cast<uint64_t>(status.code()));
+  w->PutString(status.message());
+}
+
+agl::Status GetStatus(io::BufferReader* r, agl::Status* out) {
+  uint64_t code = 0;
+  std::string message;
+  AGL_RETURN_IF_ERROR(r->GetVarint64(&code));
+  AGL_RETURN_IF_ERROR(r->GetString(&message));
+  if (code > static_cast<uint64_t>(agl::StatusCode::kInternal)) {
+    return agl::Status::Corruption("status code out of range");
+  }
+  *out = code == 0 ? agl::Status::OK()
+                   : agl::Status(static_cast<agl::StatusCode>(code),
+                                 std::move(message));
+  return agl::Status::OK();
+}
+
 std::string EncodeTableSlice(const std::vector<flat::NodeRecord>& nodes,
                              const std::vector<flat::EdgeRecord>& edges) {
   io::BufferWriter w;
@@ -191,9 +194,9 @@ agl::Status DecodeTableSlice(const std::string& bytes,
   return agl::Status::OK();
 }
 
-std::string EncodeFlatJobMeta(const FlatJobMeta& meta) {
+std::string EncodeFlatShardJob(const flat::FlatShardJob& job) {
   io::BufferWriter w;
-  const flat::GraphFlatConfig& c = meta.config;
+  const flat::GraphFlatConfig& c = job.config;
   PutInt(&w, c.hops);
   w.PutVarint64(static_cast<uint64_t>(c.sampler.strategy));
   PutInt(&w, c.sampler.max_neighbors);
@@ -203,17 +206,15 @@ std::string EncodeFlatJobMeta(const FlatJobMeta& meta) {
   PutInt(&w, c.output_parts);
   PutInt(&w, c.num_shards);
   PutJobConfig(&w, c.job);
-  PutInt(&w, meta.node_feature_dim);
-  PutInt(&w, meta.edge_feature_dim);
-  PutInt(&w, meta.exchange_poll_ms);
-  PutInt(&w, meta.exchange_timeout_ms);
+  PutInt(&w, job.node_feature_dim);
+  PutInt(&w, job.edge_feature_dim);
   return w.Release();
 }
 
-agl::Result<FlatJobMeta> DecodeFlatJobMeta(const std::string& bytes) {
+agl::Result<flat::FlatShardJob> DecodeFlatShardJob(const std::string& bytes) {
   io::BufferReader r(bytes);
-  FlatJobMeta meta;
-  flat::GraphFlatConfig& c = meta.config;
+  flat::FlatShardJob job;
+  flat::GraphFlatConfig& c = job.config;
   uint64_t e = 0;
   AGL_RETURN_IF_ERROR(GetIntAs(&r, &c.hops));
   AGL_RETURN_IF_ERROR(r.GetVarint64(&e));
@@ -226,55 +227,48 @@ agl::Result<FlatJobMeta> DecodeFlatJobMeta(const std::string& bytes) {
   AGL_RETURN_IF_ERROR(GetIntAs(&r, &c.output_parts));
   AGL_RETURN_IF_ERROR(GetIntAs(&r, &c.num_shards));
   AGL_RETURN_IF_ERROR(GetJobConfig(&r, &c.job));
-  AGL_RETURN_IF_ERROR(GetInt(&r, &meta.node_feature_dim));
-  AGL_RETURN_IF_ERROR(GetInt(&r, &meta.edge_feature_dim));
-  AGL_RETURN_IF_ERROR(GetIntAs(&r, &meta.exchange_poll_ms));
-  AGL_RETURN_IF_ERROR(GetIntAs(&r, &meta.exchange_timeout_ms));
+  AGL_RETURN_IF_ERROR(GetInt(&r, &job.node_feature_dim));
+  AGL_RETURN_IF_ERROR(GetInt(&r, &job.edge_feature_dim));
   if (!r.AtEnd()) {
-    return agl::Status::Corruption("flat job meta has trailing bytes");
+    return agl::Status::Corruption("flat shard job has trailing bytes");
   }
-  return meta;
+  return job;
 }
 
-std::string EncodeAnalyticsJobMeta(const AnalyticsJobMeta& meta) {
+std::string EncodeAnalyticsJob(const AnalyticsJob& job) {
   io::BufferWriter w;
-  const analytics::AnalyticsConfig& c = meta.config;
+  const analytics::AnalyticsConfig& c = job.shard.config;
   PutInt(&w, c.max_supersteps);
   PutInt(&w, c.num_shards);
   PutInt(&w, c.output_parts);
   PutJobConfig(&w, c.job);
-  w.PutString(meta.program.name);
-  w.PutDouble(meta.program.damping);
-  w.PutDouble(meta.program.tolerance);
-  w.PutVarint64(meta.program.source);
-  PutInt(&w, meta.num_vertices);
-  PutInt(&w, meta.exchange_poll_ms);
-  PutInt(&w, meta.exchange_timeout_ms);
+  PutInt(&w, job.shard.num_vertices);
+  w.PutString(job.program.name);
+  w.PutDouble(job.program.damping);
+  w.PutDouble(job.program.tolerance);
+  w.PutVarint64(job.program.source);
   return w.Release();
 }
 
-agl::Result<AnalyticsJobMeta> DecodeAnalyticsJobMeta(
-    const std::string& bytes) {
+agl::Result<AnalyticsJob> DecodeAnalyticsJob(const std::string& bytes) {
   io::BufferReader r(bytes);
-  AnalyticsJobMeta meta;
-  analytics::AnalyticsConfig& c = meta.config;
+  AnalyticsJob job;
+  analytics::AnalyticsConfig& c = job.shard.config;
   AGL_RETURN_IF_ERROR(GetIntAs(&r, &c.max_supersteps));
   AGL_RETURN_IF_ERROR(GetIntAs(&r, &c.num_shards));
   AGL_RETURN_IF_ERROR(GetIntAs(&r, &c.output_parts));
   AGL_RETURN_IF_ERROR(GetJobConfig(&r, &c.job));
-  AGL_RETURN_IF_ERROR(r.GetString(&meta.program.name));
-  AGL_RETURN_IF_ERROR(r.GetDouble(&meta.program.damping));
-  AGL_RETURN_IF_ERROR(r.GetDouble(&meta.program.tolerance));
+  AGL_RETURN_IF_ERROR(GetInt(&r, &job.shard.num_vertices));
+  AGL_RETURN_IF_ERROR(r.GetString(&job.program.name));
+  AGL_RETURN_IF_ERROR(r.GetDouble(&job.program.damping));
+  AGL_RETURN_IF_ERROR(r.GetDouble(&job.program.tolerance));
   uint64_t source = 0;
   AGL_RETURN_IF_ERROR(r.GetVarint64(&source));
-  meta.program.source = source;
-  AGL_RETURN_IF_ERROR(GetInt(&r, &meta.num_vertices));
-  AGL_RETURN_IF_ERROR(GetIntAs(&r, &meta.exchange_poll_ms));
-  AGL_RETURN_IF_ERROR(GetIntAs(&r, &meta.exchange_timeout_ms));
+  job.program.source = source;
   if (!r.AtEnd()) {
-    return agl::Status::Corruption("analytics job meta has trailing bytes");
+    return agl::Status::Corruption("analytics job has trailing bytes");
   }
-  return meta;
+  return job;
 }
 
 std::string EncodeTrainJobMeta(const TrainJobMeta& meta) {
@@ -380,39 +374,63 @@ agl::Result<trainer::internal::WorkerResult> DecodeWorkerResult(
   return res;
 }
 
-std::string EncodeAnalyticsStats(const analytics::AnalyticsStats& stats) {
+std::string EncodeFlatShardOutput(const flat::FlatShardOutput& out) {
   io::BufferWriter w;
+  w.PutString(flat::SerializeExchangeRecords(out.records));
+  PutJobStats(&w, out.job_stats);
+  PutExchangeStats(&w, out.exchange);
+  return w.Release();
+}
+
+agl::Result<flat::FlatShardOutput> DecodeFlatShardOutput(
+    const std::string& bytes) {
+  io::BufferReader r(bytes);
+  flat::FlatShardOutput out;
+  std::string records;
+  AGL_RETURN_IF_ERROR(r.GetString(&records));
+  AGL_ASSIGN_OR_RETURN(out.records, flat::ParseExchangeRecords(records));
+  AGL_RETURN_IF_ERROR(GetJobStats(&r, &out.job_stats));
+  AGL_RETURN_IF_ERROR(GetExchangeStats(&r, &out.exchange));
+  if (!r.AtEnd()) {
+    return agl::Status::Corruption("flat shard output has trailing bytes");
+  }
+  return out;
+}
+
+std::string EncodeAnalyticsShardOutput(
+    const analytics::AnalyticsShardOutput& out) {
+  io::BufferWriter w;
+  w.PutString(flat::SerializeExchangeRecords(out.records));
+  const analytics::AnalyticsStats& stats = out.stats;
   PutInt(&w, stats.supersteps);
   w.PutVarint64(stats.converged ? 1 : 0);
-  PutInt(&w, stats.num_vertices);
-  PutInt(&w, stats.num_gather_edges);
   PutInt64Vector(&w, stats.active_per_round);
   PutInt64Vector(&w, stats.messages_per_round);
-  w.PutDouble(stats.elapsed_seconds);
   PutJobStats(&w, stats.job_stats);
   PutExchangeStats(&w, stats.exchange);
   return w.Release();
 }
 
-agl::Result<analytics::AnalyticsStats> DecodeAnalyticsStats(
+agl::Result<analytics::AnalyticsShardOutput> DecodeAnalyticsShardOutput(
     const std::string& bytes) {
   io::BufferReader r(bytes);
-  analytics::AnalyticsStats stats;
+  analytics::AnalyticsShardOutput out;
+  std::string records;
+  AGL_RETURN_IF_ERROR(r.GetString(&records));
+  AGL_ASSIGN_OR_RETURN(out.records, flat::ParseExchangeRecords(records));
+  analytics::AnalyticsStats& stats = out.stats;
   uint64_t b = 0;
   AGL_RETURN_IF_ERROR(GetIntAs(&r, &stats.supersteps));
   AGL_RETURN_IF_ERROR(r.GetVarint64(&b));
   stats.converged = b != 0;
-  AGL_RETURN_IF_ERROR(GetInt(&r, &stats.num_vertices));
-  AGL_RETURN_IF_ERROR(GetInt(&r, &stats.num_gather_edges));
   AGL_RETURN_IF_ERROR(GetInt64Vector(&r, &stats.active_per_round));
   AGL_RETURN_IF_ERROR(GetInt64Vector(&r, &stats.messages_per_round));
-  AGL_RETURN_IF_ERROR(r.GetDouble(&stats.elapsed_seconds));
   AGL_RETURN_IF_ERROR(GetJobStats(&r, &stats.job_stats));
   AGL_RETURN_IF_ERROR(GetExchangeStats(&r, &stats.exchange));
   if (!r.AtEnd()) {
-    return agl::Status::Corruption("analytics stats has trailing bytes");
+    return agl::Status::Corruption("analytics shard output has trailing bytes");
   }
-  return stats;
+  return out;
 }
 
 }  // namespace agl::driver

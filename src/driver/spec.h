@@ -38,16 +38,10 @@ struct ProgramSpec {
 agl::Result<std::unique_ptr<analytics::VertexProgram>> MakeProgram(
     const ProgramSpec& spec);
 
-// --- status / stats ---------------------------------------------------------
+// --- status -----------------------------------------------------------------
 
 void PutStatus(io::BufferWriter* w, const agl::Status& status);
 agl::Status GetStatus(io::BufferReader* r, agl::Status* out);
-
-void PutJobStats(io::BufferWriter* w, const mr::JobStats& stats);
-agl::Status GetJobStats(io::BufferReader* r, mr::JobStats* out);
-
-void PutExchangeStats(io::BufferWriter* w, const flat::ExchangeStats& stats);
-agl::Status GetExchangeStats(io::BufferReader* r, flat::ExchangeStats* out);
 
 // --- table slices -----------------------------------------------------------
 
@@ -60,29 +54,16 @@ agl::Status DecodeTableSlice(const std::string& bytes,
 
 // --- job metas --------------------------------------------------------------
 
-/// GraphFlat shard-job meta: the config plus the feature dims the driver
-/// inferred from the full tables (a shard's slice may be edgeless).
-struct FlatJobMeta {
-  flat::GraphFlatConfig config;
-  int64_t node_feature_dim = 0;
-  int64_t edge_feature_dim = 0;
-  int exchange_poll_ms = 2;
-  int exchange_timeout_ms = 120000;
-};
-std::string EncodeFlatJobMeta(const FlatJobMeta& meta);
-agl::Result<FlatJobMeta> DecodeFlatJobMeta(const std::string& bytes);
+std::string EncodeFlatShardJob(const flat::FlatShardJob& job);
+agl::Result<flat::FlatShardJob> DecodeFlatShardJob(const std::string& bytes);
 
-/// Analytics shard-job meta: config + program + the global vertex count
-/// every shard's convergence bookkeeping divides through.
-struct AnalyticsJobMeta {
-  analytics::AnalyticsConfig config;
+/// An analytics shard job plus the program every shard instantiates.
+struct AnalyticsJob {
+  analytics::AnalyticsShardJob shard;
   ProgramSpec program;
-  int64_t num_vertices = 0;
-  int exchange_poll_ms = 2;
-  int exchange_timeout_ms = 120000;
 };
-std::string EncodeAnalyticsJobMeta(const AnalyticsJobMeta& meta);
-agl::Result<AnalyticsJobMeta> DecodeAnalyticsJobMeta(const std::string& bytes);
+std::string EncodeAnalyticsJob(const AnalyticsJob& job);
+agl::Result<AnalyticsJob> DecodeAnalyticsJob(const std::string& bytes);
 
 /// Trainer worker-job meta. Only the schedule-shaping scalar config
 /// travels; DFS pointers and warm-start state stay with the driver (the
@@ -103,9 +84,13 @@ std::string EncodeWorkerResult(const trainer::internal::WorkerResult& res);
 agl::Result<trainer::internal::WorkerResult> DecodeWorkerResult(
     const std::string& bytes);
 
-/// Analytics per-shard stats the driver folds into the job stats.
-std::string EncodeAnalyticsStats(const analytics::AnalyticsStats& stats);
-agl::Result<analytics::AnalyticsStats> DecodeAnalyticsStats(
+/// One shard process's output, as the shard runners return it.
+std::string EncodeFlatShardOutput(const flat::FlatShardOutput& out);
+agl::Result<flat::FlatShardOutput> DecodeFlatShardOutput(
+    const std::string& bytes);
+std::string EncodeAnalyticsShardOutput(
+    const analytics::AnalyticsShardOutput& out);
+agl::Result<analytics::AnalyticsShardOutput> DecodeAnalyticsShardOutput(
     const std::string& bytes);
 
 }  // namespace agl::driver

@@ -273,6 +273,17 @@ ExchangeStats DfsExchange::stats() const {
   return stats_;
 }
 
+agl::Result<ExchangeStats> RunShardsInProcess(
+    int num_shards, const std::function<agl::Status(int, Exchange*)>& body) {
+  InMemoryExchange exchange{ShardPlan(num_shards)};
+  AGL_RETURN_IF_ERROR(ParallelOverShards(num_shards, [&](int s) {
+    agl::Status status = body(s, &exchange);
+    if (!status.ok()) exchange.Abort(status);
+    return status;
+  }));
+  return exchange.stats();
+}
+
 agl::Status DfsExchange::CleanupPrefix(mr::LocalDfs* dfs,
                                        const std::string& prefix) {
   for (const std::string& name : dfs->ListDatasets()) {

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -165,6 +166,14 @@ class DfsExchange : public Exchange {
   agl::Status aborted_ GUARDED_BY(mu_);
   ExchangeStats stats_ GUARDED_BY(mu_);
 };
+
+/// The in-process shard fan-out of both sharded pipelines: runs
+/// `body(shard, exchange)` for shards 0..S-1 on S threads over one
+/// InMemoryExchange and returns its traffic. The first shard to fail
+/// aborts the exchange, so its peers fail at their next barrier instead of
+/// waiting for a publish that never comes.
+agl::Result<ExchangeStats> RunShardsInProcess(
+    int num_shards, const std::function<agl::Status(int, Exchange*)>& body);
 
 /// (De)serialization of one exchange bucket — exposed for tests.
 std::string SerializeExchangeRecords(const std::vector<mr::KeyValue>& records);

@@ -402,58 +402,40 @@ RoundContext MakeContext(const GraphFlatConfig& config,
   return ctx;
 }
 
-/// The sharded pipeline: one complete GraphFlat shard run (map, rounds,
-/// merge) per shard over an in-memory exchange. Produces the same final
-/// records as the single-shard pipeline (tests/sharding_test.cpp holds the
-/// byte-identity property over shard counts), and the same records the
-/// multi-process driver collects from shard worker processes running the
-/// identical per-shard unit over a DfsExchange.
+agl::Result<std::vector<FlatShardOutput>> RunFlatShardThreads(
+    const FlatShardJob& job, const ShardedTables& tables);
+
+/// The front half of the sharded job shell: partitions the tables, runs
+/// the shards through `run_shards`, and concatenates their records and
+/// counters. Produces the same final records as the single-shard pipeline
+/// (tests/sharding_test.cpp holds the byte-identity property over shard
+/// counts) whether the shards run as threads or as processes.
 agl::Result<std::vector<mr::KeyValue>> RunShardedPipeline(
     const GraphFlatConfig& config, const std::vector<NodeRecord>& nodes,
-    const std::vector<EdgeRecord>& edges, GraphFlatStats* stats) {
+    const std::vector<EdgeRecord>& edges, const FlatShardRunner& run_shards,
+    GraphFlatStats* stats) {
   Stopwatch watch;
   if (nodes.empty()) {
     return agl::Status::InvalidArgument("GraphFlat: empty node table");
   }
   const RoundContext ctx = MakeContext(config, nodes, edges);
-
-  const int num_shards = std::max(1, config.num_shards);
-  ShardRouter router{ShardPlan(num_shards)};
+  FlatShardJob job{config, ctx.node_feature_dim, ctx.edge_feature_dim};
+  job.config.num_shards = std::max(1, config.num_shards);
+  ShardRouter router{ShardPlan(job.config.num_shards)};
   const ShardedTables tables = router.PartitionTables(nodes, edges);
 
-  InMemoryExchange exchange{ShardPlan(num_shards)};
-  std::vector<std::vector<mr::KeyValue>> shard_records(num_shards);
-  std::vector<mr::JobStats> shard_stats(num_shards);
-
-  // Each shard runs its whole pipeline span concurrently; the per-round
-  // barriers are implicit in Exchange::Collect, which blocks until every
-  // peer published the round.
-  AGL_RETURN_IF_ERROR(ParallelOverShards(num_shards, [&](int s) {
-    auto records = RunFlatShard(config, s, tables.nodes[s], tables.edges[s],
-                                ctx.node_feature_dim, ctx.edge_feature_dim,
-                                &exchange, &shard_stats[s]);
-    if (!records.ok()) {
-      // A failed shard never publishes again — release the peers parked
-      // at the next barrier instead of deadlocking the pool.
-      exchange.Abort(records.status());
-      return records.status();
-    }
-    shard_records[s] = *std::move(records);
-    return agl::Status::OK();
-  }));
-
+  AGL_ASSIGN_OR_RETURN(std::vector<FlatShardOutput> shards,
+                       run_shards(job, tables));
   std::vector<mr::KeyValue> records;
   std::size_t total = 0;
-  for (const auto& recs : shard_records) total += recs.size();
+  for (const FlatShardOutput& shard : shards) total += shard.records.size();
   records.reserve(total);
-  for (auto& recs : shard_records) {
-    for (mr::KeyValue& kv : recs) records.push_back(std::move(kv));
+  for (FlatShardOutput& shard : shards) {
+    for (mr::KeyValue& kv : shard.records) records.push_back(std::move(kv));
+    stats->job_stats.Accumulate(shard.job_stats);
+    stats->exchange.Accumulate(shard.exchange);
   }
-  if (stats != nullptr) {
-    for (const mr::JobStats& js : shard_stats) stats->job_stats.Accumulate(js);
-    stats->exchange = exchange.stats();
-    stats->elapsed_seconds = watch.Seconds();
-  }
+  stats->elapsed_seconds = watch.Seconds();
   return records;
 }
 
@@ -461,7 +443,8 @@ agl::Result<std::vector<mr::KeyValue>> RunPipeline(
     const GraphFlatConfig& config, const std::vector<NodeRecord>& nodes,
     const std::vector<EdgeRecord>& edges, GraphFlatStats* stats) {
   if (config.num_shards > 1) {
-    return RunShardedPipeline(config, nodes, edges, stats);
+    return RunShardedPipeline(config, nodes, edges, RunFlatShardThreads,
+                              stats);
   }
   Stopwatch watch;
   if (nodes.empty()) {
@@ -490,32 +473,57 @@ agl::Result<std::vector<mr::KeyValue>> RunPipeline(
                            },
                            &job_stats));
   }
-  if (stats != nullptr) {
-    stats->job_stats = job_stats;
-    stats->elapsed_seconds = watch.Seconds();
-  }
+  stats->job_stats = job_stats;
+  stats->elapsed_seconds = watch.Seconds();
   return records;
+}
+
+void CountFeature(const subgraph::GraphFeature& gf, GraphFlatStats* stats) {
+  stats->num_features++;
+  stats->total_nodes += gf.num_nodes();
+  stats->total_edges += gf.num_edges();
+  stats->max_nodes = std::max(stats->max_nodes, gf.num_nodes());
+}
+
+/// The back half of every stored GraphFlat job: picks the final
+/// GraphFeature records out of the job's output, counts them into `stats`,
+/// and publishes them as `dataset`.
+agl::Status StoreFinalRecords(const GraphFlatConfig& config,
+                              std::vector<mr::KeyValue> records,
+                              mr::LocalDfs* dfs, const std::string& dataset,
+                              GraphFlatStats* stats) {
+  std::vector<std::pair<NodeId, std::string>> finals;
+  for (mr::KeyValue& kv : records) {
+    if (kv.value.empty() || kv.value[0] != kTagFinal) continue;
+    finals.emplace_back(static_cast<NodeId>(std::stoull(kv.key)),
+                        kv.value.substr(1));
+  }
+  for (const auto& [id, bytes] : finals) {
+    AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
+                         subgraph::GraphFeature::Parse(bytes));
+    CountFeature(gf, stats);
+  }
+  return StoreFeaturePayloads(config, std::move(finals), dfs, dataset);
 }
 
 }  // namespace
 
-agl::Result<std::vector<mr::KeyValue>> RunFlatShard(
-    const GraphFlatConfig& config, int shard,
+agl::Result<FlatShardOutput> RunFlatShard(
+    const FlatShardJob& job, int shard,
     const std::vector<NodeRecord>& shard_nodes,
-    const std::vector<EdgeRecord>& shard_edges, int64_t node_feature_dim,
-    int64_t edge_feature_dim, Exchange* exchange, mr::JobStats* stats) {
+    const std::vector<EdgeRecord>& shard_edges, Exchange* exchange) {
+  const GraphFlatConfig& config = job.config;
   RoundContext ctx;
   ctx.last_round = config.hops;
   ctx.sampler_config = config.sampler;
   ctx.seed = config.job.seed;
   ctx.targets = config.targets;
-  ctx.node_feature_dim = node_feature_dim;
-  ctx.edge_feature_dim = edge_feature_dim;
+  ctx.node_feature_dim = job.node_feature_dim;
+  ctx.edge_feature_dim = job.edge_feature_dim;
   ctx.emit_state_at_last = true;
 
-  const int num_shards = std::max(1, config.num_shards);
-  ShardRouter router{ShardPlan(num_shards)};
-  mr::JobStats job_stats;
+  ShardRouter router{ShardPlan(std::max(1, config.num_shards))};
+  FlatShardOutput out;
 
   // Map phase: local to this shard's table slice; the home filter drops
   // the duplicate stubs of edges mapped on both endpoint shards.
@@ -523,7 +531,7 @@ agl::Result<std::vector<mr::KeyValue>> RunFlatShard(
       std::vector<mr::KeyValue> records,
       mr::RunMapPhase(config.job, BuildMapInput(shard_nodes, shard_edges),
                       [] { return std::make_unique<FlatMapper>(); },
-                      &job_stats));
+                      &out.job_stats));
   router.FilterToShard(shard, &records);
 
   for (int round = 0; round <= config.hops; ++round) {
@@ -539,7 +547,7 @@ agl::Result<std::vector<mr::KeyValue>> RunFlatShard(
                            [round_ctx] {
                              return std::make_unique<FlatReducer>(round_ctx);
                            },
-                           &job_stats));
+                           &out.job_stats));
     if (round < config.hops) {
       // Boundary exchange: neighbor states propagated along cross-shard
       // edges move to their destination's home shard.
@@ -551,12 +559,11 @@ agl::Result<std::vector<mr::KeyValue>> RunFlatShard(
   // Merge stage (its own fault-tolerant job per shard): set-union the
   // states per node, then Store. See MergeReducer for why this stays a
   // separate stage even though exact routing leaves one state per node.
-  AGL_ASSIGN_OR_RETURN(records,
-                       MergeShardStates(config, node_feature_dim,
-                                        edge_feature_dim, std::move(records),
-                                        &job_stats));
-  if (stats != nullptr) stats->Accumulate(job_stats);
-  return records;
+  AGL_ASSIGN_OR_RETURN(out.records,
+                       MergeShardStates(config, job.node_feature_dim,
+                                        job.edge_feature_dim,
+                                        std::move(records), &out.job_stats));
+  return out;
 }
 
 agl::Result<std::vector<mr::KeyValue>> MergeShardStates(
@@ -572,6 +579,28 @@ agl::Result<std::vector<mr::KeyValue>> MergeShardStates(
       [ctx] { return std::make_unique<MergeReducer>(ctx); }, stats);
 }
 
+namespace {
+
+agl::Result<std::vector<FlatShardOutput>> RunFlatShardThreads(
+    const FlatShardJob& job, const ShardedTables& tables) {
+  std::vector<FlatShardOutput> shards(tables.nodes.size());
+  AGL_ASSIGN_OR_RETURN(
+      const ExchangeStats exchange,
+      RunShardsInProcess(
+          static_cast<int>(shards.size()),
+          [&](int s, Exchange* ex) -> agl::Status {
+            AGL_ASSIGN_OR_RETURN(shards[s], RunFlatShard(job, s, tables.nodes[s],
+                                                         tables.edges[s], ex));
+            return agl::Status::OK();
+          }));
+  // One exchange carried every shard's traffic; sums over shards stay
+  // exact when it is booked on shard 0.
+  shards[0].exchange = exchange;
+  return shards;
+}
+
+}  // namespace
+
 agl::Result<std::vector<subgraph::GraphFeature>> RunGraphFlatInMemory(
     const GraphFlatConfig& config, const std::vector<NodeRecord>& nodes,
     const std::vector<EdgeRecord>& edges, GraphFlatStats* stats) {
@@ -583,10 +612,7 @@ agl::Result<std::vector<subgraph::GraphFeature>> RunGraphFlatInMemory(
     if (kv.value.empty() || kv.value[0] != kTagFinal) continue;
     AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
                          subgraph::GraphFeature::Parse(kv.value.substr(1)));
-    local_stats.num_features++;
-    local_stats.total_nodes += gf.num_nodes();
-    local_stats.total_edges += gf.num_edges();
-    local_stats.max_nodes = std::max(local_stats.max_nodes, gf.num_nodes());
+    CountFeature(gf, &local_stats);
     features.push_back(std::move(gf));
   }
   // Deterministic output order regardless of reduce-task interleaving.
@@ -662,22 +688,23 @@ agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
   GraphFlatStats stats;
   AGL_ASSIGN_OR_RETURN(std::vector<mr::KeyValue> records,
                        RunPipeline(config, nodes, edges, &stats));
-  std::vector<std::pair<NodeId, std::string>> finals;
-  for (mr::KeyValue& kv : records) {
-    if (kv.value.empty() || kv.value[0] != kTagFinal) continue;
-    finals.emplace_back(static_cast<NodeId>(std::stoull(kv.key)),
-                        kv.value.substr(1));
-  }
-  for (const auto& [id, bytes] : finals) {
-    AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
-                         subgraph::GraphFeature::Parse(bytes));
-    stats.num_features++;
-    stats.total_nodes += gf.num_nodes();
-    stats.total_edges += gf.num_edges();
-    stats.max_nodes = std::max(stats.max_nodes, gf.num_nodes());
-  }
   AGL_RETURN_IF_ERROR(
-      StoreFeaturePayloads(config, std::move(finals), dfs, dataset));
+      StoreFinalRecords(config, std::move(records), dfs, dataset, &stats));
+  return stats;
+}
+
+agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
+                                         const std::vector<NodeRecord>& nodes,
+                                         const std::vector<EdgeRecord>& edges,
+                                         mr::LocalDfs* dfs,
+                                         const std::string& dataset,
+                                         const FlatShardRunner& run_shards) {
+  GraphFlatStats stats;
+  AGL_ASSIGN_OR_RETURN(
+      std::vector<mr::KeyValue> records,
+      RunShardedPipeline(config, nodes, edges, run_shards, &stats));
+  AGL_RETURN_IF_ERROR(
+      StoreFinalRecords(config, std::move(records), dfs, dataset, &stats));
   return stats;
 }
 

@@ -29,12 +29,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "flat/exchange.h"
+#include "flat/shard.h"
 #include "flat/tables.h"
 #include "mr/local_dfs.h"
 #include "mr/mapreduce.h"
@@ -83,13 +85,49 @@ struct GraphFlatStats {
   ExchangeStats exchange;
 };
 
+/// A sharded GraphFlat job as each shard sees it: the config with
+/// `num_shards` >= 1, plus the feature dims inferred from the full tables
+/// (a shard's slice may be edgeless).
+struct FlatShardJob {
+  GraphFlatConfig config;
+  int64_t node_feature_dim = 0;
+  int64_t edge_feature_dim = 0;
+};
+
+/// One shard's output: its final 'F'-tagged GraphFeature records and its
+/// counters.
+struct FlatShardOutput {
+  std::vector<mr::KeyValue> records;
+  mr::JobStats job_stats;
+  ExchangeStats exchange;
+};
+
+/// How a sharded job's S shards run: shard s runs RunFlatShard over
+/// tables.nodes[s]/tables.edges[s] and every shard's output is returned.
+/// RunGraphFlat runs them on threads over an InMemoryExchange; the
+/// multi-process driver runs each in its own process over a DfsExchange.
+using FlatShardRunner = std::function<agl::Result<std::vector<FlatShardOutput>>(
+    const FlatShardJob& job, const ShardedTables& tables)>;
+
 /// Runs the full pipeline and writes the flattened GraphFeatures to
 /// `dfs`/`dataset`. Feature dims are inferred from the first node/edge.
+/// With `num_shards` > 1 this is the sharded job below on threads.
 agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
                                          const std::vector<NodeRecord>& nodes,
                                          const std::vector<EdgeRecord>& edges,
                                          mr::LocalDfs* dfs,
                                          const std::string& dataset);
+
+/// The sharded job shell every substrate shares: infers the feature dims,
+/// partitions the tables over `config.num_shards`, runs the shards through
+/// `run_shards`, and stores their final records exactly as RunGraphFlat
+/// does, with the same stats.
+agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
+                                         const std::vector<NodeRecord>& nodes,
+                                         const std::vector<EdgeRecord>& edges,
+                                         mr::LocalDfs* dfs,
+                                         const std::string& dataset,
+                                         const FlatShardRunner& run_shards);
 
 /// In-memory variant used by tests and small benchmarks: returns the
 /// GraphFeatures directly instead of writing to the DFS.
@@ -119,18 +157,15 @@ agl::Status StoreFeaturePayloads(
 /// One shard's complete sharded-pipeline run against an Exchange: map over
 /// the shard's table slice, the k+1 reduce rounds with Publish/Collect of
 /// boundary states between them, then the shard-local merge + Storing
-/// step. Returns the shard's final 'F'-tagged GraphFeature records. This
-/// is the unit the in-process path runs on S threads over an
-/// InMemoryExchange and the multi-process driver runs in S shard worker
-/// processes over a DfsExchange — byte-identical either way, because each
-/// reduce group sees the same value multiset and the engine delivers
-/// values in canonical order.
-agl::Result<std::vector<mr::KeyValue>> RunFlatShard(
-    const GraphFlatConfig& config, int shard,
+/// step. Returns the shard's final 'F'-tagged GraphFeature records and its
+/// job counters (`exchange` stays zero; the runner books the traffic).
+/// This is the unit every FlatShardRunner runs, on a thread or in a shard
+/// process — byte-identical either way, because each reduce group sees the
+/// same value multiset and the engine delivers values in canonical order.
+agl::Result<FlatShardOutput> RunFlatShard(
+    const FlatShardJob& job, int shard,
     const std::vector<NodeRecord>& shard_nodes,
-    const std::vector<EdgeRecord>& shard_edges, int64_t node_feature_dim,
-    int64_t edge_feature_dim, Exchange* exchange,
-    mr::JobStats* stats = nullptr);
+    const std::vector<EdgeRecord>& shard_edges, Exchange* exchange);
 
 /// Exposed for tests: the shard-merge stage over one shard's last-round
 /// state records ('S'-tagged SubgraphState bytes keyed by node id). States

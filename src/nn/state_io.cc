@@ -38,7 +38,11 @@ agl::Result<std::map<std::string, tensor::Tensor>> ParseStateDict(
     int64_t rows, cols;
     AGL_RETURN_IF_ERROR(r.GetVarint64Signed(&rows));
     AGL_RETURN_IF_ERROR(r.GetVarint64Signed(&cols));
-    if (rows < 0 || cols < 0) {
+    // Bound the shape by the bytes left before multiplying or allocating.
+    if (rows < 0 || cols < 0 ||
+        (cols > 0 && static_cast<uint64_t>(rows) >
+                         r.remaining() / sizeof(float) /
+                             static_cast<uint64_t>(cols))) {
       return agl::Status::Corruption("state dict: tensor shape");
     }
     std::vector<float> data(static_cast<std::size_t>(rows * cols));

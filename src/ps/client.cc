@@ -41,10 +41,6 @@ agl::Status LocalPsClient::EndSspEpoch() {
   return agl::Status::OK();
 }
 
-agl::Result<int64_t> LocalPsClient::NumParameters() {
-  return server_->NumParameters();
-}
-
 agl::Result<ServerStats> LocalPsClient::Stats() { return server_->stats(); }
 
 agl::Result<std::map<std::string, tensor::Tensor>> LocalPsClient::PullAll() {

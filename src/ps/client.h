@@ -39,7 +39,6 @@ class PsClient {
                                       std::vector<int64_t> clocks,
                                       int64_t committed) = 0;
   virtual agl::Status EndSspEpoch() = 0;
-  virtual agl::Result<int64_t> NumParameters() = 0;
   virtual agl::Result<ServerStats> Stats() = 0;
 
   // --- Data plane (workers) -----------------------------------------------
@@ -70,7 +69,6 @@ class LocalPsClient : public PsClient {
                               std::vector<int64_t> clocks,
                               int64_t committed) override;
   agl::Status EndSspEpoch() override;
-  agl::Result<int64_t> NumParameters() override;
   agl::Result<ServerStats> Stats() override;
 
   agl::Result<std::map<std::string, tensor::Tensor>> PullAll() override;

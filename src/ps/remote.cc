@@ -115,14 +115,6 @@ agl::Status RemotePsClient::EndSspEpoch() {
   return StatusOnly(Call(req));
 }
 
-agl::Result<int64_t> RemotePsClient::NumParameters() {
-  PsRequest req;
-  req.op = PsOp::kNumParameters;
-  AGL_ASSIGN_OR_RETURN(PsResponse resp, Call(req));
-  AGL_RETURN_IF_ERROR(resp.status);
-  return resp.num_parameters;
-}
-
 agl::Result<ServerStats> RemotePsClient::Stats() {
   PsRequest req;
   req.op = PsOp::kStats;
@@ -176,12 +168,6 @@ agl::Status RemotePsClient::FinishSspWorker(int worker) {
 agl::Status RemotePsClient::CancelSsp() {
   PsRequest req;
   req.op = PsOp::kCancelSsp;
-  return StatusOnly(Call(req));
-}
-
-agl::Status RemotePsClient::Shutdown() {
-  PsRequest req;
-  req.op = PsOp::kShutdown;
   return StatusOnly(Call(req));
 }
 

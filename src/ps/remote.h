@@ -50,7 +50,6 @@ class RemotePsClient : public PsClient {
                               std::vector<int64_t> clocks,
                               int64_t committed) override;
   agl::Status EndSspEpoch() override;
-  agl::Result<int64_t> NumParameters() override;
   agl::Result<ServerStats> Stats() override;
 
   agl::Result<std::map<std::string, tensor::Tensor>> PullAll() override;
@@ -62,10 +61,6 @@ class RemotePsClient : public PsClient {
                       std::map<std::string, tensor::Tensor> grads) override;
   agl::Status FinishSspWorker(int worker) override;
   agl::Status CancelSsp() override;
-
-  /// Asks the server to stop accepting and exit its serve loop (the
-  /// driver's orderly PS teardown).
-  agl::Status Shutdown();
 
   ClientTransportStats transport_stats() const;
 

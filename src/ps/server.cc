@@ -35,7 +35,7 @@ agl::Status ValidateBeginSsp(const PsRequest& req) {
   return agl::Status::OK();
 }
 
-PsResponse Handle(ParameterServer* ps, PsRequest req, bool* shutdown) {
+PsResponse Handle(ParameterServer* ps, PsRequest req) {
   PsResponse resp;
   switch (req.op) {
     case PsOp::kInitialize:
@@ -87,14 +87,8 @@ PsResponse Handle(ParameterServer* ps, PsRequest req, bool* shutdown) {
     case PsOp::kImportState:
       ps->ImportState(std::move(req.exported));
       break;
-    case PsOp::kNumParameters:
-      resp.num_parameters = ps->NumParameters();
-      break;
     case PsOp::kStats:
       resp.stats = ps->stats();
-      break;
-    case PsOp::kShutdown:
-      *shutdown = true;
       break;
   }
   return resp;
@@ -111,11 +105,6 @@ agl::Status PsServer::Start() {
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return agl::Status::OK();
-}
-
-bool PsServer::running() const {
-  common::MutexLock lock(&mu_);
-  return started_ && !stopping_;
 }
 
 void PsServer::AcceptLoop() {
@@ -141,12 +130,11 @@ void PsServer::Serve(std::size_t slot) {
     auto frame = sock->ReadFrame();
     if (!frame.ok()) return;  // peer gone (or Stop closed us)
     PsResponse resp;
-    bool shutdown = false;
     auto req = DecodePsRequest(*frame);
     if (!req.ok()) {
       resp.status = req.status();
     } else {
-      resp = Handle(server_, *std::move(req), &shutdown);
+      resp = Handle(server_, *std::move(req));
     }
     const std::string out = EncodePsResponse(resp);
     const agl::Status write = sock->WriteFrame(out);
@@ -156,17 +144,6 @@ void PsServer::Serve(std::size_t slot) {
       stats_.bytes_received += static_cast<int64_t>(frame->size()) + 4;
       stats_.bytes_sent += static_cast<int64_t>(out.size()) + 4;
       if (!resp.status.ok()) stats_.failed_requests++;
-    }
-    if (shutdown) {
-      // Reply already sent; tear the server down from outside the
-      // connection threads so this thread stays joinable.
-      {
-        common::MutexLock lock(&mu_);
-        stopping_ = true;
-      }
-      listener_.Close();
-      shutdown_cv_.SignalAll();
-      return;
     }
     if (!write.ok()) return;
   }
@@ -183,24 +160,20 @@ void PsServer::Stop() {
     conn_threads = std::move(conn_threads_);
     conn_threads_.clear();
     // Wake every blocked ReadFrame; a handler parked inside PullSsp is
-    // released by the CancelSsp below.
-    for (auto& conn : conns_) conn->Close();
+    // released by the CancelSsp below. The descriptors are released only
+    // after the threads using them are joined.
+    for (auto& conn : conns_) conn->Shutdown();
   }
-  listener_.Close();
+  listener_.Shutdown();
   server_->CancelSsp();
-  shutdown_cv_.SignalAll();
   if (accept.joinable()) accept.join();
   for (std::thread& t : conn_threads) {
     if (t.joinable()) t.join();
   }
+  listener_.Close();
   common::MutexLock lock(&mu_);
   started_ = false;
   conns_.clear();
-}
-
-void PsServer::AwaitShutdown() {
-  common::MutexLock lock(&mu_);
-  while (!stopping_) shutdown_cv_.Wait(&mu_);
 }
 
 PsTransportStats PsServer::transport_stats() const {

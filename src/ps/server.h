@@ -49,16 +49,9 @@ class PsServer {
 
   int port() const { return listener_.port(); }
 
-  /// True until a kShutdown request or Stop() lands.
-  bool running() const;
-
   /// Closes the listener and every live connection, then joins all
   /// threads. Idempotent; also runs on destruction.
   void Stop();
-
-  /// Blocks until a kShutdown request stops the server (the PS worker
-  /// process's main loop).
-  void AwaitShutdown();
 
   PsTransportStats transport_stats() const;
 
@@ -71,7 +64,6 @@ class PsServer {
   std::thread accept_thread_;
 
   mutable common::Mutex mu_;
-  common::CondVar shutdown_cv_;
   bool started_ GUARDED_BY(mu_) = false;
   bool stopping_ GUARDED_BY(mu_) = false;
   /// Connection slots; a slot's socket is closed by Stop() to unblock its

@@ -1,6 +1,7 @@
 #include "ps/wire.h"
 
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "io/codec.h"
@@ -21,7 +22,8 @@ agl::Status GetTensor(io::BufferReader* r, tensor::Tensor* out) {
   AGL_RETURN_IF_ERROR(r->GetVarint64(&cols));
   std::vector<float> data;
   AGL_RETURN_IF_ERROR(r->GetFloatArray(&data));
-  if (data.size() != rows * cols) {
+  // rows <= size / cols keeps rows * cols from wrapping.
+  if ((cols != 0 && rows > data.size() / cols) || rows * cols != data.size()) {
     return agl::Status::Corruption("ps wire: tensor size mismatch");
   }
   if (rows == 0 || cols == 0) {
@@ -63,9 +65,7 @@ const char* PsOpName(PsOp op) {
     case PsOp::kEndSspEpoch: return "EndSspEpoch";
     case PsOp::kExportState: return "ExportState";
     case PsOp::kImportState: return "ImportState";
-    case PsOp::kNumParameters: return "NumParameters";
     case PsOp::kStats: return "Stats";
-    case PsOp::kShutdown: return "Shutdown";
   }
   return "Unknown";
 }
@@ -128,8 +128,10 @@ agl::Result<PsRequest> DecodePsRequest(const std::string& frame) {
   PsRequest req;
   uint64_t op = 0;
   AGL_RETURN_IF_ERROR(r.GetVarint64(&op));
-  if (op < static_cast<uint64_t>(PsOp::kInitialize) ||
-      op > static_cast<uint64_t>(PsOp::kShutdown)) {
+  // PsOpName names exactly the ops a server serves, so unknown and
+  // retired opcodes both fall through to "Unknown".
+  if (op > 0xff || std::string_view(PsOpName(static_cast<PsOp>(op))) ==
+                       "Unknown") {
     return agl::Status::Corruption("ps wire: unknown opcode " +
                                    std::to_string(op));
   }
@@ -171,7 +173,6 @@ std::string EncodePsResponse(const PsResponse& resp) {
   PutStateDict(&w, resp.tensors);
   w.PutString(resp.exported.empty() ? std::string()
                                     : SerializeExportedState(resp.exported));
-  w.PutVarint64Signed(resp.num_parameters);
   const ServerStats& s = resp.stats;
   w.PutVarint64Signed(s.pulls);
   w.PutVarint64Signed(s.pushes);
@@ -205,7 +206,6 @@ agl::Result<PsResponse> DecodePsResponse(const std::string& frame) {
   if (!exported.empty()) {
     AGL_ASSIGN_OR_RETURN(resp.exported, ParseExportedState(exported));
   }
-  AGL_RETURN_IF_ERROR(r.GetVarint64Signed(&resp.num_parameters));
   ServerStats& s = resp.stats;
   AGL_RETURN_IF_ERROR(r.GetVarint64Signed(&s.pulls));
   AGL_RETURN_IF_ERROR(r.GetVarint64Signed(&s.pushes));

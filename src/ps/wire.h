@@ -37,10 +37,9 @@ enum class PsOp : uint8_t {
   kEndSspEpoch = 10,
   kExportState = 11,
   kImportState = 12,
-  kNumParameters = 13,
+  // 13 and 15 (NumParameters, Shutdown) are retired; the decoder rejects
+  // them.
   kStats = 14,
-  /// Orderly server teardown: the server replies OK, then stops accepting.
-  kShutdown = 15,
 };
 
 const char* PsOpName(PsOp op);
@@ -64,7 +63,6 @@ struct PsResponse {
   agl::Status status;
   std::map<std::string, tensor::Tensor> tensors;   // PullAll / PullSsp
   std::map<std::string, ExportedParam> exported;   // ExportState
-  int64_t num_parameters = 0;
   ServerStats stats;
 };
 

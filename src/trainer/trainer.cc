@@ -60,21 +60,8 @@ double TaskMetric(TaskKind task, const tensor::Tensor& logits,
 
 namespace {
 
+using internal::SplitRanges;
 using internal::WorkerResult;
-
-/// Splits [0, n) into `parts` nearly equal contiguous ranges.
-std::vector<std::pair<std::size_t, std::size_t>> SplitRanges(std::size_t n,
-                                                             int parts) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  parts = std::max(1, parts);
-  const std::size_t chunk = (n + parts - 1) / parts;
-  for (int p = 0; p < parts; ++p) {
-    const std::size_t begin = static_cast<std::size_t>(p) * chunk;
-    if (begin >= n) break;
-    out.emplace_back(begin, std::min(n, begin + chunk));
-  }
-  return out;
-}
 
 /// Prepares one batch: merge + vectorize + prune + normalize. This is the
 /// "preprocessing stage" of the training pipeline.
@@ -543,10 +530,7 @@ agl::Result<std::map<std::string, tensor::Tensor>> LoadCheckpoint(
 }
 
 agl::Result<TrainReport> GraphTrainer::TrainLoop(
-    const std::function<agl::Status(
-        int epoch, ps::PsClient* client, ThreadPool* pool,
-        std::vector<WorkerResult>* results,
-        const internal::MidCheckpointEnv* ckpt)>& run_epoch,
+    ps::ParameterServer* server, const internal::EpochRunner& run_epoch,
     int active_workers, std::span<const GraphFeature> val,
     std::optional<uint64_t> num_examples) const {
   if (config_.staleness_bound < 0) {
@@ -575,14 +559,10 @@ agl::Result<TrainReport> GraphTrainer::TrainLoop(
   // shapes every worker replica shares). A non-empty initial_state warm-
   // starts from a checkpoint instead.
   gnn::GnnModel init_model(config_.model);
-  ps::ServerOptions ps_opts;
-  ps_opts.num_shards = config_.ps_shards;
-  ps_opts.adam = config_.adam;
-  ps::ParameterServer server(ps_opts);
-  // All PS access below goes through the transport-neutral client — the
-  // loopback here; the multi-process driver substitutes a RemotePsClient
-  // in front of the exact same control flow.
-  ps::LocalPsClient client(&server);
+  // The loop reaches the caller's server through the loopback client; the
+  // multi-process driver serves the same server to its worker processes
+  // over the wire.
+  ps::LocalPsClient client(server);
   if (config_.initial_state.empty()) {
     AGL_RETURN_IF_ERROR(client.Initialize(init_model.StateDict()));
   } else {
@@ -636,7 +616,6 @@ agl::Result<TrainReport> GraphTrainer::TrainLoop(
     bad_evals = static_cast<int>(resume_ckpt->bad_evals);
   }
 
-  ThreadPool pool(static_cast<std::size_t>(active_workers));
   for (int epoch = start_epoch; epoch < config_.epochs; ++epoch) {
     Stopwatch epoch_watch;
     std::vector<WorkerResult> results(active_workers);
@@ -654,8 +633,7 @@ agl::Result<TrainReport> GraphTrainer::TrainLoop(
       env.bad_evals = &bad_evals;
       env_ptr = &env;
     }
-    AGL_RETURN_IF_ERROR(run_epoch(epoch, &client, &pool, &results,
-                                  env_ptr));
+    AGL_RETURN_IF_ERROR(run_epoch(epoch, &client, &results, env_ptr));
 
     EpochRecord rec;
     rec.epoch = epoch;
@@ -721,15 +699,17 @@ agl::Result<TrainReport> GraphTrainer::Train(
   const auto partitions = SplitRanges(train.size(), config_.num_workers);
   const int active_workers = static_cast<int>(partitions.size());
 
+  ps::ParameterServer server(internal::PsServerOptions(config_));
+  ThreadPool pool(static_cast<std::size_t>(active_workers));
   return TrainLoop(
-      [&](int epoch, ps::PsClient* client, ThreadPool* pool,
-          std::vector<WorkerResult>* results,
+      &server,
+      [&](int epoch, ps::PsClient* client, std::vector<WorkerResult>* results,
           const internal::MidCheckpointEnv* ckpt) {
         if (config_.sync_mode == SyncMode::kBsp) {
-          return RunBspEpoch(train, epoch, client, pool, partitions,
+          return RunBspEpoch(train, epoch, client, &pool, partitions,
                              results, ckpt);
         }
-        return RunPipelinedEpoch(train, epoch, client, pool, partitions,
+        return RunPipelinedEpoch(train, epoch, client, &pool, partitions,
                                  results, ckpt);
       },
       active_workers, val, static_cast<uint64_t>(train.size()));
@@ -751,12 +731,14 @@ agl::Result<TrainReport> GraphTrainer::TrainStreaming(
       std::min<int64_t>(std::max(1, config_.num_workers),
                         source.num_parts()));
 
+  ps::ParameterServer server(internal::PsServerOptions(config_));
+  ThreadPool pool(static_cast<std::size_t>(active_workers));
   return TrainLoop(
-      [&](int epoch, ps::PsClient* client, ThreadPool* pool,
-          std::vector<WorkerResult>* results,
+      &server,
+      [&](int epoch, ps::PsClient* client, std::vector<WorkerResult>* results,
           const internal::MidCheckpointEnv* ckpt) {
         (void)ckpt;  // validation rejects mid-epoch checkpoints up front
-        return RunStreamingEpoch(source, epoch, client, pool,
+        return RunStreamingEpoch(source, epoch, client, &pool,
                                  active_workers, results);
       },
       active_workers, val, std::nullopt);
@@ -1013,6 +995,26 @@ agl::Status GraphTrainer::RunBspEpoch(
 }
 
 namespace internal {
+
+std::vector<std::pair<std::size_t, std::size_t>> SplitRanges(std::size_t n,
+                                                             int parts) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  parts = std::max(1, parts);
+  const std::size_t chunk = (n + parts - 1) / parts;
+  for (int p = 0; p < parts; ++p) {
+    const std::size_t begin = static_cast<std::size_t>(p) * chunk;
+    if (begin >= n) break;
+    out.emplace_back(begin, std::min(n, begin + chunk));
+  }
+  return out;
+}
+
+ps::ServerOptions PsServerOptions(const TrainerConfig& config) {
+  ps::ServerOptions options;
+  options.num_shards = config.ps_shards;
+  options.adam = config.adam;
+  return options;
+}
 
 agl::Result<WorkerResult> RunWorkerEpoch(
     const TrainerConfig& config, std::span<const GraphFeature> train,

@@ -28,6 +28,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -174,6 +175,23 @@ struct MidCheckpointEnv {
   const int* bad_evals = nullptr;
 };
 
+/// Runs one epoch's workers against `client`, filling `results` (one entry
+/// per active worker). `ckpt` is non-null only when mid-epoch checkpoints
+/// are on. Train and TrainStreaming run worker threads; the multi-process
+/// driver spawns worker processes that reach the same server over the wire.
+using EpochRunner = std::function<agl::Status(
+    int epoch, ps::PsClient* client, std::vector<WorkerResult>* results,
+    const MidCheckpointEnv* ckpt)>;
+
+/// Splits [0, n) into `parts` nearly equal contiguous ranges: the static
+/// partition of the training set over workers, whether they are threads or
+/// processes.
+std::vector<std::pair<std::size_t, std::size_t>> SplitRanges(std::size_t n,
+                                                             int parts);
+
+/// The parameter-server options `config` trains against.
+ps::ServerOptions PsServerOptions(const TrainerConfig& config);
+
 /// One worker's complete epoch over its partition slice, against an
 /// arbitrary PS transport — the unit the multi-process driver runs inside
 /// a spawned worker process with a ps::RemotePsClient (the in-process
@@ -214,17 +232,18 @@ class GraphTrainer {
 
   const TrainerConfig& config() const { return config_; }
 
- private:
-  /// `num_examples` identifies the training set for the mid-checkpoint
-  /// fingerprint; nullopt (the streaming path) rejects mid-epoch
+  /// The epoch loop every substrate shares: initializes `server` from
+  /// fresh weights or `initial_state`, runs `run_epoch` per epoch, and owns
+  /// per-epoch records, eval cadence and patience, "-epoch-N" checkpoints,
+  /// and the final state and stats. `num_examples` identifies the training
+  /// set for the mid-checkpoint fingerprint; nullopt rejects mid-epoch
   /// checkpoint/resume configs up front.
   agl::Result<TrainReport> TrainLoop(
-      const std::function<agl::Status(
-          int epoch, ps::PsClient* client, ThreadPool* pool,
-          std::vector<internal::WorkerResult>* results,
-          const internal::MidCheckpointEnv* ckpt)>& run_epoch,
+      ps::ParameterServer* server, const internal::EpochRunner& run_epoch,
       int active_workers, std::span<const subgraph::GraphFeature> val,
       std::optional<uint64_t> num_examples) const;
+
+ private:
   agl::Status RunPipelinedEpoch(
       std::span<const subgraph::GraphFeature> train, int epoch,
       ps::PsClient* client, ThreadPool* pool,

@@ -11,7 +11,8 @@
 //     armed only in first attempts becomes a real `raise(SIGKILL)`) is
 //     relaunched and the job's final output is unchanged;
 //   * a worker-reported non-retryable error fails the job without a
-//     relaunch;
+//     relaunch, and a shard that fails that way stops its peers at once
+//     instead of leaving them polling the exchange;
 //   * LocalDfs honors its concurrency contract: peer processes publishing
 //     different datasets under concurrent Opens (each of which sweeps
 //     stale scratch) never corrupt one another.
@@ -24,6 +25,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -31,6 +34,7 @@
 
 #include "analytics/programs.h"
 #include "analytics/vertex_program.h"
+#include "common/failpoint.h"
 #include "common/subprocess.h"
 #include "data/dataset.h"
 #include "driver/driver.h"
@@ -47,6 +51,10 @@ namespace agl::driver {
 /// stale-scratch sweep must skip the live peers' in-flight publishes, so
 /// every dataset lands complete and checksummed.
 constexpr const char* kDfsWriterArgv1 = "__dfs_writer";
+
+/// Jobs whose prefix starts with this fail in exactly one shard: main()
+/// arms a non-retryable map error in the worker process of shard 1.
+constexpr const char* kFatalShardPrefix = "fatal_shard";
 
 std::vector<std::string> WriterPayload(int id) {
   std::vector<std::string> records;
@@ -237,6 +245,63 @@ TEST_F(DistributedTest, AnalyticsShardSigkillRecoversBitExact) {
   EXPECT_TRUE(clean->SerializeValues() == result->SerializeValues());
 }
 
+// --- One shard failing for good ---------------------------------------------
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST_F(DistributedTest, NonRetryableShardErrorStopsItsPeers) {
+  GeneratedGraph g = MakeGraph(TestGraph(15));
+  auto out = OutDfs();
+  ASSERT_TRUE(out.ok());
+  // Shard 1 fails its first map task with kInternal. Its peers would wait
+  // a whole exchange timeout for its publishes, then be restarted into the
+  // same wait; the job must instead return shard 1's error at once.
+  constexpr int kTimeoutMs = 10000;
+  constexpr double kBudgetSeconds = kTimeoutMs / 2000.0;
+
+  DriverOptions flat_options =
+      Options(std::string(kFatalShardPrefix) + "_flat");
+  flat_options.exchange_timeout_ms = kTimeoutMs;
+  flat::GraphFlatConfig fc;
+  fc.hops = 2;
+  fc.num_shards = 3;
+  fc.job.num_workers = 2;
+  DriverStats flat_stats;
+  auto start = std::chrono::steady_clock::now();
+  auto flat = RunGraphFlatProcesses(flat_options, fc, g.nodes, g.edges,
+                                    &*out, "fatal_flat", &flat_stats);
+  const double flat_seconds = SecondsSince(start);
+  ASSERT_FALSE(flat.ok());
+  EXPECT_EQ(flat.status().code(), StatusCode::kInternal)
+      << flat.status().ToString();
+  EXPECT_EQ(flat_stats.restarts, 0);
+  EXPECT_EQ(flat_stats.spawns, fc.num_shards);
+  EXPECT_LT(flat_seconds, kBudgetSeconds);
+
+  DriverOptions pr_options = Options(std::string(kFatalShardPrefix) + "_pr");
+  pr_options.exchange_timeout_ms = kTimeoutMs;
+  analytics::AnalyticsConfig ac;
+  ac.num_shards = 3;
+  ac.job.num_workers = 2;
+  ProgramSpec spec;
+  spec.name = "pagerank";
+  DriverStats pr_stats;
+  start = std::chrono::steady_clock::now();
+  auto pr = RunAnalyticsProcesses(pr_options, ac, spec, g.nodes, g.edges,
+                                  &pr_stats);
+  const double pr_seconds = SecondsSince(start);
+  ASSERT_FALSE(pr.ok());
+  EXPECT_EQ(pr.status().code(), StatusCode::kInternal)
+      << pr.status().ToString();
+  EXPECT_EQ(pr_stats.restarts, 0);
+  EXPECT_EQ(pr_stats.spawns, ac.num_shards);
+  EXPECT_LT(pr_seconds, kBudgetSeconds);
+}
+
 // --- Trainer ----------------------------------------------------------------
 
 struct TrainCase {
@@ -279,46 +344,111 @@ TrainCase MakeTrainCase(int workers, trainer::SyncMode mode, int staleness) {
   return c;
 }
 
+/// `config` with its per-epoch checkpoints written to `dfs` under `prefix`.
+trainer::TrainerConfig Checkpointed(trainer::TrainerConfig config,
+                                    mr::LocalDfs* dfs,
+                                    const std::string& prefix) {
+  config.checkpoint_dfs = dfs;
+  config.checkpoint_prefix = prefix;
+  return config;
+}
+
+bool SameMetric(double a, double b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+/// Two runs agree bit for bit: per-epoch losses and validation metrics,
+/// the early-stopping state, the final parameters, and every
+/// "<prefix>-epoch-N" checkpoint the runs wrote to `dfs`.
 void ExpectSameTraining(const trainer::TrainReport& a,
-                        const trainer::TrainReport& b) {
+                        const trainer::TrainReport& b,
+                        const mr::LocalDfs& dfs, const std::string& prefix_a,
+                        const std::string& prefix_b) {
   ASSERT_EQ(a.epochs.size(), b.epochs.size());
   for (std::size_t i = 0; i < a.epochs.size(); ++i) {
     EXPECT_EQ(a.epochs[i].mean_train_loss, b.epochs[i].mean_train_loss)
         << "epoch " << i;
+    EXPECT_TRUE(SameMetric(a.epochs[i].val_metric, b.epochs[i].val_metric))
+        << "epoch " << i << ": " << a.epochs[i].val_metric << " vs "
+        << b.epochs[i].val_metric;
+    const std::string suffix = "-epoch-" + std::to_string(i);
+    auto ckpt_a = dfs.ReadDataset(prefix_a + suffix);
+    auto ckpt_b = dfs.ReadDataset(prefix_b + suffix);
+    ASSERT_TRUE(ckpt_a.ok()) << ckpt_a.status().ToString();
+    ASSERT_TRUE(ckpt_b.ok()) << ckpt_b.status().ToString();
+    EXPECT_TRUE(*ckpt_a == *ckpt_b) << "checkpoint of epoch " << i;
   }
+  EXPECT_TRUE(SameMetric(a.best_val_metric, b.best_val_metric))
+      << a.best_val_metric << " vs " << b.best_val_metric;
   EXPECT_TRUE(nn::SerializeStateDict(a.final_state) ==
               nn::SerializeStateDict(b.final_state))
       << "final state dicts diverged";
 }
 
 TEST_F(DistributedTest, TrainProcessesMatchInProcessBsp) {
+  auto out = OutDfs();
+  ASSERT_TRUE(out.ok());
   for (int workers : {1, 3}) {
     TrainCase c = MakeTrainCase(workers, trainer::SyncMode::kBsp, 0);
-    auto in_proc = trainer::GraphTrainer(c.config).Train(c.train, c.val);
+    const std::string thread_ckpt = "bsp_thread" + std::to_string(workers);
+    const std::string proc_ckpt = "bsp_proc" + std::to_string(workers);
+    auto in_proc =
+        trainer::GraphTrainer(Checkpointed(c.config, &*out, thread_ckpt))
+            .Train(c.train, c.val);
     ASSERT_TRUE(in_proc.ok()) << in_proc.status().ToString();
     DriverStats stats;
-    auto proc = TrainProcesses(Options("bsp"), c.config, c.train, c.val,
-                               &stats);
+    auto proc = TrainProcesses(Options("bsp"),
+                               Checkpointed(c.config, &*out, proc_ckpt),
+                               c.train, c.val, &stats);
     ASSERT_TRUE(proc.ok()) << "W=" << workers << ": "
                            << proc.status().ToString();
-    ExpectSameTraining(*in_proc, *proc);
+    ExpectSameTraining(*in_proc, *proc, *out, thread_ckpt, proc_ckpt);
     EXPECT_EQ(stats.restarts, 0);
     EXPECT_GT(stats.ps_transport.requests, 0);  // the wire PS carried it
   }
 }
 
 TEST_F(DistributedTest, TrainProcessesMatchInProcessSspBoundZero) {
+  auto out = OutDfs();
+  ASSERT_TRUE(out.ok());
   TrainCase c = MakeTrainCase(3, trainer::SyncMode::kSsp, 0);
-  auto in_proc = trainer::GraphTrainer(c.config).Train(c.train, c.val);
+  auto in_proc =
+      trainer::GraphTrainer(Checkpointed(c.config, &*out, "ssp0_thread"))
+          .Train(c.train, c.val);
   ASSERT_TRUE(in_proc.ok()) << in_proc.status().ToString();
-  auto proc = TrainProcesses(Options("ssp0"), c.config, c.train, c.val);
+  auto proc = TrainProcesses(Options("ssp0"),
+                             Checkpointed(c.config, &*out, "ssp0_proc"),
+                             c.train, c.val);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
-  ExpectSameTraining(*in_proc, *proc);
+  ExpectSameTraining(*in_proc, *proc, *out, "ssp0_thread", "ssp0_proc");
+}
+
+TEST_F(DistributedTest, TrainProcessesStopEarlyAtTheSameEpoch) {
+  auto out = OutDfs();
+  ASSERT_TRUE(out.ok());
+  TrainCase c = MakeTrainCase(2, trainer::SyncMode::kBsp, 0);
+  c.config.epochs = 12;
+  c.config.patience = 1;
+  auto in_proc =
+      trainer::GraphTrainer(Checkpointed(c.config, &*out, "stop_thread"))
+          .Train(c.train, c.val);
+  ASSERT_TRUE(in_proc.ok()) << in_proc.status().ToString();
+  // The case must exercise patience, not run out of epochs.
+  ASSERT_LT(in_proc->epochs.size(), static_cast<std::size_t>(c.config.epochs));
+  auto proc = TrainProcesses(Options("stop"),
+                             Checkpointed(c.config, &*out, "stop_proc"),
+                             c.train, c.val);
+  ASSERT_TRUE(proc.ok()) << proc.status().ToString();
+  ExpectSameTraining(*in_proc, *proc, *out, "stop_thread", "stop_proc");
 }
 
 TEST_F(DistributedTest, TrainerSigkillMidEpochRecoversBitExact) {
+  auto out = OutDfs();
+  ASSERT_TRUE(out.ok());
   TrainCase c = MakeTrainCase(3, trainer::SyncMode::kBsp, 0);
-  auto clean = TrainProcesses(Options("t_clean"), c.config, c.train, c.val);
+  auto clean = TrainProcesses(Options("t_clean"),
+                              Checkpointed(c.config, &*out, "t_clean"),
+                              c.train, c.val);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
   // Each epoch's first-attempt workers die by SIGKILL on their second
@@ -327,11 +457,12 @@ TEST_F(DistributedTest, TrainerSigkillMidEpochRecoversBitExact) {
   DriverOptions chaos = Options("t_chaos");
   chaos.first_attempt_env = {"AGL_FAILPOINTS=trainer.step=crash@2x1"};
   DriverStats stats;
-  auto result = TrainProcesses(chaos, c.config, c.train, c.val, &stats);
+  auto result = TrainProcesses(chaos, Checkpointed(c.config, &*out, "t_chaos"),
+                               c.train, c.val, &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(stats.restarts, 0);
   EXPECT_GT(stats.signal_exits, 0);
-  ExpectSameTraining(*clean, *result);
+  ExpectSameTraining(*clean, *result, *out, "t_clean", "t_chaos");
 }
 
 TEST_F(DistributedTest, NonRetryableWorkerErrorFailsWithoutRelaunch) {
@@ -454,6 +585,14 @@ TEST_F(DistributedTest, DistributedSweepTest) {
 /// see argv before gtest (a spawned worker never reaches the test runner),
 /// and the DFS-contract writers re-enter here too.
 int main(int argc, char** argv) {
+  // Shard 1 of a "fatal_shard*" job: argv is the driver's shard-worker
+  // layout (marker, role, root, prefix, shard, poll, timeout).
+  if (argc == 8 && std::string(argv[1]) == "__agl_worker" &&
+      std::string(argv[4]).rfind(agl::driver::kFatalShardPrefix, 0) == 0 &&
+      std::string(argv[5]) == "1" &&
+      !agl::fail::ApplySpec("mr.map=error(Internal,1)").ok()) {
+    return 2;
+  }
   if (auto code = agl::driver::RunWorkerIfSpawned(argc, argv)) return *code;
   if (argc == 4 &&
       std::string(argv[1]) == agl::driver::kDfsWriterArgv1) {

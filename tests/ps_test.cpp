@@ -1,12 +1,15 @@
 // Tests for the sharded parameter server: pull/push semantics, server-side
-// Adam equivalence with local training, and concurrent-worker safety.
+// Adam equivalence with local training, and concurrent-worker safety; and
+// for the ps/wire frames, which decode bytes straight off a socket.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
+#include "io/codec.h"
 #include "ps/parameter_server.h"
+#include "ps/wire.h"
 
 namespace agl::ps {
 namespace {
@@ -347,6 +350,144 @@ TEST(SspClockTest, StalenessHistogramCountsAdmits) {
   EXPECT_EQ(stats.ssp_pulls, 3);
   EXPECT_EQ(stats.max_staleness, 2);
   server.EndSspEpoch();
+}
+
+// --- ps/wire ----------------------------------------------------------------
+
+/// Every opcode a PsServer serves.
+const std::vector<PsOp>& ServedOps() {
+  static const std::vector<PsOp> ops = {
+      PsOp::kInitialize,      PsOp::kPullAll,     PsOp::kPushGradients,
+      PsOp::kBeginSspEpoch,   PsOp::kBeginSspEpochAt, PsOp::kPullSsp,
+      PsOp::kPushSsp,         PsOp::kFinishSspWorker, PsOp::kCancelSsp,
+      PsOp::kEndSspEpoch,     PsOp::kExportState, PsOp::kImportState,
+      PsOp::kStats};
+  return ops;
+}
+
+std::map<std::string, ExportedParam> TinyExport() {
+  std::map<std::string, ExportedParam> exported;
+  ExportedParam p;
+  p.value = Tensor::Full(2, 2, 0.5f);
+  p.opt_state.m = Tensor::Full(2, 2, 0.25f);
+  p.opt_state.v = Tensor::Full(2, 2, 0.125f);
+  p.opt_state.t = 7;
+  exported.emplace("w", p);
+  return exported;
+}
+
+/// A request with every field set, so its frame exercises each field.
+PsRequest FullRequest(PsOp op) {
+  PsRequest req;
+  req.op = op;
+  req.worker = 2;
+  req.num_workers = 3;
+  req.staleness_bound = 1;
+  req.clocks = {4, 5, 6};
+  req.committed = 4;
+  req.tensors = TinyState();
+  req.exported = TinyExport();
+  return req;
+}
+
+/// The response a server sends for `op`, carrying that op's payload.
+PsResponse ResponseFor(PsOp op) {
+  PsResponse resp;
+  switch (op) {
+    case PsOp::kPullAll:
+    case PsOp::kPullSsp:
+      resp.tensors = TinyState();
+      break;
+    case PsOp::kExportState:
+      resp.exported = TinyExport();
+      break;
+    case PsOp::kStats:
+      resp.stats.pulls = 9;
+      resp.stats.ssp_waits = 2;
+      resp.stats.max_staleness = 1;
+      resp.stats.staleness_hist = {5, 3, 1};
+      break;
+    default:
+      resp.status = agl::Status::Aborted("SSP epoch cancelled");
+      break;
+  }
+  return resp;
+}
+
+TEST(PsWireTest, EveryOpRoundTrips) {
+  for (PsOp op : ServedOps()) {
+    SCOPED_TRACE(PsOpName(op));
+    const std::string req_frame = EncodePsRequest(FullRequest(op));
+    auto req = DecodePsRequest(req_frame);
+    ASSERT_TRUE(req.ok()) << req.status().ToString();
+    EXPECT_EQ(req->op, op);
+    EXPECT_EQ(req->worker, 2);
+    EXPECT_EQ(req->num_workers, 3);
+    EXPECT_EQ(req->clocks, (std::vector<int64_t>{4, 5, 6}));
+    ASSERT_EQ(req->tensors.size(), TinyState().size());
+    EXPECT_EQ(req->tensors.at("layer1.weight").at(2, 1), -1.f);
+    ASSERT_EQ(req->exported.size(), 1u);
+    EXPECT_EQ(req->exported.at("w").opt_state.t, 7);
+    EXPECT_EQ(req->exported.at("w").opt_state.v.at(1, 1), 0.125f);
+    EXPECT_EQ(EncodePsRequest(*req), req_frame);
+
+    const std::string resp_frame = EncodePsResponse(ResponseFor(op));
+    auto resp = DecodePsResponse(resp_frame);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->status.code(), ResponseFor(op).status.code());
+    EXPECT_EQ(resp->tensors.size(), ResponseFor(op).tensors.size());
+    EXPECT_EQ(resp->exported.size(), ResponseFor(op).exported.size());
+    EXPECT_EQ(resp->stats.staleness_hist,
+              ResponseFor(op).stats.staleness_hist);
+    EXPECT_EQ(EncodePsResponse(*resp), resp_frame);
+  }
+}
+
+TEST(PsWireTest, TruncatedFramesAreRejected) {
+  const std::string req = EncodePsRequest(FullRequest(PsOp::kImportState));
+  const std::string resp = EncodePsResponse(ResponseFor(PsOp::kPullAll));
+  for (std::size_t n = 0; n < req.size(); ++n) {
+    EXPECT_FALSE(DecodePsRequest(req.substr(0, n)).ok()) << n;
+  }
+  for (std::size_t n = 0; n < resp.size(); ++n) {
+    EXPECT_FALSE(DecodePsResponse(resp.substr(0, n)).ok()) << n;
+  }
+}
+
+TEST(PsWireTest, BitFlippedFramesDecodeOrFailCleanly) {
+  // Each flip must yield a value or a clean Status; the sanitizer legs
+  // turn any out-of-bounds read, overflow or runaway allocation into a
+  // failure.
+  const std::vector<std::string> requests = {
+      EncodePsRequest(FullRequest(PsOp::kImportState)),
+      EncodePsRequest(PsRequest{})};
+  std::vector<std::string> responses;
+  for (PsOp op : {PsOp::kPullAll, PsOp::kExportState, PsOp::kStats,
+                  PsOp::kCancelSsp}) {
+    responses.push_back(EncodePsResponse(ResponseFor(op)));
+  }
+  const auto flips = [](const std::string& frame, const auto& decode) {
+    for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+      std::string bad = frame;
+      bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+      (void)decode(bad);
+    }
+  };
+  for (const std::string& frame : requests) flips(frame, DecodePsRequest);
+  for (const std::string& frame : responses) flips(frame, DecodePsResponse);
+}
+
+TEST(PsWireTest, UnknownAndRetiredOpcodesAreRejected) {
+  // The op is the frame's first varint; the rest of a valid frame follows.
+  const std::string body = EncodePsRequest(PsRequest{}).substr(1);
+  for (uint64_t op : {0ull, 13ull, 15ull, 16ull, 127ull, 255ull, 256ull,
+                      1ull << 40}) {
+    io::BufferWriter w;
+    w.PutVarint64(op);
+    auto req = DecodePsRequest(w.Release() + body);
+    ASSERT_FALSE(req.ok()) << "opcode " << op;
+    EXPECT_EQ(req.status().code(), agl::StatusCode::kCorruption);
+  }
 }
 
 }  // namespace
