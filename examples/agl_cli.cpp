@@ -1,14 +1,23 @@
-// agl_cli — the command-line front end of Figure 6:
+// agl_cli — the command-line front end of Figure 6, one subcommand per
+// stage:
 //
 //   agl_cli graphflat -n node.csv -e edge.csv -h 2 -s uniform -o dfs:features
-//   agl_cli train     -m gcn -i dfs:features --labels node.csv -o dfs:model
+//   agl_cli train     -m gcn -i dfs:features --val dfs:val -o dfs:model
 //   agl_cli infer     -m dfs:model -n node.csv -e edge.csv -o scores.csv
 //   agl_cli serve     -m dfs:model -n node.csv -e edge.csv --script ops.txt
 //                     -o scores.csv
 //   agl_cli gendata   -d uug -n 1000 --nodes-out node.csv --edges-out edge.csv
 //   agl_cli analytics pagerank -n node.csv -e edge.csv -o ranks.csv
-//   agl_cli driver    graphflat -n node.csv -e edge.csv --coord /tmp/coord
-//                     --shards 4 -o dfs:features
+//
+// How a stage is deployed is a flag, not a second command: graphflat,
+// analytics and train take --coord <dir>, and their shards or workers then
+// run as processes of this binary (driver/driver.h), coordinated through a
+// LocalDfs at <dir>. Outputs are byte-identical to the in-process run; the
+// driver's supervision and transport counters are printed after the
+// stage's summary.
+//
+//   agl_cli graphflat -n node.csv -e edge.csv --shards 4 --coord /tmp/coord
+//                     -o dfs:features
 //
 // DFS locations are "<root-dir>:<dataset>"; every stage round-trips
 // through CSV tables and the LocalDfs so the pipeline can be driven one
@@ -17,44 +26,26 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <unordered_set>
 
 #include "agl/agl.h"
-#include "analytics/programs.h"
-#include "analytics/vertex_program.h"
 #include "common/failpoint.h"
 #include "common/flags.h"
 #include "data/dataset.h"
 #include "driver/driver.h"
 #include "flat/csv_io.h"
-#include "infer/segmentation.h"
 
 namespace {
 
 using namespace agl;
 
-struct DfsLocation {
-  std::string root;
-  std::string dataset;
-};
-
-agl::Result<DfsLocation> ParseDfsLocation(const std::string& spec) {
-  const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= spec.size()) {
-    return agl::Status::InvalidArgument(
-        "expected <dfs-root>:<dataset>, got '" + spec + "'");
-  }
-  return DfsLocation{spec.substr(0, colon), spec.substr(colon + 1)};
-}
-
-int Fail(const agl::Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
+agl::Status Usage(const std::string& what, const FlagParser& parser) {
+  return agl::Status::InvalidArgument(what + "\n" + parser.Help());
 }
 
 /// Arms the failpoints of a --failpoints spec. Validated before anything
@@ -66,79 +57,295 @@ agl::Status ArmFailpoints(const std::string& spec) {
   return fail::ApplySpec(spec);
 }
 
-int RunGraphFlatCmd(const std::vector<std::string>& args) {
+struct Tables {
+  std::vector<flat::NodeRecord> nodes;
+  std::vector<flat::EdgeRecord> edges;
+};
+
+/// The node/edge CSV pair every graph stage starts from.
+agl::Result<Tables> ReadTables(const std::string& node_csv,
+                               const std::string& edge_csv) {
+  Tables t;
+  AGL_ASSIGN_OR_RETURN(t.nodes, flat::ReadNodeCsv(node_csv));
+  if (t.nodes.empty()) {
+    return agl::Status::InvalidArgument("node table '" + node_csv +
+                                        "' has no rows");
+  }
+  AGL_ASSIGN_OR_RETURN(t.edges, flat::ReadEdgeCsv(edge_csv));
+  return t;
+}
+
+/// A "<dfs-root>:<dataset>" location with its root opened.
+struct DfsLocation {
+  std::string dataset;
+  mr::LocalDfs dfs;
+};
+
+agl::Result<DfsLocation> OpenDfsLocation(const std::string& spec) {
+  const std::size_t colon = spec.rfind(':');
+  if (colon == std::string::npos || colon == 0 ||
+      colon + 1 >= spec.size()) {
+    return agl::Status::InvalidArgument(
+        "expected <dfs-root>:<dataset>, got '" + spec + "'");
+  }
+  AGL_ASSIGN_OR_RETURN(mr::LocalDfs dfs,
+                       mr::LocalDfs::Open(spec.substr(0, colon)));
+  return DfsLocation{spec.substr(colon + 1), std::move(dfs)};
+}
+
+/// The trained state dict a one-record model dataset holds (what `train`
+/// writes). Whether it fits the model flags is GraphInfer's check.
+agl::Result<std::map<std::string, tensor::Tensor>> LoadModel(
+    const DfsLocation& loc, const std::string& spec) {
+  if (!loc.dfs.DatasetExists(loc.dataset)) {
+    return agl::Status::NotFound("model dataset '" + spec +
+                                 "' not found — train one first: agl_cli "
+                                 "train ... -o " + spec);
+  }
+  AGL_ASSIGN_OR_RETURN(std::vector<std::string> records,
+                       loc.dfs.ReadDataset(loc.dataset));
+  if (records.size() != 1) {
+    return agl::Status::Corruption(
+        "model dataset '" + spec + "' must hold exactly 1 record, found " +
+        std::to_string(records.size()) +
+        " — is it a GraphFeature dataset instead of a trained model?");
+  }
+  auto state = ParseState(records[0]);
+  if (!state.ok()) {
+    return agl::Status(state.status().code(),
+                       "model dataset '" + spec + "' does not parse as a "
+                       "trained state dict: " + state.status().message());
+  }
+  return state;
+}
+
+/// Writes `header` and then whatever `rows` prints to the CSV at `path`.
+agl::Status WriteCsv(const std::string& path, const std::string& header,
+                     const std::function<agl::Status(std::FILE*)>& rows) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return agl::Status::IoError("cannot write " + path);
+  std::fprintf(f, "%s\n", header.c_str());
+  const agl::Status status = rows(f);
+  std::fclose(f);
+  return status;
+}
+
+void PrintScores(std::FILE* f, const std::vector<float>& scores) {
+  for (float v : scores) std::fprintf(f, ",%g", v);
+  std::fprintf(f, "\n");
+}
+
+/// The model-shape flags of train, infer and serve. `type_flag` names the
+/// model-type flag: -m for train, --model-type where -m is the artifact.
+struct ModelFlags {
+  std::string type = "gcn";
+  int64_t layers = 2, hidden = 16, classes = 2, heads = 1;
+  double dropout = 0.0;
+
+  void Register(FlagParser* parser, const std::string& type_flag) {
+    parser->AddString(type_flag, &type, "model (gcn|graphsage|gat)")
+        .AddInt("layers", &layers, "GNN depth")
+        .AddInt("hidden", &hidden, "hidden width")
+        .AddInt("classes", &classes, "output width")
+        .AddInt("heads", &heads, "GAT attention heads");
+  }
+
+  agl::Result<gnn::ModelConfig> Config(int64_t in_dim) const {
+    gnn::ModelConfig config;
+    AGL_ASSIGN_OR_RETURN(config.type, gnn::ParseModelType(type));
+    config.num_layers = static_cast<int>(layers);
+    config.in_dim = in_dim;
+    config.hidden_dim = hidden;
+    config.out_dim = classes;
+    config.gat_heads = static_cast<int>(heads);
+    config.dropout = static_cast<float>(dropout);
+    return config;
+  }
+};
+
+/// --coord and its companions, shared by graphflat, analytics and train.
+/// With --coord set the stage runs through its driver:: entry point:
+/// shards or workers become processes of this binary, coordinated through
+/// the LocalDfs at that root, and the outputs stay byte-identical.
+class CoordFlags {
+ public:
+  // options_ points at dfs_, and the parser at the flag fields.
+  CoordFlags() = default;
+  CoordFlags(const CoordFlags&) = delete;
+  CoordFlags& operator=(const CoordFlags&) = delete;
+
+  void Register(FlagParser* parser) {
+    parser
+        ->AddString("coord", &root_,
+                    "run shards/workers as processes coordinated through "
+                    "this DFS root (job specs, exchange buckets, reports)")
+        .AddString("job-prefix", &options_.job_prefix,
+                   "--coord: dataset namespace for this job")
+        .AddInt("max-restarts", &max_restarts_,
+                "--coord: relaunches granted to a signal-killed worker "
+                "(trainer: broken epoch) before the job fails")
+        .AddString("worker-failpoints", &worker_failpoints_,
+                   "--coord: fault spec armed in each worker's first "
+                   "attempt only (e.g. 'trainer.step=crash@3')");
+  }
+
+  bool enabled() const { return !root_.empty(); }
+
+  /// Opens the coordination root once the flags are parsed.
+  agl::Status Open() {
+    if (!enabled()) {
+      return worker_failpoints_.empty()
+                 ? agl::Status::OK()
+                 : agl::Status::InvalidArgument(
+                       "--worker-failpoints needs --coord");
+    }
+    AGL_ASSIGN_OR_RETURN(dfs_, mr::LocalDfs::Open(root_));
+    options_.dfs = &*dfs_;
+    options_.max_restarts = static_cast<int>(max_restarts_);
+    if (!worker_failpoints_.empty()) {
+      AGL_RETURN_IF_ERROR(fail::ValidateSpec(worker_failpoints_));
+      options_.first_attempt_env.push_back("AGL_FAILPOINTS=" +
+                                           worker_failpoints_);
+    }
+    return agl::Status::OK();
+  }
+
+  const driver::DriverOptions& options() const { return options_; }
+  driver::DriverStats* stats() { return &stats_; }
+
+  /// The supervision/transport counters of a --coord run.
+  void PrintStats() const {
+    if (!enabled()) return;
+    std::printf(
+        "driver: %lld spawns (%lld restarts), exits clean=%lld "
+        "signal=%lld error=%lld\n",
+        static_cast<long long>(stats_.spawns),
+        static_cast<long long>(stats_.restarts),
+        static_cast<long long>(stats_.clean_exits),
+        static_cast<long long>(stats_.signal_exits),
+        static_cast<long long>(stats_.error_exits));
+    const flat::ExchangeStats& ex = stats_.exchange;
+    if (ex.publishes + ex.collects + ex.allgathers > 0) {
+      std::printf(
+          "exchange: %lld publishes / %lld collects / %lld allgathers, "
+          "%lld records out / %lld in, %lld bytes out / %lld in, "
+          "%.2fs waiting on peers\n",
+          static_cast<long long>(ex.publishes),
+          static_cast<long long>(ex.collects),
+          static_cast<long long>(ex.allgathers),
+          static_cast<long long>(ex.records_published),
+          static_cast<long long>(ex.records_collected),
+          static_cast<long long>(ex.bytes_published),
+          static_cast<long long>(ex.bytes_collected), ex.wait_seconds);
+    }
+    const ps::PsTransportStats& tp = stats_.ps_transport;
+    if (tp.connections + tp.requests > 0) {
+      std::printf(
+          "ps-transport: %lld connections, %lld requests (%lld failed), "
+          "%lld bytes in / %lld out\n",
+          static_cast<long long>(tp.connections),
+          static_cast<long long>(tp.requests),
+          static_cast<long long>(tp.failed_requests),
+          static_cast<long long>(tp.bytes_received),
+          static_cast<long long>(tp.bytes_sent));
+    }
+  }
+
+ private:
+  std::string root_, worker_failpoints_;
+  int64_t max_restarts_ = 2;
+  std::optional<mr::LocalDfs> dfs_;
+  driver::DriverOptions options_;
+  driver::DriverStats stats_;
+};
+
+agl::Status RunGraphFlatCmd(const std::vector<std::string>& args) {
   std::string node_csv, edge_csv, sampling = "none", output, failpoints;
   int64_t hops = 2, max_neighbors = 0, hub_threshold = 10000, workers = 4,
           shards = 1;
+  CoordFlags coord;
   FlagParser parser;
   parser.AddString("n", &node_csv, "node table CSV")
       .AddString("e", &edge_csv, "edge table CSV")
       .AddInt("h", &hops, "neighborhood hops")
-      .AddString("s", &sampling, "sampling strategy (none|uniform|weighted|topk)")
+      .AddString("s", &sampling,
+                 "sampling strategy (none|uniform|weighted|topk)")
       .AddInt("max-neighbors", &max_neighbors, "sampling cap per node")
       .AddInt("hub-threshold", &hub_threshold, "re-indexing threshold")
-      .AddInt("workers", &workers, "MapReduce workers")
+      .AddInt("workers", &workers, "MapReduce workers per shard")
       .AddInt("shards", &shards, "GraphFlat shards (merged output)")
       .AddString("failpoints", &failpoints,
                  "fault-injection spec, e.g. 'mr.map=error(0.1);seed=7'")
       .AddString("o", &output, "output <dfs-root>:<dataset>");
-  if (agl::Status s = parser.Parse(args); !s.ok()) return Fail(s);
+  coord.Register(&parser);
+  AGL_RETURN_IF_ERROR(parser.Parse(args));
   if (node_csv.empty() || edge_csv.empty() || output.empty()) {
-    std::fprintf(stderr, "graphflat requires -n, -e and -o\n%s",
-                 parser.Help().c_str());
-    return 1;
+    return Usage("graphflat requires -n, -e and -o", parser);
   }
-  if (agl::Status s = ArmFailpoints(failpoints); !s.ok()) return Fail(s);
-
-  auto nodes = flat::ReadNodeCsv(node_csv);
-  if (!nodes.ok()) return Fail(nodes.status());
-  auto edges = flat::ReadEdgeCsv(edge_csv);
-  if (!edges.ok()) return Fail(edges.status());
-  auto loc = ParseDfsLocation(output);
-  if (!loc.ok()) return Fail(loc.status());
-  auto dfs = mr::LocalDfs::Open(loc->root);
-  if (!dfs.ok()) return Fail(dfs.status());
+  AGL_RETURN_IF_ERROR(ArmFailpoints(failpoints));
+  AGL_RETURN_IF_ERROR(coord.Open());
 
   flat::GraphFlatConfig config;
   config.hops = static_cast<int>(hops);
-  auto strategy = sampling::ParseStrategy(sampling);
-  if (!strategy.ok()) return Fail(strategy.status());
-  config.sampler = {*strategy, max_neighbors};
+  AGL_ASSIGN_OR_RETURN(const sampling::Strategy strategy,
+                       sampling::ParseStrategy(sampling));
+  config.sampler = {strategy, max_neighbors};
   config.hub_threshold = hub_threshold;
   config.job.num_workers = static_cast<int>(workers);
   config.num_shards = static_cast<int>(shards);
-  auto stats = GraphFlat(config, *nodes, *edges, &*dfs, loc->dataset);
-  if (!stats.ok()) return Fail(stats.status());
-  std::printf("GraphFlat: %lld features (avg %.1f nodes) -> %s:%s in %.2fs\n",
-              static_cast<long long>(stats->num_features),
-              static_cast<double>(stats->total_nodes) /
-                  std::max<int64_t>(1, stats->num_features),
-              loc->root.c_str(), loc->dataset.c_str(),
-              stats->elapsed_seconds);
-  return 0;
+  AGL_ASSIGN_OR_RETURN(Tables t, ReadTables(node_csv, edge_csv));
+  AGL_ASSIGN_OR_RETURN(DfsLocation out, OpenDfsLocation(output));
+  AGL_ASSIGN_OR_RETURN(
+      const flat::GraphFlatStats stats,
+      coord.enabled()
+          ? driver::RunGraphFlatProcesses(coord.options(), config, t.nodes,
+                                          t.edges, &out.dfs, out.dataset,
+                                          coord.stats())
+          : Run(config, t.nodes, t.edges, &out.dfs, out.dataset));
+  std::printf("GraphFlat: %lld features (avg %.1f nodes) -> %s in %.2fs\n",
+              static_cast<long long>(stats.num_features),
+              static_cast<double>(stats.total_nodes) /
+                  std::max<int64_t>(1, stats.num_features),
+              output.c_str(), stats.elapsed_seconds);
+  coord.PrintStats();
+  return agl::Status::OK();
 }
 
-int RunTrainCmd(const std::vector<std::string>& args) {
-  std::string model_name = "gcn", input, output, task = "single",
-              val_input, sync = "async", failpoints;
-  int64_t layers = 2, hidden = 16, classes = 2, workers = 2, epochs = 10,
-          batch = 32, heads = 1, staleness = 1, prefetch = 2,
+agl::Result<trainer::TaskKind> ParseTask(const std::string& task) {
+  if (task == "single") return trainer::TaskKind::kSingleLabel;
+  if (task == "multi") return trainer::TaskKind::kMultiLabel;
+  if (task == "auc") return trainer::TaskKind::kBinaryAuc;
+  return agl::Status::InvalidArgument("unknown -t '" + task +
+                                      "' (single|multi|auc)");
+}
+
+agl::Result<trainer::SyncMode> ParseSync(const std::string& sync) {
+  if (sync == "async") return trainer::SyncMode::kAsync;
+  if (sync == "bsp") return trainer::SyncMode::kBsp;
+  if (sync == "ssp") return trainer::SyncMode::kSsp;
+  return agl::Status::InvalidArgument("unknown --sync '" + sync +
+                                      "' (async|bsp|ssp)");
+}
+
+agl::Status RunTrainCmd(const std::vector<std::string>& args) {
+  std::string input, output, task = "single", val_input, sync = "async",
+              failpoints;
+  int64_t workers = 2, epochs = 10, batch = 32, staleness = 1, prefetch = 2,
           checkpoint_every = 0;
-  double lr = 0.01, dropout = 0.0;
+  double lr = 0.01;
   bool stream = false, no_pipeline = false, resume = false;
+  ModelFlags model;
+  CoordFlags coord;
   FlagParser parser;
-  parser.AddString("m", &model_name, "model (gcn|graphsage|gat)")
-      .AddString("i", &input, "training features <dfs-root>:<dataset>")
+  model.Register(&parser, "m");
+  parser.AddString("i", &input, "training features <dfs-root>:<dataset>")
       .AddString("val", &val_input, "validation features <dfs-root>:<dataset>")
       .AddString("t", &task, "task (single|multi|auc)")
-      .AddInt("layers", &layers, "GNN depth")
-      .AddInt("hidden", &hidden, "hidden width")
-      .AddInt("classes", &classes, "output width")
-      .AddInt("heads", &heads, "GAT attention heads")
       .AddInt("workers", &workers, "trainer workers")
       .AddInt("epochs", &epochs, "training epochs")
       .AddInt("batch", &batch, "batch size")
-      .AddString("sync", &sync, "consistency (async|bsp|ssp)")
+      .AddString("sync", &sync,
+                 "consistency (async|bsp|ssp; --coord: bsp|ssp)")
       .AddInt("staleness", &staleness,
               "SSP clock slack in batches (-1 = unbounded, 0 = BSP-exact)")
       .AddInt("prefetch", &prefetch, "pipeline reader queue depth")
@@ -147,7 +354,7 @@ int RunTrainCmd(const std::vector<std::string>& args) {
       .AddBool("no-pipeline", &no_pipeline,
                "run the stages inline (disables the training pipeline)")
       .AddDouble("lr", &lr, "Adam learning rate")
-      .AddDouble("dropout", &dropout, "dropout probability")
+      .AddDouble("dropout", &model.dropout, "dropout probability")
       .AddInt("checkpoint-every-batches", &checkpoint_every,
               "write a resumable mid-epoch checkpoint every N global "
               "batches (0 = epoch-boundary checkpoints only)")
@@ -157,28 +364,28 @@ int RunTrainCmd(const std::vector<std::string>& args) {
       .AddString("failpoints", &failpoints,
                  "fault-injection spec, e.g. 'ps.push=error(0.1);seed=7'")
       .AddString("o", &output, "model output <dfs-root>:<dataset>");
-  if (agl::Status s = parser.Parse(args); !s.ok()) return Fail(s);
+  coord.Register(&parser);
+  AGL_RETURN_IF_ERROR(parser.Parse(args));
   if (input.empty() || output.empty()) {
-    std::fprintf(stderr, "train requires -i and -o\n%s",
-                 parser.Help().c_str());
-    return 1;
+    return Usage("train requires -i and -o", parser);
   }
-  if (agl::Status s = ArmFailpoints(failpoints); !s.ok()) return Fail(s);
-
-  auto in_loc = ParseDfsLocation(input);
-  if (!in_loc.ok()) return Fail(in_loc.status());
-  auto dfs = mr::LocalDfs::Open(in_loc->root);
-  if (!dfs.ok()) return Fail(dfs.status());
+  if (stream && coord.enabled()) {
+    return agl::Status::InvalidArgument(
+        "--stream trains in-process only; it cannot be combined with "
+        "--coord");
+  }
+  AGL_RETURN_IF_ERROR(ArmFailpoints(failpoints));
+  AGL_RETURN_IF_ERROR(coord.Open());
+  AGL_ASSIGN_OR_RETURN(DfsLocation in, OpenDfsLocation(input));
 
   // Streaming keeps memory bounded: only the first feature is read up
   // front (the input width is needed to shape the model).
   std::vector<subgraph::GraphFeature> features;
-  std::unique_ptr<trainer::DfsFeatureSource> source;
+  std::optional<trainer::DfsFeatureSource> source;
   int64_t in_dim = 0;
   if (stream) {
-    auto src = trainer::DfsFeatureSource::Open(*dfs, in_loc->dataset);
-    if (!src.ok()) return Fail(src.status());
-    source = std::make_unique<trainer::DfsFeatureSource>(std::move(*src));
+    AGL_ASSIGN_OR_RETURN(source,
+                         trainer::DfsFeatureSource::Open(in.dfs, in.dataset));
     // Probe part files until the first record (leading parts may be
     // empty); read errors surface as themselves, not as "empty dataset".
     for (int64_t part = 0; part < source->num_parts() && !in_dim; ++part) {
@@ -188,56 +395,25 @@ int RunTrainCmd(const std::vector<std::string>& args) {
             return agl::Status::Aborted("first record read");
           });
       if (!probe.ok() && probe.code() != agl::StatusCode::kAborted) {
-        return Fail(probe);
+        return probe;
       }
     }
-    if (!in_dim) {
-      return Fail(agl::Status::InvalidArgument("no training features"));
-    }
   } else {
-    auto loaded = LoadGraphFeatures(*dfs, in_loc->dataset);
-    if (!loaded.ok()) return Fail(loaded.status());
-    features = std::move(loaded).value();
-    if (features.empty()) {
-      return Fail(agl::Status::InvalidArgument("no training features"));
-    }
-    in_dim = features[0].node_features.cols();
+    AGL_ASSIGN_OR_RETURN(features, LoadGraphFeatures(in.dfs, in.dataset));
+    if (!features.empty()) in_dim = features[0].node_features.cols();
   }
+  if (!in_dim) return agl::Status::InvalidArgument("no training features");
 
   std::vector<subgraph::GraphFeature> val;
   if (!val_input.empty()) {
-    auto val_loc = ParseDfsLocation(val_input);
-    if (!val_loc.ok()) return Fail(val_loc.status());
-    auto val_dfs = mr::LocalDfs::Open(val_loc->root);
-    if (!val_dfs.ok()) return Fail(val_dfs.status());
-    auto v = LoadGraphFeatures(*val_dfs, val_loc->dataset);
-    if (!v.ok()) return Fail(v.status());
-    val = std::move(v).value();
+    AGL_ASSIGN_OR_RETURN(DfsLocation v, OpenDfsLocation(val_input));
+    AGL_ASSIGN_OR_RETURN(val, LoadGraphFeatures(v.dfs, v.dataset));
   }
 
   trainer::TrainerConfig config;
-  auto type = gnn::ParseModelType(model_name);
-  if (!type.ok()) return Fail(type.status());
-  config.model.type = *type;
-  config.model.num_layers = static_cast<int>(layers);
-  config.model.in_dim = in_dim;
-  config.model.hidden_dim = hidden;
-  config.model.out_dim = classes;
-  config.model.gat_heads = static_cast<int>(heads);
-  config.model.dropout = static_cast<float>(dropout);
-  config.task = task == "multi"  ? trainer::TaskKind::kMultiLabel
-                : task == "auc" ? trainer::TaskKind::kBinaryAuc
-                                : trainer::TaskKind::kSingleLabel;
-  if (sync == "async") {
-    config.sync_mode = trainer::SyncMode::kAsync;
-  } else if (sync == "bsp") {
-    config.sync_mode = trainer::SyncMode::kBsp;
-  } else if (sync == "ssp") {
-    config.sync_mode = trainer::SyncMode::kSsp;
-  } else {
-    return Fail(agl::Status::InvalidArgument(
-        "unknown --sync '" + sync + "' (async|bsp|ssp)"));
-  }
+  AGL_ASSIGN_OR_RETURN(config.model, model.Config(in_dim));
+  AGL_ASSIGN_OR_RETURN(config.task, ParseTask(task));
+  AGL_ASSIGN_OR_RETURN(config.sync_mode, ParseSync(sync));
   config.staleness_bound =
       staleness < 0 ? ps::kUnboundedStaleness : staleness;
   config.prefetch_batches = static_cast<int>(prefetch);
@@ -250,73 +426,44 @@ int RunTrainCmd(const std::vector<std::string>& args) {
   if (checkpoint_every > 0 || resume) {
     // Mid-epoch checkpoints live next to the training features; the
     // trainer validates mode compatibility (async/streaming reject them).
-    config.checkpoint_dfs = &*dfs;
+    config.checkpoint_dfs = &in.dfs;
     config.checkpoint_every_batches = checkpoint_every;
     config.resume = resume;
   }
-  // The probe already opened the source; reuse it instead of letting the
-  // facade list the dataset a second time.
-  auto report = stream
-                    ? trainer::GraphTrainer(config).TrainStreaming(*source,
-                                                                   val)
-                    : GraphTrainer(config, features, val);
-  if (!report.ok()) return Fail(report.status());
+  // A streaming run trains straight off the source the probe opened.
+  if (stream) AGL_RETURN_IF_ERROR(config.Validate());
+  AGL_ASSIGN_OR_RETURN(
+      const trainer::TrainReport report,
+      coord.enabled()
+          ? driver::TrainProcesses(coord.options(), config, features, val,
+                                   coord.stats())
+      : stream ? trainer::GraphTrainer(config).TrainStreaming(*source, val)
+               : Run(config, features, val));
 
-  auto out_loc = ParseDfsLocation(output);
-  if (!out_loc.ok()) return Fail(out_loc.status());
-  auto out_dfs = mr::LocalDfs::Open(out_loc->root);
-  if (!out_dfs.ok()) return Fail(out_dfs.status());
-  if (agl::Status s = out_dfs->WriteDataset(
-          out_loc->dataset, {SerializeState(report->final_state)}, 1);
-      !s.ok()) {
-    return Fail(s);
+  AGL_ASSIGN_OR_RETURN(DfsLocation out, OpenDfsLocation(output));
+  AGL_RETURN_IF_ERROR(out.dfs.WriteDataset(
+      out.dataset, {SerializeState(report.final_state)}, 1));
+  if (val.empty()) {
+    std::printf("trained %s (no validation set given), model -> %s\n",
+                model.type.c_str(), output.c_str());
+  } else {
+    std::printf("trained %s: best val metric %.4f, model -> %s\n",
+                model.type.c_str(), report.best_val_metric,
+                output.c_str());
   }
-  std::printf("trained %s: best val metric %.4f, model -> %s:%s\n",
-              model_name.c_str(), report->best_val_metric,
-              out_loc->root.c_str(), out_loc->dataset.c_str());
-  return 0;
+  coord.PrintStats();
+  return agl::Status::OK();
 }
 
-/// The in_dim a trained state dict was built for, read off its layer-0
-/// parameters (rows of the input-side weight of the given model type).
-agl::Result<int64_t> ModelStateInDim(
-    const std::map<std::string, tensor::Tensor>& state,
-    gnn::ModelType type) {
-  const char* key = nullptr;
-  switch (type) {
-    case gnn::ModelType::kGcn:
-      key = "layer0.linear.weight";
-      break;
-    case gnn::ModelType::kGraphSage:
-      key = "layer0.self.weight";
-      break;
-    case gnn::ModelType::kGat:
-      key = "layer0.weight_0";
-      break;
-  }
-  auto it = state.find(key);
-  if (it == state.end()) {
-    return agl::Status::InvalidArgument(
-        std::string("model state has no '") + key +
-        "' parameter — was the model trained with a different --model-type?");
-  }
-  return it->second.rows();
-}
-
-int RunInferCmd(const std::vector<std::string>& args) {
-  std::string model_loc_str, node_csv, edge_csv, output, model_name = "gcn",
-              failpoints;
-  int64_t layers = 2, hidden = 16, classes = 2, heads = 1, workers = 4,
-          shards = 1, batch_slices = 1, cache_mb = 0;
+agl::Status RunInferCmd(const std::vector<std::string>& args) {
+  std::string model_spec, node_csv, edge_csv, output, failpoints;
+  int64_t workers = 4, shards = 1, batch_slices = 1, cache_mb = 0;
+  ModelFlags model;
   FlagParser parser;
-  parser.AddString("m", &model_loc_str, "trained model <dfs-root>:<dataset>")
-      .AddString("model-type", &model_name, "model (gcn|graphsage|gat)")
+  model.Register(&parser, "model-type");
+  parser.AddString("m", &model_spec, "trained model <dfs-root>:<dataset>")
       .AddString("n", &node_csv, "node table CSV")
       .AddString("e", &edge_csv, "edge table CSV")
-      .AddInt("layers", &layers, "GNN depth")
-      .AddInt("hidden", &hidden, "hidden width")
-      .AddInt("classes", &classes, "output width")
-      .AddInt("heads", &heads, "GAT attention heads")
       .AddInt("workers", &workers, "MapReduce workers")
       .AddInt("shards", &shards, "inference shards")
       .AddInt("batch-slices", &batch_slices,
@@ -328,90 +475,21 @@ int RunInferCmd(const std::vector<std::string>& args) {
       .AddString("failpoints", &failpoints,
                  "fault-injection spec, e.g. 'infer.spill=crash@3x1'")
       .AddString("o", &output, "scores CSV output path");
-  if (agl::Status s = parser.Parse(args); !s.ok()) return Fail(s);
-  if (model_loc_str.empty() || node_csv.empty() || edge_csv.empty() ||
+  AGL_RETURN_IF_ERROR(parser.Parse(args));
+  if (model_spec.empty() || node_csv.empty() || edge_csv.empty() ||
       output.empty()) {
-    std::fprintf(stderr, "infer requires -m, -n, -e and -o\n%s",
-                 parser.Help().c_str());
-    return 1;
+    return Usage("infer requires -m, -n, -e and -o", parser);
   }
-  if (agl::Status s = ArmFailpoints(failpoints); !s.ok()) return Fail(s);
+  AGL_RETURN_IF_ERROR(ArmFailpoints(failpoints));
 
-  // Validate every input artifact up front, so a broken pipeline names the
-  // artifact that is wrong instead of failing deep inside the rounds.
-  auto model_loc = ParseDfsLocation(model_loc_str);
-  if (!model_loc.ok()) return Fail(model_loc.status());
-  auto dfs = mr::LocalDfs::Open(model_loc->root);
-  if (!dfs.ok()) return Fail(dfs.status());
-  if (!dfs->DatasetExists(model_loc->dataset)) {
-    return Fail(agl::Status::NotFound(
-        "model dataset '" + model_loc->dataset + "' not found under DFS "
-        "root '" + model_loc->root + "' — train one first: agl_cli train "
-        "... -o " + model_loc_str));
-  }
-  auto records = dfs->ReadDataset(model_loc->dataset);
-  if (!records.ok()) return Fail(records.status());
-  if (records->size() != 1) {
-    return Fail(agl::Status::Corruption(
-        "model dataset '" + model_loc_str + "' must hold exactly 1 record, "
-        "found " + std::to_string(records->size()) +
-        " — is it a GraphFeature dataset instead of a trained model?"));
-  }
-  auto state = ParseState((*records)[0]);
-  if (!state.ok()) {
-    return Fail(agl::Status(state.status().code(),
-                            "model dataset '" + model_loc_str +
-                                "' does not parse as a trained state "
-                                "dict: " + state.status().message()));
-  }
-
-  auto type = gnn::ParseModelType(model_name);
-  if (!type.ok()) return Fail(type.status());
-  auto model_in_dim = ModelStateInDim(*state, *type);
-  if (!model_in_dim.ok()) return Fail(model_in_dim.status());
-  const int state_layers = infer::CountStateLayers(*state);
-  if (state_layers != static_cast<int>(layers)) {
-    return Fail(agl::Status::InvalidArgument(
-        "model dataset '" + model_loc_str + "' holds " +
-        std::to_string(state_layers) + " layers but --layers is " +
-        std::to_string(layers)));
-  }
-
-  auto nodes = flat::ReadNodeCsv(node_csv);
-  if (!nodes.ok()) return Fail(nodes.status());
-  auto edges = flat::ReadEdgeCsv(edge_csv);
-  if (!edges.ok()) return Fail(edges.status());
-  if (nodes->empty()) {
-    return Fail(agl::Status::InvalidArgument("node table '" + node_csv +
-                                             "' has no rows"));
-  }
-  const int64_t feature_dim =
-      static_cast<int64_t>((*nodes)[0].features.size());
-  for (const flat::NodeRecord& n : *nodes) {
-    if (static_cast<int64_t>(n.features.size()) != feature_dim) {
-      return Fail(agl::Status::InvalidArgument(
-          "node table '" + node_csv + "' has inconsistent feature widths: "
-          "node " + std::to_string(n.id) + " has " +
-          std::to_string(n.features.size()) + ", node " +
-          std::to_string((*nodes)[0].id) + " has " +
-          std::to_string(feature_dim)));
-    }
-  }
-  if (feature_dim != *model_in_dim) {
-    return Fail(agl::Status::InvalidArgument(
-        "model dataset '" + model_loc_str + "' was trained for in_dim=" +
-        std::to_string(*model_in_dim) + " but node table '" + node_csv +
-        "' has " + std::to_string(feature_dim) +
-        "-dim features — wrong model or wrong node table"));
-  }
+  AGL_ASSIGN_OR_RETURN(const DfsLocation loc, OpenDfsLocation(model_spec));
+  AGL_ASSIGN_OR_RETURN(const auto state, LoadModel(loc, model_spec));
+  AGL_ASSIGN_OR_RETURN(const Tables t, ReadTables(node_csv, edge_csv));
 
   infer::InferConfig config;
-  config.model.type = *type;
-  config.model.num_layers = static_cast<int>(layers);
-  config.model.in_dim = feature_dim;
-  config.model.hidden_dim = hidden;
-  config.model.out_dim = classes;
-  config.model.gat_heads = static_cast<int>(heads);
+  AGL_ASSIGN_OR_RETURN(
+      config.model,
+      model.Config(static_cast<int64_t>(t.nodes[0].features.size())));
   config.job.num_workers = static_cast<int>(workers);
   config.num_shards = static_cast<int>(shards);
   config.batch_slices = static_cast<int>(batch_slices);
@@ -427,42 +505,39 @@ int RunInferCmd(const std::vector<std::string>& args) {
     config.cache_budget_bytes =
         cache_mb < 0 ? int64_t{-1} : cache_mb * (int64_t{1} << 20);
     if (config.cache_budget_bytes > 0) {
-      config.cache_spill_path = dfs->root() + "/infer_cache.spill";
+      config.cache_spill_path = loc.dfs.root() + "/infer_cache.spill";
     }
   }
-  // The unified facade routes to the batched driver iff the config enables
-  // it (batch_slices > 1 / cache on) — same scores either way.
-  auto result = Run(config, *state, *nodes, *edges);
-  if (!result.ok()) return Fail(result.status());
-
-  std::FILE* f = std::fopen(output.c_str(), "w");
-  if (f == nullptr) {
-    return Fail(agl::Status::IoError("cannot write " + output));
-  }
-  std::fprintf(f, "# node_id,scores...\n");
-  for (const auto& [id, scores] : result->scores) {
-    std::fprintf(f, "%llu", static_cast<unsigned long long>(id));
-    for (float v : scores) std::fprintf(f, ",%g", v);
-    std::fprintf(f, "\n");
-  }
-  std::fclose(f);
-  std::printf("inferred %zu nodes in %.2fs -> %s\n", result->scores.size(),
-              result->costs.time_seconds, output.c_str());
+  // The facade routes to the batched driver iff the config enables it
+  // (batch_slices > 1 / cache on) — same scores either way. GraphInfer
+  // checks that the artifact fits the model flags and the node table.
+  AGL_ASSIGN_OR_RETURN(const infer::InferResult result,
+                       Run(config, state, t.nodes, t.edges));
+  AGL_RETURN_IF_ERROR(
+      WriteCsv(output, "# node_id,scores...", [&](std::FILE* f) {
+        for (const auto& [id, scores] : result.scores) {
+          std::fprintf(f, "%llu", static_cast<unsigned long long>(id));
+          PrintScores(f, scores);
+        }
+        return agl::Status::OK();
+      }));
+  std::printf("inferred %zu nodes in %.2fs -> %s\n", result.scores.size(),
+              result.costs.time_seconds, output.c_str());
   if (batched) {
     std::printf(
         "batched: %d slices, %lld embedding evals, cache %lld hits / "
         "%lld misses (%lld spilled, %lld spill hits)\n",
-        result->num_slices,
-        static_cast<long long>(result->costs.embedding_evaluations),
-        static_cast<long long>(result->costs.cache_hits),
-        static_cast<long long>(result->costs.cache_misses),
-        static_cast<long long>(result->costs.cache_spilled),
-        static_cast<long long>(result->costs.cache_spill_hits));
+        result.num_slices,
+        static_cast<long long>(result.costs.embedding_evaluations),
+        static_cast<long long>(result.costs.cache_hits),
+        static_cast<long long>(result.costs.cache_misses),
+        static_cast<long long>(result.costs.cache_spilled),
+        static_cast<long long>(result.costs.cache_spill_hits));
   }
-  return 0;
+  return agl::Status::OK();
 }
 
-int RunGenDataCmd(const std::vector<std::string>& args) {
+agl::Status RunGenDataCmd(const std::vector<std::string>& args) {
   std::string kind = "uug", nodes_out, edges_out;
   int64_t num_nodes = 1000, feature_dim = 16;
   FlagParser parser;
@@ -471,11 +546,9 @@ int RunGenDataCmd(const std::vector<std::string>& args) {
       .AddInt("f", &feature_dim, "feature dim (uug)")
       .AddString("nodes-out", &nodes_out, "node table CSV path")
       .AddString("edges-out", &edges_out, "edge table CSV path");
-  if (agl::Status s = parser.Parse(args); !s.ok()) return Fail(s);
+  AGL_RETURN_IF_ERROR(parser.Parse(args));
   if (nodes_out.empty() || edges_out.empty()) {
-    std::fprintf(stderr, "gendata requires --nodes-out and --edges-out\n%s",
-                 parser.Help().c_str());
-    return 1;
+    return Usage("gendata requires --nodes-out and --edges-out", parser);
   }
   data::Dataset ds;
   if (kind == "uug") {
@@ -495,19 +568,15 @@ int RunGenDataCmd(const std::vector<std::string>& args) {
   } else if (kind == "ppi") {
     ds = data::MakePpiLike({});
   } else {
-    return Fail(agl::Status::InvalidArgument("unknown dataset: " + kind));
+    return agl::Status::InvalidArgument("unknown dataset: " + kind);
   }
-  if (agl::Status s = flat::WriteNodeCsvFile(nodes_out, ds.nodes); !s.ok()) {
-    return Fail(s);
-  }
-  if (agl::Status s = flat::WriteEdgeCsvFile(edges_out, ds.edges); !s.ok()) {
-    return Fail(s);
-  }
+  AGL_RETURN_IF_ERROR(flat::WriteNodeCsvFile(nodes_out, ds.nodes));
+  AGL_RETURN_IF_ERROR(flat::WriteEdgeCsvFile(edges_out, ds.edges));
   std::printf("generated %s: %lld nodes -> %s, %lld edges -> %s\n",
               ds.name.c_str(), static_cast<long long>(ds.num_nodes()),
               nodes_out.c_str(), static_cast<long long>(ds.num_edges()),
               edges_out.c_str());
-  return 0;
+  return agl::Status::OK();
 }
 
 /// `agl_cli analytics <pagerank|cc|sssp|lp> ...` — run a vertex program
@@ -515,18 +584,11 @@ int RunGenDataCmd(const std::vector<std::string>& args) {
 /// dataset on the DFS (--dfs-out), and/or an augmented node-table CSV with
 /// the value appended as one extra feature column
 /// (--augmented-nodes-out), ready to feed back into `agl_cli graphflat`.
-int RunAnalyticsCmd(const std::vector<std::string>& args) {
-  if (args.empty() || args[0].empty() || args[0][0] == '-') {
-    std::fprintf(stderr,
-                 "usage: agl_cli analytics <pagerank|cc|sssp|lp> [flags]\n");
-    return 1;
-  }
-  const std::string program_name = args[0];
-  const std::vector<std::string> rest(args.begin() + 1, args.end());
-
+agl::Status RunAnalyticsCmd(const std::vector<std::string>& args) {
+  driver::ProgramSpec program;
   std::string node_csv, edge_csv, output, dfs_out, augmented_out, failpoints;
   int64_t workers = 4, shards = 1, max_supersteps = 100, source = 0;
-  double damping = 0.85, tolerance = 1e-10;
+  CoordFlags coord;
   FlagParser parser;
   parser.AddString("n", &node_csv, "node table CSV")
       .AddString("e", &edge_csv, "edge table CSV")
@@ -535,86 +597,75 @@ int RunAnalyticsCmd(const std::vector<std::string>& args) {
                  "also store as GraphFeatures: <dfs-root>:<dataset>")
       .AddString("augmented-nodes-out", &augmented_out,
                  "node CSV with the value appended as a feature column")
-      .AddInt("workers", &workers, "MapReduce workers")
+      .AddInt("workers", &workers, "MapReduce workers per shard")
       .AddInt("shards", &shards, "analytics shards (output is invariant)")
       .AddInt("max-supersteps", &max_supersteps, "superstep cap")
-      .AddDouble("damping", &damping, "pagerank damping factor")
-      .AddDouble("tolerance", &tolerance, "pagerank activation tolerance")
+      .AddDouble("damping", &program.damping, "pagerank damping factor")
+      .AddDouble("tolerance", &program.tolerance,
+                 "pagerank activation tolerance")
       .AddInt("source", &source, "sssp source node id")
       .AddString("failpoints", &failpoints, "fault-injection spec");
-  if (agl::Status s = parser.Parse(rest); !s.ok()) return Fail(s);
-  if (node_csv.empty() || edge_csv.empty()) {
-    std::fprintf(stderr, "analytics requires -n and -e\n%s",
-                 parser.Help().c_str());
-    return 1;
+  coord.Register(&parser);
+  AGL_RETURN_IF_ERROR(parser.Parse(args));
+  if (parser.positional().size() != 1 || node_csv.empty() ||
+      edge_csv.empty()) {
+    return Usage("usage: agl_cli analytics <pagerank|cc|sssp|lp> -n -e ...",
+                 parser);
   }
+  program.name = parser.positional()[0];
   if (output.empty() && dfs_out.empty() && augmented_out.empty()) {
-    std::fprintf(stderr,
-                 "analytics requires at least one of -o, --dfs-out, "
-                 "--augmented-nodes-out\n%s",
-                 parser.Help().c_str());
-    return 1;
+    return Usage(
+        "analytics requires at least one of -o, --dfs-out, "
+        "--augmented-nodes-out",
+        parser);
   }
-  if (agl::Status s = ArmFailpoints(failpoints); !s.ok()) return Fail(s);
-
-  analytics::ProgramOptions options;
-  options.damping = damping;
-  options.tolerance = tolerance;
-  options.source = static_cast<flat::NodeId>(source);
-  auto program = analytics::MakeProgram(program_name, options);
-  if (!program.ok()) return Fail(program.status());
-
-  auto nodes = flat::ReadNodeCsv(node_csv);
-  if (!nodes.ok()) return Fail(nodes.status());
-  auto edges = flat::ReadEdgeCsv(edge_csv);
-  if (!edges.ok()) return Fail(edges.status());
+  AGL_RETURN_IF_ERROR(ArmFailpoints(failpoints));
+  AGL_RETURN_IF_ERROR(coord.Open());
+  program.source = static_cast<flat::NodeId>(source);
+  AGL_ASSIGN_OR_RETURN(const auto vertex_program,
+                       driver::MakeProgram(program));
+  AGL_ASSIGN_OR_RETURN(const Tables t, ReadTables(node_csv, edge_csv));
 
   analytics::AnalyticsConfig config;
   config.max_supersteps = static_cast<int>(max_supersteps);
   config.num_shards = static_cast<int>(shards);
   config.job.num_workers = static_cast<int>(workers);
-
-  agl::Result<analytics::AnalyticsResult> result =
-      agl::Status::Internal("analytics did not run");
-  if (!dfs_out.empty()) {
-    auto loc = ParseDfsLocation(dfs_out);
-    if (!loc.ok()) return Fail(loc.status());
-    auto dfs = mr::LocalDfs::Open(loc->root);
-    if (!dfs.ok()) return Fail(dfs.status());
-    result = Run(config, **program, *nodes, *edges, &*dfs, loc->dataset);
-  } else {
-    result = Run(config, **program, *nodes, *edges);
-  }
-  if (!result.ok()) return Fail(result.status());
+  AGL_ASSIGN_OR_RETURN(
+      const analytics::AnalyticsResult result,
+      coord.enabled()
+          ? driver::RunAnalyticsProcesses(coord.options(), config, program,
+                                          t.nodes, t.edges, coord.stats())
+          : Run(config, *vertex_program, t.nodes, t.edges));
 
   if (!output.empty()) {
-    std::FILE* f = std::fopen(output.c_str(), "w");
-    if (f == nullptr) {
-      return Fail(agl::Status::IoError("cannot write " + output));
-    }
-    std::fprintf(f, "# node_id,%s\n", program_name.c_str());
-    for (const auto& [id, value] : result->values) {
-      std::fprintf(f, "%llu,%.17g\n", static_cast<unsigned long long>(id),
-                   value);
-    }
-    std::fclose(f);
+    AGL_RETURN_IF_ERROR(
+        WriteCsv(output, "# node_id," + program.name, [&](std::FILE* f) {
+          for (const auto& [id, value] : result.values) {
+            std::fprintf(f, "%llu,%.17g\n",
+                         static_cast<unsigned long long>(id), value);
+          }
+          return agl::Status::OK();
+        }));
+  }
+  if (!dfs_out.empty()) {
+    AGL_ASSIGN_OR_RETURN(DfsLocation loc, OpenDfsLocation(dfs_out));
+    AGL_RETURN_IF_ERROR(
+        analytics::WriteValuesDataset(result, config, &loc.dfs, loc.dataset));
   }
   if (!augmented_out.empty()) {
-    auto augmented = analytics::AugmentNodeTable(*nodes, *result);
-    if (!augmented.ok()) return Fail(augmented.status());
-    if (agl::Status s = flat::WriteNodeCsvFile(augmented_out, *augmented);
-        !s.ok()) {
-      return Fail(s);
-    }
+    AGL_ASSIGN_OR_RETURN(const auto augmented,
+                         analytics::AugmentNodeTable(t.nodes, result));
+    AGL_RETURN_IF_ERROR(flat::WriteNodeCsvFile(augmented_out, augmented));
   }
   std::printf(
       "%s: %lld vertices, %lld gather edges, %d supersteps (%s) in %.2fs\n",
-      program_name.c_str(), static_cast<long long>(result->stats.num_vertices),
-      static_cast<long long>(result->stats.num_gather_edges),
-      result->stats.supersteps,
-      result->stats.converged ? "converged" : "superstep cap hit",
-      result->stats.elapsed_seconds);
-  return 0;
+      program.name.c_str(), static_cast<long long>(result.stats.num_vertices),
+      static_cast<long long>(result.stats.num_gather_edges),
+      result.stats.supersteps,
+      result.stats.converged ? "converged" : "superstep cap hit",
+      result.stats.elapsed_seconds);
+  coord.PrintStats();
+  return agl::Status::OK();
 }
 
 /// `agl_cli serve` — drive the always-on inference service from a script
@@ -634,26 +685,21 @@ int RunAnalyticsCmd(const std::vector<std::string>& args) {
 /// original CSVs fingerprints differently, and the service deliberately
 /// starts cold rather than serve stale embeddings. Scores go to -o as
 /// "request,node_id,scores...".
-int RunServeCmd(const std::vector<std::string>& args) {
-  std::string model_loc_str, node_csv, edge_csv, script_path, output,
-      model_name = "gcn", store_name = "embedding_store", features_dataset,
-      failpoints;
-  int64_t layers = 2, hidden = 16, classes = 2, heads = 1, workers = 4,
-          shards = 1, batch_slices = 2, store_budget_mb = -1,
+agl::Status RunServeCmd(const std::vector<std::string>& args) {
+  std::string model_spec, node_csv, edge_csv, script_path, output,
+      store_name = "embedding_store", features_dataset, failpoints;
+  int64_t workers = 4, shards = 1, batch_slices = 2, store_budget_mb = -1,
           max_pending = 256, max_batch_targets = 1024, hops = 2;
   bool no_persist = false;
+  ModelFlags model;
   FlagParser parser;
-  parser.AddString("m", &model_loc_str, "trained model <dfs-root>:<dataset>")
-      .AddString("model-type", &model_name, "model (gcn|graphsage|gat)")
+  model.Register(&parser, "model-type");
+  parser.AddString("m", &model_spec, "trained model <dfs-root>:<dataset>")
       .AddString("n", &node_csv, "node table CSV")
       .AddString("e", &edge_csv, "edge table CSV")
       .AddString("script", &script_path,
                  "serving script: score/add-edge/remove-edge/"
                  "update-features/persist lines")
-      .AddInt("layers", &layers, "GNN depth")
-      .AddInt("hidden", &hidden, "hidden width")
-      .AddInt("classes", &classes, "output width")
-      .AddInt("heads", &heads, "GAT attention heads")
       .AddInt("workers", &workers, "MapReduce workers")
       .AddInt("shards", &shards, "inference shards")
       .AddInt("batch-slices", &batch_slices,
@@ -674,46 +720,21 @@ int RunServeCmd(const std::vector<std::string>& args) {
       .AddString("failpoints", &failpoints,
                  "fault-injection spec, e.g. 'infer.spill=error(0.05)'")
       .AddString("o", &output, "scores CSV output path");
-  if (agl::Status s = parser.Parse(args); !s.ok()) return Fail(s);
-  if (model_loc_str.empty() || node_csv.empty() || edge_csv.empty() ||
+  AGL_RETURN_IF_ERROR(parser.Parse(args));
+  if (model_spec.empty() || node_csv.empty() || edge_csv.empty() ||
       script_path.empty() || output.empty()) {
-    std::fprintf(stderr,
-                 "serve requires -m, -n, -e, --script and -o\n%s",
-                 parser.Help().c_str());
-    return 1;
+    return Usage("serve requires -m, -n, -e, --script and -o", parser);
   }
-  if (agl::Status s = ArmFailpoints(failpoints); !s.ok()) return Fail(s);
+  AGL_RETURN_IF_ERROR(ArmFailpoints(failpoints));
 
-  auto model_loc = ParseDfsLocation(model_loc_str);
-  if (!model_loc.ok()) return Fail(model_loc.status());
-  auto dfs = mr::LocalDfs::Open(model_loc->root);
-  if (!dfs.ok()) return Fail(dfs.status());
-  auto records = dfs->ReadDataset(model_loc->dataset);
-  if (!records.ok()) return Fail(records.status());
-  if (records->size() != 1) {
-    return Fail(agl::Status::Corruption(
-        "model dataset '" + model_loc_str + "' must hold exactly 1 record"));
-  }
-  auto state = ParseState((*records)[0]);
-  if (!state.ok()) return Fail(state.status());
-  auto nodes = flat::ReadNodeCsv(node_csv);
-  if (!nodes.ok()) return Fail(nodes.status());
-  auto edges = flat::ReadEdgeCsv(edge_csv);
-  if (!edges.ok()) return Fail(edges.status());
-  if (nodes->empty()) {
-    return Fail(agl::Status::InvalidArgument("empty node table"));
-  }
-  auto type = gnn::ParseModelType(model_name);
-  if (!type.ok()) return Fail(type.status());
+  AGL_ASSIGN_OR_RETURN(DfsLocation loc, OpenDfsLocation(model_spec));
+  AGL_ASSIGN_OR_RETURN(const auto state, LoadModel(loc, model_spec));
+  AGL_ASSIGN_OR_RETURN(Tables t, ReadTables(node_csv, edge_csv));
 
   serve::ServeConfig config;
-  config.infer.model.type = *type;
-  config.infer.model.num_layers = static_cast<int>(layers);
-  config.infer.model.in_dim =
-      static_cast<int64_t>((*nodes)[0].features.size());
-  config.infer.model.hidden_dim = hidden;
-  config.infer.model.out_dim = classes;
-  config.infer.model.gat_heads = static_cast<int>(heads);
+  AGL_ASSIGN_OR_RETURN(
+      config.infer.model,
+      model.Config(static_cast<int64_t>(t.nodes[0].features.size())));
   config.infer.job.num_workers = static_cast<int>(workers);
   config.infer.num_shards = static_cast<int>(shards);
   config.infer.batch_slices = static_cast<int>(batch_slices);
@@ -729,70 +750,62 @@ int RunServeCmd(const std::vector<std::string>& args) {
   }
 
   std::ifstream script(script_path);
-  if (!script) {
-    return Fail(agl::Status::IoError("cannot read " + script_path));
-  }
-  auto service = Run(config, *state, std::move(*nodes), std::move(*edges),
-                     &*dfs);
-  if (!service.ok()) return Fail(service.status());
+  if (!script) return agl::Status::IoError("cannot read " + script_path);
+  // Start checks that the artifact fits the model flags and the node table.
+  AGL_ASSIGN_OR_RETURN(
+      const std::unique_ptr<serve::InferenceService> service,
+      Run(config, state, std::move(t.nodes), std::move(t.edges), &loc.dfs));
 
-  std::FILE* out = std::fopen(output.c_str(), "w");
-  if (out == nullptr) {
-    return Fail(agl::Status::IoError("cannot write " + output));
-  }
-  std::fprintf(out, "# request,node_id,scores...\n");
-  std::string line;
-  int lineno = 0, request = 0;
-  while (std::getline(script, line)) {
-    ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream in(line);
-    std::string op;
-    in >> op;
-    agl::Status status = agl::Status::OK();
-    if (op == "score") {
-      std::string ids_csv;
-      in >> ids_csv;
-      std::vector<flat::NodeId> targets;
-      std::stringstream ids(ids_csv);
-      std::string id;
-      while (std::getline(ids, id, ',')) {
-        targets.push_back(std::strtoull(id.c_str(), nullptr, 10));
-      }
-      auto scores = (*service)->Score(std::move(targets));
-      if (scores.ok()) {
-        for (const auto& [node, vec] : *scores) {
-          std::fprintf(out, "%d,%llu", request,
-                       static_cast<unsigned long long>(node));
-          for (float v : vec) std::fprintf(out, ",%g", v);
-          std::fprintf(out, "\n");
+  AGL_RETURN_IF_ERROR(WriteCsv(
+      output, "# request,node_id,scores...", [&](std::FILE* f) {
+        std::string line;
+        int lineno = 0, request = 0;
+        while (std::getline(script, line)) {
+          ++lineno;
+          const std::size_t first = line.find_first_not_of(" \t\r");
+          if (first == std::string::npos || line[first] == '#') continue;
+          std::istringstream in(line);
+          std::string op;
+          in >> op;
+          agl::Status status = agl::Status::OK();
+          if (op == "score") {
+            std::string ids_csv;
+            in >> ids_csv;
+            std::vector<flat::NodeId> targets;
+            std::stringstream ids(ids_csv);
+            std::string id;
+            while (std::getline(ids, id, ',')) {
+              targets.push_back(std::strtoull(id.c_str(), nullptr, 10));
+            }
+            auto scores = service->Score(std::move(targets));
+            if (scores.ok()) {
+              for (const auto& [node, vec] : *scores) {
+                std::fprintf(f, "%d,%llu", request,
+                             static_cast<unsigned long long>(node));
+                PrintScores(f, vec);
+              }
+              ++request;
+            } else {
+              status = scores.status();
+            }
+          } else if (op == "persist") {
+            status = service->Persist();
+          } else {
+            auto mutation = serve::Mutation::Parse(line);
+            status = mutation.ok() ? service->ApplyMutations({*mutation})
+                                   : mutation.status();
+          }
+          if (!status.ok()) {
+            return agl::Status(status.code(),
+                               script_path + ":" + std::to_string(lineno) +
+                                   ": " + status.message());
+          }
         }
-        ++request;
-      } else {
-        status = scores.status();
-      }
-    } else if (op == "persist") {
-      status = (*service)->Persist();
-    } else {
-      auto mutation = serve::Mutation::Parse(line);
-      status = mutation.ok()
-                   ? (*service)->ApplyMutations({*mutation})
-                   : mutation.status();
-    }
-    if (!status.ok()) {
-      std::fclose(out);
-      return Fail(agl::Status(
-          status.code(), script_path + ":" + std::to_string(lineno) + ": " +
-                             status.message()));
-    }
-  }
-  std::fclose(out);
-  if (!no_persist) {
-    if (agl::Status s = (*service)->Persist(); !s.ok()) return Fail(s);
-  }
-  const serve::ServeStats stats = (*service)->stats();
-  if (agl::Status s = (*service)->Shutdown(); !s.ok()) return Fail(s);
+        return agl::Status::OK();
+      }));
+  if (!no_persist) AGL_RETURN_IF_ERROR(service->Persist());
+  const serve::ServeStats stats = service->stats();
+  AGL_RETURN_IF_ERROR(service->Shutdown());
   std::printf(
       "served %lld requests in %lld passes (%.2fs inference), "
       "%lld mutations in %lld batches\n",
@@ -808,298 +821,7 @@ int RunServeCmd(const std::vector<std::string>& args) {
       static_cast<long long>(stats.store.misses),
       static_cast<long long>(stats.store.spill_hits),
       static_cast<long long>(stats.invalidated_nodes), output.c_str());
-  return 0;
-}
-
-/// The supervision/transport counters of a multi-process run — the
-/// observability surface of the distributed runtime.
-void PrintDriverStats(const driver::DriverStats& stats) {
-  std::printf(
-      "driver: %lld spawns (%lld restarts), exits clean=%lld signal=%lld "
-      "error=%lld\n",
-      static_cast<long long>(stats.spawns),
-      static_cast<long long>(stats.restarts),
-      static_cast<long long>(stats.clean_exits),
-      static_cast<long long>(stats.signal_exits),
-      static_cast<long long>(stats.error_exits));
-  const flat::ExchangeStats& ex = stats.exchange;
-  if (ex.publishes + ex.collects + ex.allgathers > 0) {
-    std::printf(
-        "exchange: %lld publishes / %lld collects / %lld allgathers, "
-        "%lld records out / %lld in, %lld bytes out / %lld in, "
-        "%.2fs waiting on peers\n",
-        static_cast<long long>(ex.publishes),
-        static_cast<long long>(ex.collects),
-        static_cast<long long>(ex.allgathers),
-        static_cast<long long>(ex.records_published),
-        static_cast<long long>(ex.records_collected),
-        static_cast<long long>(ex.bytes_published),
-        static_cast<long long>(ex.bytes_collected), ex.wait_seconds);
-  }
-  const ps::PsTransportStats& tp = stats.ps_transport;
-  if (tp.connections + tp.requests > 0) {
-    std::printf(
-        "ps-transport: %lld connections, %lld requests (%lld failed), "
-        "%lld bytes in / %lld out\n",
-        static_cast<long long>(tp.connections),
-        static_cast<long long>(tp.requests),
-        static_cast<long long>(tp.failed_requests),
-        static_cast<long long>(tp.bytes_received),
-        static_cast<long long>(tp.bytes_sent));
-  }
-}
-
-/// `agl_cli driver <graphflat|analytics|train>` — run a job with its
-/// shards/workers promoted to real OS processes (this binary re-exec'd),
-/// coordinated through a shared DFS root and, for training, a wire
-/// parameter server hosted by the driver. Output is byte-identical to the
-/// in-process subcommands; on top of each mode's usual summary the driver
-/// prints its supervision and transport counters.
-///
-/// --worker-failpoints arms a spec in each worker's FIRST attempt only
-/// (e.g. 'trainer.step=crash@3'), so an injected crash exercises the
-/// classified-retry path while every relaunch runs clean; --failpoints
-/// arms the driver process itself (e.g. 'driver.spawn=error(1)').
-int RunDriverCmd(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr,
-                 "usage: agl_cli driver <graphflat|analytics|train> [flags]\n");
-    return 1;
-  }
-  const std::string mode = args[0];
-  const std::vector<std::string> rest(args.begin() + 1, args.end());
-
-  std::string node_csv, edge_csv, input, val_input, output, coord,
-      job_prefix = "job", program_name = "pagerank", model_name = "gcn",
-      sampling = "none", task = "single", sync = "bsp", failpoints,
-      worker_failpoints;
-  int64_t hops = 2, max_neighbors = 0, hub_threshold = 10000, workers = 2,
-          shards = 2, max_restarts = 2, max_supersteps = 100, source = 0,
-          layers = 2, hidden = 16, classes = 2, heads = 1, epochs = 10,
-          batch = 32, staleness = 0;
-  double damping = 0.85, tolerance = 1e-10, lr = 0.01, dropout = 0.0;
-  FlagParser parser;
-  parser
-      .AddString("coord", &coord,
-                 "coordination DFS root (job specs, exchange buckets, "
-                 "worker reports)")
-      .AddString("job-prefix", &job_prefix,
-                 "dataset namespace for this job on the coordination root")
-      .AddInt("max-restarts", &max_restarts,
-              "relaunches granted to a signal-killed worker (trainer: "
-              "broken epoch) before the job fails")
-      .AddString("worker-failpoints", &worker_failpoints,
-                 "fault spec armed in each worker's first attempt only")
-      .AddString("failpoints", &failpoints,
-                 "fault spec armed in the driver process")
-      .AddString("n", &node_csv, "node table CSV (graphflat|analytics)")
-      .AddString("e", &edge_csv, "edge table CSV (graphflat|analytics)")
-      .AddInt("shards", &shards, "shard processes (graphflat|analytics)")
-      .AddInt("workers", &workers,
-              "per-shard MapReduce workers; train: worker processes")
-      .AddInt("h", &hops, "graphflat: neighborhood hops")
-      .AddString("s", &sampling,
-                 "graphflat: sampling strategy (none|uniform|weighted|topk)")
-      .AddInt("max-neighbors", &max_neighbors, "graphflat: sampling cap")
-      .AddInt("hub-threshold", &hub_threshold,
-              "graphflat: re-indexing threshold")
-      .AddString("program", &program_name,
-                 "analytics: vertex program (pagerank|cc|sssp|lp)")
-      .AddInt("max-supersteps", &max_supersteps, "analytics: superstep cap")
-      .AddDouble("damping", &damping, "analytics: pagerank damping factor")
-      .AddDouble("tolerance", &tolerance,
-                 "analytics: pagerank activation tolerance")
-      .AddInt("source", &source, "analytics: sssp source node id")
-      .AddString("i", &input, "train: features <dfs-root>:<dataset>")
-      .AddString("val", &val_input,
-                 "train: validation features <dfs-root>:<dataset>")
-      .AddString("m", &model_name, "train: model (gcn|graphsage|gat)")
-      .AddString("t", &task, "train: task (single|multi|auc)")
-      .AddString("sync", &sync, "train: consistency (bsp|ssp)")
-      .AddInt("staleness", &staleness, "train: SSP clock slack in batches")
-      .AddInt("layers", &layers, "train: GNN depth")
-      .AddInt("hidden", &hidden, "train: hidden width")
-      .AddInt("classes", &classes, "train: output width")
-      .AddInt("heads", &heads, "train: GAT attention heads")
-      .AddInt("epochs", &epochs, "train: epochs")
-      .AddInt("batch", &batch, "train: batch size")
-      .AddDouble("lr", &lr, "train: Adam learning rate")
-      .AddDouble("dropout", &dropout, "train: dropout probability")
-      .AddString("o", &output,
-                 "output: graphflat/train <dfs-root>:<dataset>, analytics "
-                 "scores CSV");
-  if (agl::Status s = parser.Parse(rest); !s.ok()) return Fail(s);
-  if (coord.empty() || output.empty()) {
-    std::fprintf(stderr, "driver requires --coord and -o\n%s",
-                 parser.Help().c_str());
-    return 1;
-  }
-  if (agl::Status s = ArmFailpoints(failpoints); !s.ok()) return Fail(s);
-
-  auto coord_dfs = mr::LocalDfs::Open(coord);
-  if (!coord_dfs.ok()) return Fail(coord_dfs.status());
-  driver::DriverOptions options;
-  options.dfs = &*coord_dfs;
-  options.job_prefix = job_prefix;
-  options.max_restarts = static_cast<int>(max_restarts);
-  if (!worker_failpoints.empty()) {
-    if (agl::Status s = fail::ValidateSpec(worker_failpoints); !s.ok()) {
-      return Fail(s);
-    }
-    options.first_attempt_env.push_back("AGL_FAILPOINTS=" +
-                                        worker_failpoints);
-  }
-  driver::DriverStats stats;
-
-  if (mode == "graphflat") {
-    if (node_csv.empty() || edge_csv.empty()) {
-      std::fprintf(stderr, "driver graphflat requires -n and -e\n");
-      return 1;
-    }
-    auto nodes = flat::ReadNodeCsv(node_csv);
-    if (!nodes.ok()) return Fail(nodes.status());
-    auto edges = flat::ReadEdgeCsv(edge_csv);
-    if (!edges.ok()) return Fail(edges.status());
-    auto loc = ParseDfsLocation(output);
-    if (!loc.ok()) return Fail(loc.status());
-    auto out_dfs = mr::LocalDfs::Open(loc->root);
-    if (!out_dfs.ok()) return Fail(out_dfs.status());
-
-    flat::GraphFlatConfig config;
-    config.hops = static_cast<int>(hops);
-    auto strategy = sampling::ParseStrategy(sampling);
-    if (!strategy.ok()) return Fail(strategy.status());
-    config.sampler = {*strategy, max_neighbors};
-    config.hub_threshold = hub_threshold;
-    config.job.num_workers = static_cast<int>(workers);
-    config.num_shards = static_cast<int>(shards);
-    auto result = driver::RunGraphFlatProcesses(
-        options, config, *nodes, *edges, &*out_dfs, loc->dataset, &stats);
-    if (!result.ok()) return Fail(result.status());
-    std::printf(
-        "GraphFlat[%lld shard processes]: %lld features -> %s:%s in %.2fs\n",
-        static_cast<long long>(shards),
-        static_cast<long long>(result->num_features), loc->root.c_str(),
-        loc->dataset.c_str(), result->elapsed_seconds);
-  } else if (mode == "analytics") {
-    if (node_csv.empty() || edge_csv.empty()) {
-      std::fprintf(stderr, "driver analytics requires -n and -e\n");
-      return 1;
-    }
-    auto nodes = flat::ReadNodeCsv(node_csv);
-    if (!nodes.ok()) return Fail(nodes.status());
-    auto edges = flat::ReadEdgeCsv(edge_csv);
-    if (!edges.ok()) return Fail(edges.status());
-
-    analytics::AnalyticsConfig config;
-    config.max_supersteps = static_cast<int>(max_supersteps);
-    config.num_shards = static_cast<int>(shards);
-    config.job.num_workers = static_cast<int>(workers);
-    driver::ProgramSpec program;
-    program.name = program_name;
-    program.damping = damping;
-    program.tolerance = tolerance;
-    program.source = static_cast<flat::NodeId>(source);
-    auto result = driver::RunAnalyticsProcesses(options, config, program,
-                                                *nodes, *edges, &stats);
-    if (!result.ok()) return Fail(result.status());
-
-    std::FILE* f = std::fopen(output.c_str(), "w");
-    if (f == nullptr) {
-      return Fail(agl::Status::IoError("cannot write " + output));
-    }
-    std::fprintf(f, "# node_id,%s\n", program_name.c_str());
-    for (const auto& [id, value] : result->values) {
-      std::fprintf(f, "%llu,%.17g\n", static_cast<unsigned long long>(id),
-                   value);
-    }
-    std::fclose(f);
-    std::printf(
-        "%s[%lld shard processes]: %lld vertices, %d supersteps (%s) in "
-        "%.2fs\n",
-        program_name.c_str(), static_cast<long long>(shards),
-        static_cast<long long>(result->stats.num_vertices),
-        result->stats.supersteps,
-        result->stats.converged ? "converged" : "superstep cap hit",
-        result->stats.elapsed_seconds);
-  } else if (mode == "train") {
-    if (input.empty()) {
-      std::fprintf(stderr, "driver train requires -i\n");
-      return 1;
-    }
-    auto in_loc = ParseDfsLocation(input);
-    if (!in_loc.ok()) return Fail(in_loc.status());
-    auto dfs = mr::LocalDfs::Open(in_loc->root);
-    if (!dfs.ok()) return Fail(dfs.status());
-    auto features = LoadGraphFeatures(*dfs, in_loc->dataset);
-    if (!features.ok()) return Fail(features.status());
-    if (features->empty()) {
-      return Fail(agl::Status::InvalidArgument("no training features"));
-    }
-    std::vector<subgraph::GraphFeature> val;
-    if (!val_input.empty()) {
-      auto val_loc = ParseDfsLocation(val_input);
-      if (!val_loc.ok()) return Fail(val_loc.status());
-      auto val_dfs = mr::LocalDfs::Open(val_loc->root);
-      if (!val_dfs.ok()) return Fail(val_dfs.status());
-      auto v = LoadGraphFeatures(*val_dfs, val_loc->dataset);
-      if (!v.ok()) return Fail(v.status());
-      val = std::move(v).value();
-    }
-
-    trainer::TrainerConfig config;
-    auto type = gnn::ParseModelType(model_name);
-    if (!type.ok()) return Fail(type.status());
-    config.model.type = *type;
-    config.model.num_layers = static_cast<int>(layers);
-    config.model.in_dim = (*features)[0].node_features.cols();
-    config.model.hidden_dim = hidden;
-    config.model.out_dim = classes;
-    config.model.gat_heads = static_cast<int>(heads);
-    config.model.dropout = static_cast<float>(dropout);
-    config.task = task == "multi"  ? trainer::TaskKind::kMultiLabel
-                  : task == "auc" ? trainer::TaskKind::kBinaryAuc
-                                  : trainer::TaskKind::kSingleLabel;
-    if (sync == "bsp") {
-      config.sync_mode = trainer::SyncMode::kBsp;
-    } else if (sync == "ssp") {
-      config.sync_mode = trainer::SyncMode::kSsp;
-    } else {
-      return Fail(agl::Status::InvalidArgument(
-          "unknown --sync '" + sync +
-          "' (bsp|ssp; async has no replayable schedule across a process "
-          "respawn)"));
-    }
-    config.staleness_bound = staleness;
-    config.num_workers = static_cast<int>(workers);
-    config.epochs = static_cast<int>(epochs);
-    config.batch_size = static_cast<int>(batch);
-    config.adam.lr = static_cast<float>(lr);
-    auto report =
-        driver::TrainProcesses(options, config, *features, val, &stats);
-    if (!report.ok()) return Fail(report.status());
-
-    auto out_loc = ParseDfsLocation(output);
-    if (!out_loc.ok()) return Fail(out_loc.status());
-    auto out_dfs = mr::LocalDfs::Open(out_loc->root);
-    if (!out_dfs.ok()) return Fail(out_dfs.status());
-    if (agl::Status s = out_dfs->WriteDataset(
-            out_loc->dataset, {SerializeState(report->final_state)}, 1);
-        !s.ok()) {
-      return Fail(s);
-    }
-    std::printf(
-        "trained %s[%lld worker processes]: best val metric %.4f, "
-        "model -> %s:%s\n",
-        model_name.c_str(), static_cast<long long>(workers),
-        report->best_val_metric, out_loc->root.c_str(),
-        out_loc->dataset.c_str());
-  } else {
-    std::fprintf(stderr, "unknown driver mode: %s\n", mode.c_str());
-    return 1;
-  }
-  PrintDriverStats(stats);
-  return 0;
+  return agl::Status::OK();
 }
 
 }  // namespace
@@ -1108,23 +830,21 @@ int main(int argc, char** argv) {
   // Worker processes re-enter through this same binary; divert them
   // before any user flag parsing.
   if (auto code = agl::driver::RunWorkerIfSpawned(argc, argv)) return *code;
-  if (argc < 2) {
+  using Command = agl::Status (*)(const std::vector<std::string>&);
+  const std::map<std::string, Command> commands = {
+      {"graphflat", RunGraphFlatCmd}, {"train", RunTrainCmd},
+      {"infer", RunInferCmd},         {"serve", RunServeCmd},
+      {"gendata", RunGenDataCmd},     {"analytics", RunAnalyticsCmd}};
+  auto it = argc < 2 ? commands.end() : commands.find(argv[1]);
+  if (it == commands.end()) {
     std::fprintf(stderr,
                  "usage: agl_cli "
-                 "<graphflat|train|infer|serve|gendata|analytics|driver> "
-                 "[flags]\n");
+                 "<graphflat|train|infer|serve|gendata|analytics> [flags]\n");
     return 1;
   }
-  const std::string cmd = argv[1];
-  std::vector<std::string> args;
-  for (int i = 2; i < argc; ++i) args.emplace_back(argv[i]);
-  if (cmd == "graphflat") return RunGraphFlatCmd(args);
-  if (cmd == "train") return RunTrainCmd(args);
-  if (cmd == "infer") return RunInferCmd(args);
-  if (cmd == "serve") return RunServeCmd(args);
-  if (cmd == "gendata") return RunGenDataCmd(args);
-  if (cmd == "analytics") return RunAnalyticsCmd(args);
-  if (cmd == "driver") return RunDriverCmd(args);
-  std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
+  const agl::Status status =
+      it->second(std::vector<std::string>(argv + 2, argv + argc));
+  if (status.ok()) return 0;
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
 }

@@ -76,7 +76,7 @@ int main() {
   tconfig.epochs = 6;
   tconfig.batch_size = 32;
   tconfig.adam.lr = 0.005f;
-  auto report = GraphTrainer(tconfig, splits.train, splits.val);
+  auto report = Run(tconfig, splits.train, splits.val);
   if (!report.ok()) {
     std::fprintf(stderr, "GraphTrainer: %s\n",
                  report.status().ToString().c_str());
@@ -90,8 +90,7 @@ int main() {
   infer::InferConfig iconfig;
   iconfig.model = tconfig.model;
   iconfig.job.num_workers = 8;
-  auto inference =
-      GraphInfer(iconfig, report->final_state, ds.nodes, ds.edges);
+  auto inference = Run(iconfig, report->final_state, ds.nodes, ds.edges);
   if (!inference.ok()) {
     std::fprintf(stderr, "GraphInfer: %s\n",
                  inference.status().ToString().c_str());

@@ -36,7 +36,7 @@ int main() {
   flat::GraphFlatConfig fconfig;
   fconfig.hops = 2;
   fconfig.sampler = {sampling::Strategy::kUniform, 15};
-  auto fstats = GraphFlat(fconfig, ds.nodes, ds.edges, &*dfs, "features");
+  auto fstats = Run(fconfig, ds.nodes, ds.edges, &*dfs, "features");
   if (!fstats.ok()) {
     std::fprintf(stderr, "GraphFlat: %s\n",
                  fstats.status().ToString().c_str());
@@ -66,7 +66,7 @@ int main() {
   tconfig.epochs = 6;
   tconfig.batch_size = 32;
   tconfig.adam.lr = 0.01f;
-  auto report = GraphTrainer(tconfig, splits.train, splits.val);
+  auto report = Run(tconfig, splits.train, splits.val);
   if (!report.ok()) {
     std::fprintf(stderr, "GraphTrainer: %s\n",
                  report.status().ToString().c_str());
@@ -80,8 +80,7 @@ int main() {
   // --- Stage 3: GraphInfer -m model -i graph
   infer::InferConfig iconfig;
   iconfig.model = tconfig.model;
-  auto inference =
-      GraphInfer(iconfig, report->final_state, ds.nodes, ds.edges);
+  auto inference = Run(iconfig, report->final_state, ds.nodes, ds.edges);
   if (!inference.ok()) {
     std::fprintf(stderr, "GraphInfer: %s\n",
                  inference.status().ToString().c_str());

@@ -56,17 +56,6 @@ agl::Result<analytics::AnalyticsResult> Run(
                                      edge_table);
 }
 
-agl::Result<analytics::AnalyticsResult> Run(
-    const analytics::AnalyticsConfig& config,
-    const analytics::VertexProgram& program,
-    const std::vector<analytics::NodeRecord>& node_table,
-    const std::vector<analytics::EdgeRecord>& edge_table, mr::LocalDfs* dfs,
-    const std::string& dataset) {
-  AGL_RETURN_IF_ERROR(config.Validate());
-  return analytics::RunVertexProgramToDfs(config, program, node_table,
-                                          edge_table, dfs, dataset);
-}
-
 agl::Result<std::unique_ptr<serve::InferenceService>> Run(
     const serve::ServeConfig& config,
     const std::map<std::string, tensor::Tensor>& trained_state,
@@ -78,14 +67,6 @@ agl::Result<std::unique_ptr<serve::InferenceService>> Run(
                                         std::move(edge_table), dfs);
 }
 
-agl::Result<flat::GraphFlatStats> GraphFlat(
-    const flat::GraphFlatConfig& config,
-    const std::vector<flat::NodeRecord>& node_table,
-    const std::vector<flat::EdgeRecord>& edge_table, mr::LocalDfs* dfs,
-    const std::string& dataset) {
-  return Run(config, node_table, edge_table, dfs, dataset);
-}
-
 agl::Result<std::vector<subgraph::GraphFeature>> LoadGraphFeatures(
     const mr::LocalDfs& dfs, const std::string& dataset) {
   // DfsFeatureSource resolves merged datasets and unmerged shard families
@@ -94,45 +75,6 @@ agl::Result<std::vector<subgraph::GraphFeature>> LoadGraphFeatures(
   AGL_ASSIGN_OR_RETURN(trainer::DfsFeatureSource source,
                        trainer::DfsFeatureSource::Open(dfs, dataset));
   return source.ReadAll();
-}
-
-agl::Result<trainer::TrainReport> GraphTrainer(
-    const trainer::TrainerConfig& config,
-    std::span<const subgraph::GraphFeature> train,
-    std::span<const subgraph::GraphFeature> val) {
-  return Run(config, train, val);
-}
-
-agl::Result<trainer::TrainReport> GraphTrainerStreaming(
-    const trainer::TrainerConfig& config, const mr::LocalDfs& dfs,
-    const std::string& dataset,
-    std::span<const subgraph::GraphFeature> val) {
-  AGL_RETURN_IF_ERROR(config.Validate());
-  AGL_ASSIGN_OR_RETURN(trainer::DfsFeatureSource source,
-                       trainer::DfsFeatureSource::Open(dfs, dataset));
-  trainer::GraphTrainer t(config);
-  return t.TrainStreaming(source, val);
-}
-
-agl::Result<infer::InferResult> GraphInfer(
-    const infer::InferConfig& config,
-    const std::map<std::string, tensor::Tensor>& trained_state,
-    const std::vector<flat::NodeRecord>& node_table,
-    const std::vector<flat::EdgeRecord>& edge_table) {
-  // Pinned to the single-pass pipeline (the batched/unbatched equivalence
-  // harness compares the two spellings); prefer Run for strategy routing.
-  AGL_RETURN_IF_ERROR(config.Validate());
-  return infer::RunGraphInfer(config, trained_state, node_table, edge_table);
-}
-
-agl::Result<infer::InferResult> GraphInferBatched(
-    const infer::InferConfig& config,
-    const std::map<std::string, tensor::Tensor>& trained_state,
-    const std::vector<flat::NodeRecord>& node_table,
-    const std::vector<flat::EdgeRecord>& edge_table) {
-  AGL_RETURN_IF_ERROR(config.Validate());
-  return infer::RunGraphInferBatched(config, trained_state, node_table,
-                                     edge_table);
 }
 
 std::string SerializeState(

@@ -1,12 +1,14 @@
-// AGL public facade — the three well-encapsulated entry points of Figure 6:
+// AGL public facade — one entry point per stage of Figure 6:
 //
 //   GraphFlat    -n node_table -e edge_table -h hops -s sampling_strategy
 //   GraphTrainer -m model_name -i input -t train_strategy -c dist_configs
 //   GraphInfer   -m model -i input -c infer_configs
 //
-// Each call is one stage of the integrated pipeline; developers only write
-// the model (gnn::ModelConfig picks one of the built-in GCN / GraphSAGE /
-// GAT implementations, or extend gnn::GnnModel).
+// Each stage is `agl::Run(<its config>, <its inputs>)`; developers only
+// write the model (gnn::ModelConfig picks one of the built-in GCN /
+// GraphSAGE / GAT implementations, or extend gnn::GnnModel). Running a
+// stage's shards or workers as processes instead of threads is
+// driver/driver.h, with the same configs and byte-identical outputs.
 
 #pragma once
 
@@ -34,7 +36,8 @@ namespace agl {
 // where the overload is selected by the config type and `Config::Validate()`
 // is always called up front — shape/range errors surface as
 // kInvalidArgument before any work runs, for every entry point, uniformly.
-// The agl_cli subcommands route through these.
+// The agl_cli stage subcommands route through these (with --coord, through
+// the driver:: twins of driver/driver.h).
 // ---------------------------------------------------------------------------
 
 /// GraphFlat: node/edge tables -> k-hop GraphFeatures on `dfs`/`dataset`.
@@ -74,14 +77,6 @@ agl::Result<analytics::AnalyticsResult> Run(
     const std::vector<analytics::NodeRecord>& node_table,
     const std::vector<analytics::EdgeRecord>& edge_table);
 
-/// Same, publishing the values as a GraphFeatures dataset on the DFS.
-agl::Result<analytics::AnalyticsResult> Run(
-    const analytics::AnalyticsConfig& config,
-    const analytics::VertexProgram& program,
-    const std::vector<analytics::NodeRecord>& node_table,
-    const std::vector<analytics::EdgeRecord>& edge_table, mr::LocalDfs* dfs,
-    const std::string& dataset);
-
 /// The always-on inference service: admission + coalescing over a
 /// persistent cross-process embedding store (serve/inference_service.h).
 agl::Result<std::unique_ptr<serve::InferenceService>> Run(
@@ -90,54 +85,9 @@ agl::Result<std::unique_ptr<serve::InferenceService>> Run(
     std::vector<flat::NodeRecord> node_table,
     std::vector<flat::EdgeRecord> edge_table, mr::LocalDfs* dfs);
 
-// ---------------------------------------------------------------------------
-// Named aliases for the Figure 6 stage spellings (kept for readability at
-// call sites that predate the facade; each simply forwards to Run).
-// ---------------------------------------------------------------------------
-
-/// Stage 1 — GraphFlat: turn raw node/edge tables into k-hop
-/// GraphFeatures stored on the DFS under `dataset`.
-agl::Result<flat::GraphFlatStats> GraphFlat(
-    const flat::GraphFlatConfig& config,
-    const std::vector<flat::NodeRecord>& node_table,
-    const std::vector<flat::EdgeRecord>& edge_table, mr::LocalDfs* dfs,
-    const std::string& dataset);
-
 /// Loads a GraphFeature dataset back from the DFS.
 agl::Result<std::vector<subgraph::GraphFeature>> LoadGraphFeatures(
     const mr::LocalDfs& dfs, const std::string& dataset);
-
-/// Stage 2 — GraphTrainer: distributed training over GraphFeatures.
-agl::Result<trainer::TrainReport> GraphTrainer(
-    const trainer::TrainerConfig& config,
-    std::span<const subgraph::GraphFeature> train,
-    std::span<const subgraph::GraphFeature> val);
-
-/// Stage 2, streaming: trains straight off a DFS feature dataset without
-/// materializing it (each worker's pipeline reader stage deserializes its
-/// share of the part files on the fly; kAsync/kSsp only).
-agl::Result<trainer::TrainReport> GraphTrainerStreaming(
-    const trainer::TrainerConfig& config, const mr::LocalDfs& dfs,
-    const std::string& dataset,
-    std::span<const subgraph::GraphFeature> val);
-
-/// Stage 3 — GraphInfer: distributed sliced inference over the full graph.
-agl::Result<infer::InferResult> GraphInfer(
-    const infer::InferConfig& config,
-    const std::map<std::string, tensor::Tensor>& trained_state,
-    const std::vector<flat::NodeRecord>& node_table,
-    const std::vector<flat::EdgeRecord>& edge_table);
-
-/// Stage 3, batched: runs the targets in `config.batch_slices` slices that
-/// share a cross-slice segment-embedding cache
-/// (`config.cache_budget_bytes`), so overlapping neighborhood embeddings
-/// are evaluated once instead of once per slice. Bit-identical scores to
-/// per-slice GraphInfer calls.
-agl::Result<infer::InferResult> GraphInferBatched(
-    const infer::InferConfig& config,
-    const std::map<std::string, tensor::Tensor>& trained_state,
-    const std::vector<flat::NodeRecord>& node_table,
-    const std::vector<flat::EdgeRecord>& edge_table);
 
 /// Serializes a trained state dict for storage on the DFS.
 std::string SerializeState(const std::map<std::string, tensor::Tensor>& state);

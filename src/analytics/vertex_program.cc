@@ -647,15 +647,9 @@ agl::Result<AnalyticsResult> RunVertexProgram(
   return result;
 }
 
-agl::Result<AnalyticsResult> RunVertexProgramToDfs(
-    const AnalyticsConfig& config, const VertexProgram& program,
-    const std::vector<NodeRecord>& nodes, const std::vector<EdgeRecord>& edges,
-    mr::LocalDfs* dfs, const std::string& dataset) {
-  AGL_ASSIGN_OR_RETURN(AnalyticsResult result,
-                       RunVertexProgram(config, program, nodes, edges));
-  // One single-node GraphFeature per vertex, id-sorted round-robin over the
-  // part files: the dataset bytes depend only on the result, never on the
-  // shard count, and any GraphFeature reader can consume them.
+agl::Status WriteValuesDataset(const AnalyticsResult& result,
+                               const AnalyticsConfig& config,
+                               mr::LocalDfs* dfs, const std::string& dataset) {
   std::vector<std::string> records;
   records.reserve(result.values.size());
   for (const auto& [id, value] : result.values) {
@@ -668,9 +662,7 @@ agl::Result<AnalyticsResult> RunVertexProgramToDfs(
         tensor::Tensor(1, 1, {static_cast<float>(value)});
     records.push_back(gf.Serialize());
   }
-  AGL_RETURN_IF_ERROR(
-      dfs->WriteDataset(dataset, records, std::max(1, config.output_parts)));
-  return result;
+  return dfs->WriteDataset(dataset, records, std::max(1, config.output_parts));
 }
 
 agl::Result<std::vector<NodeRecord>> AugmentNodeTable(

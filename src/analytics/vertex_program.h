@@ -111,7 +111,7 @@ struct AnalyticsConfig {
   /// with flat::ShardPlan and boundary messages are exchanged between
   /// supersteps. Output is invariant to this value.
   int num_shards = 1;
-  /// Part files per DFS result dataset (RunVertexProgramToDfs).
+  /// Part files per DFS result dataset (WriteValuesDataset).
   int output_parts = 4;
   mr::JobConfig job;
 
@@ -202,16 +202,16 @@ agl::Result<AnalyticsShardOutput> RunAnalyticsShard(
     const std::vector<NodeRecord>& shard_nodes,
     const std::vector<EdgeRecord>& shard_edges, flat::Exchange* exchange);
 
-/// Same, then stores the result on `dfs`/`dataset` as a GraphFeatures
-/// dataset: one single-node GraphFeature per vertex (target_id = vertex,
-/// node_features = [1 x 1] holding the value), id-sorted round-robin over
-/// `config.output_parts` — so the dataset bytes are also shard-count
-/// invariant and every GraphFeature reader (LoadGraphFeatures,
-/// DfsFeatureSource) can consume analytics output directly.
-agl::Result<AnalyticsResult> RunVertexProgramToDfs(
-    const AnalyticsConfig& config, const VertexProgram& program,
-    const std::vector<NodeRecord>& nodes, const std::vector<EdgeRecord>& edges,
-    mr::LocalDfs* dfs, const std::string& dataset);
+/// Publishes `result` on `dfs`/`dataset` as a GraphFeatures dataset: one
+/// single-node GraphFeature per vertex (target_id = vertex, node_features
+/// = [1 x 1] holding the value), id-sorted round-robin over
+/// `config.output_parts` — so the dataset bytes depend only on the values
+/// (never on the shard count or on threads vs processes) and every
+/// GraphFeature reader (LoadGraphFeatures, DfsFeatureSource) can consume
+/// analytics output directly.
+agl::Status WriteValuesDataset(const AnalyticsResult& result,
+                               const AnalyticsConfig& config,
+                               mr::LocalDfs* dfs, const std::string& dataset);
 
 /// Feature-generator composition: returns a copy of `nodes` with each
 /// vertex's analytics value appended as one extra feature column, ready to

@@ -79,7 +79,7 @@ struct DriverOptions {
 };
 
 /// Supervision counters (the driver-side complement of the transport
-/// stats), printed by `agl_cli driver`. Filled in on failure too.
+/// stats), printed by `agl_cli ... --coord`. Filled in on failure too.
 struct DriverStats {
   int64_t spawns = 0;
   int64_t restarts = 0;

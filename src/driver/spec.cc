@@ -116,24 +116,8 @@ agl::Status GetExchangeStats(io::BufferReader* r, flat::ExchangeStats* out) {
 
 agl::Result<std::unique_ptr<analytics::VertexProgram>> MakeProgram(
     const ProgramSpec& spec) {
-  if (spec.name == "pagerank") {
-    return std::unique_ptr<analytics::VertexProgram>(
-        new analytics::PageRankProgram(spec.damping, spec.tolerance));
-  }
-  if (spec.name == "cc") {
-    return std::unique_ptr<analytics::VertexProgram>(
-        new analytics::ConnectedComponentsProgram());
-  }
-  if (spec.name == "sssp") {
-    return std::unique_ptr<analytics::VertexProgram>(
-        new analytics::SsspProgram(spec.source));
-  }
-  if (spec.name == "lp") {
-    return std::unique_ptr<analytics::VertexProgram>(
-        new analytics::LabelPropagationProgram());
-  }
-  return agl::Status::InvalidArgument("unknown vertex program '" +
-                                      spec.name + "'");
+  return analytics::MakeProgram(spec.name,
+                                {spec.damping, spec.tolerance, spec.source});
 }
 
 void PutStatus(io::BufferWriter* w, const agl::Status& status) {

@@ -34,7 +34,8 @@ struct ProgramSpec {
   flat::NodeId source = 0;  // sssp only
 };
 
-/// Builds the program a spec names; kInvalidArgument for unknown names.
+/// Builds the program a spec names (analytics::MakeProgram);
+/// kInvalidArgument for unknown names or out-of-range parameters.
 agl::Result<std::unique_ptr<analytics::VertexProgram>> MakeProgram(
     const ProgramSpec& spec);
 

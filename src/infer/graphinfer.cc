@@ -292,6 +292,7 @@ agl::Result<InferResult> RunInferCore(const InferConfig& config,
   if (nodes.empty()) {
     return agl::Status::InvalidArgument("GraphInfer: empty node table");
   }
+  AGL_RETURN_IF_ERROR(CheckFeatureWidths(nodes, config.model.in_dim));
   Stopwatch watch;
   const double cpu_start = ProcessCpuSeconds();
 
@@ -456,6 +457,19 @@ agl::Status InferConfig::Validate() const {
   return agl::Status::OK();
 }
 
+agl::Status CheckFeatureWidths(const std::vector<NodeRecord>& nodes,
+                               int64_t in_dim) {
+  for (const NodeRecord& n : nodes) {
+    if (static_cast<int64_t>(n.features.size()) != in_dim) {
+      return agl::Status::InvalidArgument(
+          "GraphInfer: node " + std::to_string(n.id) + " has " +
+          std::to_string(n.features.size()) +
+          " features but the model expects in_dim=" + std::to_string(in_dim));
+    }
+  }
+  return agl::Status::OK();
+}
+
 std::vector<std::vector<NodeId>> PartitionTargets(
     const std::vector<NodeId>& targets, int batch_slices) {
   std::vector<NodeId> unique;
@@ -504,7 +518,7 @@ agl::Result<InferResult> RunGraphInfer(
     return agl::Status::InvalidArgument("GraphInfer: empty node table");
   }
   AGL_ASSIGN_OR_RETURN(std::vector<ModelSlice> slices,
-                       SegmentModel(state, config.model.num_layers));
+                       SegmentModel(state, config.model));
   CoreOptions opts;
   opts.slices = &slices;
   if (config.target_ids.empty()) {
@@ -541,7 +555,7 @@ agl::Result<InferResult> RunBatchedWithStore(
   const double cpu_start = ProcessCpuSeconds();
 
   AGL_ASSIGN_OR_RETURN(std::vector<ModelSlice> slices,
-                       SegmentModel(state, config.model.num_layers));
+                       SegmentModel(state, config.model));
 
   std::vector<NodeId> targets = config.target_ids;
   if (targets.empty()) {

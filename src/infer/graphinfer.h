@@ -130,6 +130,12 @@ agl::Result<InferResult> RunGraphInferBatched(
     const std::vector<flat::NodeRecord>& nodes,
     const std::vector<flat::EdgeRecord>& edges, EmbeddingStore* store);
 
+/// kInvalidArgument naming the first node whose feature width is not
+/// `in_dim` — the input check every GraphInfer pass (and
+/// serve::InferenceService::Start) runs before any round.
+agl::Status CheckFeatureWidths(const std::vector<flat::NodeRecord>& nodes,
+                               int64_t in_dim);
+
 /// Deterministic contiguous partition of `targets` into at most
 /// `batch_slices` non-empty slices (duplicates dropped, first occurrence
 /// kept, caller order preserved). Shared by the batched driver and the

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
+#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -63,17 +64,32 @@ void EluInPlace(std::vector<float>* v) {
 }  // namespace
 
 agl::Result<std::vector<ModelSlice>> SegmentModel(
-    const std::map<std::string, tensor::Tensor>& state, int num_layers) {
-  std::vector<ModelSlice> slices(num_layers + 1);
-  for (int k = 0; k <= num_layers; ++k) slices[k].layer = k;
+    const std::map<std::string, tensor::Tensor>& state,
+    const gnn::ModelConfig& config) {
+  if (config.num_layers < 1 || config.in_dim <= 0 || config.hidden_dim <= 0 ||
+      config.out_dim <= 0) {
+    return agl::Status::InvalidArgument(
+        "SegmentModel: model layers and dimensions must be positive");
+  }
+  gnn::GnnModel model(config);
+  const std::string fit = std::string("model state does not fit a ") +
+                          gnn::ModelTypeName(config.type) + " with " +
+                          std::to_string(config.num_layers) +
+                          " layers and in_dim " +
+                          std::to_string(config.in_dim) + ": ";
+  if (agl::Status s = model.LoadStateDict(state); !s.ok()) {
+    return agl::Status::InvalidArgument(fit + s.message());
+  }
+  std::unordered_set<std::string> expected;
+  for (const nn::NamedParameter& p : model.Parameters()) {
+    expected.insert(p.name);
+  }
+  std::vector<ModelSlice> slices(config.num_layers + 1);
+  for (int k = 0; k <= config.num_layers; ++k) slices[k].layer = k;
   for (const auto& [key, value] : state) {
     const int layer = ParseLayerIndex(key);
-    if (layer < 0) {
-      return agl::Status::InvalidArgument("unrecognized parameter key: " +
-                                          key);
-    }
-    if (layer >= num_layers) {
-      return agl::Status::InvalidArgument("layer index out of range in key " +
+    if (expected.count(key) == 0 || layer < 0) {
+      return agl::Status::InvalidArgument(fit + "unexpected parameter " +
                                           key);
     }
     slices[layer].params.emplace(key.substr(key.find('.') + 1), value);
@@ -81,14 +97,6 @@ agl::Result<std::vector<ModelSlice>> SegmentModel(
   // slices[num_layers] (the prediction slice) stays empty: the models end
   // in an identity head; kept so the pipeline shape matches the paper.
   return slices;
-}
-
-int CountStateLayers(const std::map<std::string, tensor::Tensor>& state) {
-  int max_layer = -1;
-  for (const auto& [key, value] : state) {
-    max_layer = std::max(max_layer, ParseLayerIndex(key));
-  }
-  return max_layer + 1;
 }
 
 agl::Result<std::vector<float>> ApplySlice(

@@ -23,16 +23,14 @@ struct ModelSlice {
   std::map<std::string, tensor::Tensor> params;
 };
 
-/// Splits a state dict whose keys follow the GnnModel convention
-/// ("layer<k>.<...>") into K layer slices plus one (possibly empty)
-/// prediction slice. Unknown keys are an error.
+/// Splits a trained state dict into K layer slices plus one (empty)
+/// prediction slice. kInvalidArgument unless `state` is exactly the
+/// parameter set of gnn::GnnModel(config): every parameter present with
+/// the shape `config` implies, and no other key — so a wrong artifact, a
+/// wrong model type or wrong dimensions fail here, not inside a round.
 agl::Result<std::vector<ModelSlice>> SegmentModel(
-    const std::map<std::string, tensor::Tensor>& state, int num_layers);
-
-/// Number of GNN layers a state dict holds (max "layer<k>." index + 1,
-/// strictly parsed; malformed keys are ignored). Lets callers validate a
-/// --layers flag against a trained artifact before running the pipeline.
-int CountStateLayers(const std::map<std::string, tensor::Tensor>& state);
+    const std::map<std::string, tensor::Tensor>& state,
+    const gnn::ModelConfig& config);
 
 /// In-edge neighbor of a node during one inference round.
 struct NeighborEmbedding {

@@ -24,7 +24,7 @@
 namespace agl::ps {
 
 /// Transport-level counters of one PsServer (JSON-friendly observability
-/// for `agl_cli driver`; the parameter-level counters live in
+/// for `agl_cli ... --coord` runs; the parameter-level counters live in
 /// ServerStats).
 struct PsTransportStats {
   int64_t connections = 0;

@@ -6,6 +6,7 @@
 
 #include "common/timer.h"
 #include "flat/incremental.h"
+#include "infer/segmentation.h"
 
 namespace agl::serve {
 
@@ -83,6 +84,11 @@ agl::Result<std::unique_ptr<InferenceService>> InferenceService::Start(
     return agl::Status::InvalidArgument(
         "InferenceService: empty node table");
   }
+  // The checks every pass runs, up front: a bad artifact or node table
+  // fails the start, not the first request.
+  AGL_RETURN_IF_ERROR(infer::SegmentModel(state, config.infer.model).status());
+  AGL_RETURN_IF_ERROR(
+      infer::CheckFeatureWidths(nodes, config.infer.model.in_dim));
   if (!config.features_dataset.empty() &&
       !dfs->DatasetExists(config.features_dataset)) {
     return agl::Status::FailedPrecondition(

@@ -357,13 +357,15 @@ TEST(AnalyticsShardInvarianceTest, DfsDatasetBytesAreShardCountInvariant) {
   PageRankProgram program(0.85, 1e-10);
 
   AnalyticsConfig single = BaseConfig(1);
-  auto single_result = RunVertexProgramToDfs(single, program, g.nodes,
-                                             g.edges, &*dfs, "pr_single");
+  auto single_result = RunVertexProgram(single, program, g.nodes, g.edges);
   ASSERT_TRUE(single_result.ok()) << single_result.status().ToString();
+  ASSERT_TRUE(
+      WriteValuesDataset(*single_result, single, &*dfs, "pr_single").ok());
   AnalyticsConfig sharded = BaseConfig(4);
-  auto sharded_result = RunVertexProgramToDfs(sharded, program, g.nodes,
-                                              g.edges, &*dfs, "pr_sharded");
+  auto sharded_result = RunVertexProgram(sharded, program, g.nodes, g.edges);
   ASSERT_TRUE(sharded_result.ok()) << sharded_result.status().ToString();
+  ASSERT_TRUE(
+      WriteValuesDataset(*sharded_result, sharded, &*dfs, "pr_sharded").ok());
 
   auto single_bytes = dfs->ReadDataset("pr_single");
   auto sharded_bytes = dfs->ReadDataset("pr_sharded");

@@ -102,8 +102,7 @@ class ChaosTest : public ::testing::Test {
     }
     flat::GraphFlatConfig fconfig;
     fconfig.hops = 1;
-    auto fstats = GraphFlat(fconfig, ds_.nodes, ds_.edges, &*dfs,
-                            "features");
+    auto fstats = agl::Run(fconfig, ds_.nodes, ds_.edges, &*dfs, "features");
     if (!fstats.ok()) {
       out.failed_stage = Stage::kFlat;
       out.status = fstats.status();
@@ -132,8 +131,8 @@ class ChaosTest : public ::testing::Test {
     iconfig.batch_slices = 2;
     iconfig.cache_budget_bytes = 4096;
     iconfig.cache_spill_path = run_root + "/spill/cache.rec";
-    auto inference = GraphInferBatched(iconfig, report->final_state,
-                                       ds_.nodes, ds_.edges);
+    auto inference = infer::RunGraphInferBatched(
+        iconfig, report->final_state, ds_.nodes, ds_.edges);
     if (!inference.ok()) {
       out.failed_stage = Stage::kInfer;
       out.status = inference.status();
@@ -320,10 +319,12 @@ TEST_F(ChaosTest, AnalyticsPageRankSchedules) {
   // Fault-free reference.
   auto ref_dfs = mr::LocalDfs::Open(root_ + "/aref/dfs");
   ASSERT_TRUE(ref_dfs.ok());
-  auto ref = analytics::RunVertexProgramToDfs(config, program, ds_.nodes,
-                                              ds_.edges, &*ref_dfs,
-                                              "pagerank");
+  auto ref = analytics::RunVertexProgram(config, program, ds_.nodes,
+                                        ds_.edges);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  ASSERT_TRUE(
+      analytics::WriteValuesDataset(*ref, config, &*ref_dfs, "pagerank")
+          .ok());
   ASSERT_TRUE(ref->stats.converged);
   auto ref_bytes = ref_dfs->ReadDataset("pagerank");
   ASSERT_TRUE(ref_bytes.ok());
@@ -344,9 +345,11 @@ TEST_F(ChaosTest, AnalyticsPageRankSchedules) {
     if (!dfs.ok()) {
       status = dfs.status();
     } else {
-      auto out = analytics::RunVertexProgramToDfs(
-          config, program, ds_.nodes, ds_.edges, &*dfs, "pagerank");
-      status = out.status();
+      auto out = analytics::RunVertexProgram(config, program, ds_.nodes,
+                                             ds_.edges);
+      status = out.ok() ? analytics::WriteValuesDataset(*out, config, &*dfs,
+                                                        "pagerank")
+                        : out.status();
       if (out.ok()) {
         EXPECT_TRUE(out->SerializeValues() == ref_values);
       }

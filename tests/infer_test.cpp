@@ -43,7 +43,7 @@ gnn::ModelConfig SmallModel(gnn::ModelType type, int layers,
 
 TEST(SegmentationTest, SplitsByLayer) {
   gnn::GnnModel model(SmallModel(gnn::ModelType::kGat, 3, 6));
-  auto slices = SegmentModel(model.StateDict(), 3);
+  auto slices = SegmentModel(model.StateDict(), model.config());
   ASSERT_TRUE(slices.ok());
   ASSERT_EQ(slices->size(), 4u);  // 3 layers + prediction slice
   for (int k = 0; k < 3; ++k) {
@@ -55,7 +55,7 @@ TEST(SegmentationTest, SplitsByLayer) {
 
 TEST(SegmentationTest, SliceParamsCoverWholeModel) {
   gnn::GnnModel model(SmallModel(gnn::ModelType::kGraphSage, 2, 6));
-  auto slices = SegmentModel(model.StateDict(), 2);
+  auto slices = SegmentModel(model.StateDict(), model.config());
   ASSERT_TRUE(slices.ok());
   std::size_t total = 0;
   for (const auto& s : *slices) total += s.params.size();
@@ -63,9 +63,42 @@ TEST(SegmentationTest, SliceParamsCoverWholeModel) {
 }
 
 TEST(SegmentationTest, RejectsUnknownKeys) {
-  std::map<std::string, tensor::Tensor> state;
+  const gnn::ModelConfig config = SmallModel(gnn::ModelType::kGcn, 2, 6);
+  auto state = gnn::GnnModel(config).StateDict();
   state.emplace("not_a_layer.weight", tensor::Tensor(1, 1));
-  EXPECT_FALSE(SegmentModel(state, 2).ok());
+  EXPECT_EQ(SegmentModel(state, config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// A state dict is accepted only as exactly the parameter set of
+// GnnModel(config): depth, model type, heads and every shape must match.
+TEST(SegmentationTest, RejectsStateOfAnotherModel) {
+  const gnn::ModelConfig gcn2 = SmallModel(gnn::ModelType::kGcn, 2, 6);
+  const auto state = gnn::GnnModel(gcn2).StateDict();
+  gnn::ModelConfig deeper = gcn2;
+  deeper.num_layers = 3;
+  gnn::ModelConfig shallower = gcn2;
+  shallower.num_layers = 1;
+  gnn::ModelConfig gat = gcn2;
+  gat.type = gnn::ModelType::kGat;
+  gnn::ModelConfig wider = gcn2;
+  wider.in_dim = 7;
+  gnn::ModelConfig bigger_hidden = gcn2;
+  bigger_hidden.hidden_dim = 6;
+  for (const gnn::ModelConfig& config :
+       {deeper, shallower, gat, wider, bigger_hidden}) {
+    EXPECT_EQ(SegmentModel(state, config).status().code(),
+              StatusCode::kInvalidArgument)
+        << gnn::ModelTypeName(config.type) << " " << config.num_layers;
+  }
+  gnn::ModelConfig two_heads = SmallModel(gnn::ModelType::kGat, 2, 6);
+  two_heads.gat_heads = 2;
+  gnn::ModelConfig one_head = two_heads;
+  one_head.gat_heads = 1;
+  EXPECT_EQ(SegmentModel(gnn::GnnModel(two_heads).StateDict(), one_head)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 class InferEquivalenceTest
@@ -280,6 +313,42 @@ TEST(GraphInferTest, TargetSubsetSingleNodeNoEdges) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->scores.size(), 1u);
   EXPECT_EQ(result->scores[0].first, ds.nodes[0].id);
+}
+
+// A wrong artifact or node table is a clean kInvalidArgument from both
+// drivers, never a crash inside a round.
+TEST(GraphInferTest, RejectsMismatchedModelOrNodeTable) {
+  data::Dataset ds = SmallUug(30);
+  const gnn::ModelConfig trained =
+      SmallModel(gnn::ModelType::kGcn, 2, ds.feature_dim);
+  const auto state = gnn::GnnModel(trained).StateDict();
+  InferConfig deeper;
+  deeper.model = trained;
+  deeper.model.num_layers = 3;
+  InferConfig gat;
+  gat.model = trained;
+  gat.model.type = gnn::ModelType::kGat;
+  for (const InferConfig& config : {deeper, gat}) {
+    EXPECT_EQ(RunGraphInfer(config, state, ds.nodes, ds.edges).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(RunGraphInferBatched(config, state, ds.nodes, ds.edges)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  InferConfig ok;
+  ok.model = trained;
+  std::vector<flat::NodeRecord> ragged = ds.nodes;
+  ragged[ragged.size() / 2].features.pop_back();
+  auto single = RunGraphInfer(ok, state, ragged, ds.edges);
+  EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(single.status().message().find(
+                "node " + std::to_string(ragged[ragged.size() / 2].id)),
+            std::string::npos)
+      << single.status().ToString();
+  EXPECT_EQ(RunGraphInferBatched(ok, state, ragged, ds.edges).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(GraphInferTest, EmptyNodesRejected) {

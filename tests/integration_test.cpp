@@ -44,7 +44,7 @@ TEST_F(PipelineTest, FlatTrainInferEndToEnd) {
   flat::GraphFlatConfig fconfig;
   fconfig.hops = 2;
   fconfig.sampler = {sampling::Strategy::kUniform, 10};
-  auto fstats = GraphFlat(fconfig, ds.nodes, ds.edges, &*dfs, "features");
+  auto fstats = agl::Run(fconfig, ds.nodes, ds.edges, &*dfs, "features");
   ASSERT_TRUE(fstats.ok()) << fstats.status().ToString();
   EXPECT_EQ(fstats->num_features, ds.num_nodes());  // all labeled
 
@@ -66,7 +66,7 @@ TEST_F(PipelineTest, FlatTrainInferEndToEnd) {
   tconfig.epochs = 5;
   tconfig.batch_size = 16;
   tconfig.adam.lr = 0.02f;
-  auto report = GraphTrainer(tconfig, splits.train, splits.val);
+  auto report = agl::Run(tconfig, splits.train, splits.val);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->best_val_metric, 0.6);
 
@@ -78,7 +78,7 @@ TEST_F(PipelineTest, FlatTrainInferEndToEnd) {
   // 6. GraphInfer over the whole graph.
   infer::InferConfig iconfig;
   iconfig.model = tconfig.model;
-  auto inference = GraphInfer(iconfig, *state, ds.nodes, ds.edges);
+  auto inference = agl::Run(iconfig, *state, ds.nodes, ds.edges);
   ASSERT_TRUE(inference.ok()) << inference.status().ToString();
   ASSERT_EQ(inference->scores.size(), ds.nodes.size());
 
@@ -140,7 +140,7 @@ TEST_F(PipelineTest, AglMatchesFullGraphBaselineEffectiveness) {
   tconfig.epochs = 12;
   tconfig.batch_size = 20;
   tconfig.adam.lr = 0.02f;
-  auto agl_report = GraphTrainer(tconfig, splits.train, splits.val);
+  auto agl_report = agl::Run(tconfig, splits.train, splits.val);
   ASSERT_TRUE(agl_report.ok());
 
   // Both beat chance clearly and land within a band of each other.

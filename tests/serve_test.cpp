@@ -250,6 +250,35 @@ TEST_F(ServeTest, ValidateRejectsBadConfigs) {
   EXPECT_EQ(svc2.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// A model artifact that does not fit the config, or a node table with a
+// row of the wrong width, fails the start cleanly instead of aborting the
+// first pass.
+TEST_F(ServeTest, StartRejectsMismatchedModelOrNodeTable) {
+  data::Dataset ds = SmallUug(20);
+  const gnn::ModelConfig trained =
+      SmallModel(gnn::ModelType::kGcn, 2, ds.feature_dim);
+  const auto state = gnn::GnnModel(trained).StateDict();
+  mr::LocalDfs dfs = OpenDfs();
+
+  ServeConfig deeper;
+  deeper.infer.model = trained;
+  deeper.infer.model.num_layers = 3;
+  ServeConfig gat;
+  gat.infer.model = trained;
+  gat.infer.model.type = gnn::ModelType::kGat;
+  for (const ServeConfig& config : {deeper, gat}) {
+    auto svc = agl::Run(config, state, ds.nodes, ds.edges, &dfs);
+    EXPECT_EQ(svc.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  ServeConfig ok;
+  ok.infer.model = trained;
+  std::vector<flat::NodeRecord> ragged = ds.nodes;
+  ragged[ragged.size() / 2].features.pop_back();
+  auto svc = agl::Run(ok, state, ragged, ds.edges, &dfs);
+  EXPECT_EQ(svc.status().code(), StatusCode::kInvalidArgument);
+}
+
 // --- serving equivalence --------------------------------------------------
 
 TEST_F(ServeTest, ServedScoresMatchOfflineAcrossCoalescingPatterns) {
