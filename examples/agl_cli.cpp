@@ -386,18 +386,14 @@ agl::Status RunTrainCmd(const std::vector<std::string>& args) {
   if (stream) {
     AGL_ASSIGN_OR_RETURN(source,
                          trainer::DfsFeatureSource::Open(in.dfs, in.dataset));
-    // Probe part files until the first record (leading parts may be
-    // empty); read errors surface as themselves, not as "empty dataset".
-    for (int64_t part = 0; part < source->num_parts() && !in_dim; ++part) {
-      agl::Status probe = source->ScanPart(
-          part, [&in_dim](subgraph::GraphFeature gf) {
-            in_dim = gf.node_features.cols();
-            return agl::Status::Aborted("first record read");
-          });
-      if (!probe.ok() && probe.code() != agl::StatusCode::kAborted) {
-        return probe;
-      }
-    }
+    // Read the first record (leading parts may be empty); read errors
+    // surface as themselves, not as "empty dataset".
+    AGL_ASSIGN_OR_RETURN(
+        trainer::StreamingShardReader probe,
+        trainer::StreamingShardReader::Open(*source, 0, 1, {.batch_size = 1}));
+    AGL_ASSIGN_OR_RETURN(const std::vector<subgraph::GraphFeature> first,
+                         probe.Next());
+    if (!first.empty()) in_dim = first[0].node_features.cols();
   } else {
     AGL_ASSIGN_OR_RETURN(features, LoadGraphFeatures(in.dfs, in.dataset));
     if (!features.empty()) in_dim = features[0].node_features.cols();
@@ -430,8 +426,6 @@ agl::Status RunTrainCmd(const std::vector<std::string>& args) {
     config.checkpoint_every_batches = checkpoint_every;
     config.resume = resume;
   }
-  // A streaming run trains straight off the source the probe opened.
-  if (stream) AGL_RETURN_IF_ERROR(config.Validate());
   AGL_ASSIGN_OR_RETURN(
       const trainer::TrainReport report,
       coord.enabled()

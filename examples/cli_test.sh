@@ -7,6 +7,8 @@
 # small generated graph and checks that
 #   * every --coord (process) artifact is byte-identical to the in-process
 #     one, also when a worker is killed mid-epoch and relaunched;
+#   * training off the DFS part files (--stream) writes the same model as
+#     training over the loaded dataset;
 #   * the served scores equal the offline inference scores;
 #   * bad inputs (a model artifact that does not fit the flags, a ragged
 #     node table, an unknown task) exit 1 with an `error:` line.
@@ -74,6 +76,13 @@ grep -q '([1-9][0-9]* restarts)' "$T/crash.out" ||
 same_dataset "$T/dfs/model" "$T/dfs/model_crash" "train after a worker crash"
 "$CLI" train "${train[@]}" --val "$T/dfs:features" -o "$T/dfs:model_val" |
   grep -q 'best val metric [0-9]' || fail "train --val reports no metric"
+
+# Streaming: one async worker reads the part files in dataset order, so it
+# sees the same batches as training over the loaded dataset.
+single=(-i "$T/dfs:features" -m graphsage --workers 1 --epochs 2)
+"$CLI" train "${single[@]}" -o "$T/dfs:model_span" >/dev/null
+"$CLI" train "${single[@]}" --stream -o "$T/dfs:model_stream" >/dev/null
+same_dataset "$T/dfs/model_span" "$T/dfs/model_stream" "train --stream"
 
 # Offline inference, then a two-line serve script over the same model.
 model=(-m "$T/dfs:model" --model-type graphsage)

@@ -71,13 +71,12 @@ agl::Status ReadAll(int fd, char* data, std::size_t n, bool eof_ok) {
 }  // namespace
 
 Socket::Socket(Socket&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), stats_(other.stats_) {}
+    : fd_(std::exchange(other.fd_, -1)) {}
 
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = std::exchange(other.fd_, -1);
-    stats_ = other.stats_;
   }
   return *this;
 }
@@ -95,10 +94,7 @@ agl::Status Socket::WriteFrame(const std::string& payload) {
   prefix[2] = static_cast<char>((n >> 16) & 0xff);
   prefix[3] = static_cast<char>((n >> 24) & 0xff);
   AGL_RETURN_IF_ERROR(WriteAll(fd_, prefix, sizeof(prefix)));
-  AGL_RETURN_IF_ERROR(WriteAll(fd_, payload.data(), payload.size()));
-  stats_.frames_sent++;
-  stats_.bytes_sent += static_cast<int64_t>(sizeof(prefix) + payload.size());
-  return agl::Status::OK();
+  return WriteAll(fd_, payload.data(), payload.size());
 }
 
 agl::Result<std::string> Socket::ReadFrame() {
@@ -118,8 +114,6 @@ agl::Result<std::string> Socket::ReadFrame() {
   if (n > 0) {
     AGL_RETURN_IF_ERROR(ReadAll(fd_, payload.data(), n, /*eof_ok=*/false));
   }
-  stats_.frames_received++;
-  stats_.bytes_received += static_cast<int64_t>(sizeof(prefix) + n);
   return payload;
 }
 

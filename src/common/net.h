@@ -17,14 +17,6 @@
 
 namespace agl::common {
 
-/// Byte/frame counters of one connection (monotone, read after use).
-struct SocketStats {
-  int64_t frames_sent = 0;
-  int64_t frames_received = 0;
-  int64_t bytes_sent = 0;
-  int64_t bytes_received = 0;
-};
-
 /// One connected stream socket moving length-prefixed frames.
 class Socket {
  public:
@@ -54,11 +46,8 @@ class Socket {
 
   void Close();
 
-  const SocketStats& stats() const { return stats_; }
-
  private:
   int fd_ = -1;
-  SocketStats stats_;
 };
 
 /// A listening socket on an ephemeral loopback port.

@@ -82,12 +82,8 @@ void CountExit(const ExitStatus& exit, DriverStats* stats) {
 /// applies only to attempt 0, so every retry runs clean.
 std::vector<std::string> AttemptEnv(const DriverOptions& options,
                                     int attempt) {
-  std::vector<std::string> env = options.worker_env;
-  if (attempt == 0) {
-    env.insert(env.end(), options.first_attempt_env.begin(),
-               options.first_attempt_env.end());
-  }
-  return env;
+  if (attempt == 0) return options.first_attempt_env;
+  return {};
 }
 
 /// The one record of `dataset`; kCorruption for any other record count.

@@ -66,8 +66,6 @@ struct DriverOptions {
   /// Classified-retry budget: how many times a signal-killed process (or,
   /// for the trainer, a broken epoch) is relaunched before giving up.
   int max_restarts = 2;
-  /// Extra "KEY=VALUE" env entries for every worker spawn.
-  std::vector<std::string> worker_env;
   /// Env entries applied ONLY to each process's first launch — the chaos
   /// hook: arm a crash failpoint here (e.g. "AGL_FAILPOINTS=
   /// trainer.step=crash@3") and the first attempt dies by SIGKILL while

@@ -5,6 +5,8 @@
 namespace agl::ps {
 namespace {
 
+constexpr int kConnectTimeoutMs = 10000;
+
 /// Collapses a round trip whose server-side outcome is the only payload.
 agl::Status StatusOnly(agl::Result<PsResponse> resp) {
   if (!resp.ok()) return resp.status();
@@ -12,12 +14,6 @@ agl::Status StatusOnly(agl::Result<PsResponse> resp) {
 }
 
 }  // namespace
-
-RemotePsClient::RemotePsClient(int port)
-    : RemotePsClient(port, Options()) {}
-
-RemotePsClient::RemotePsClient(int port, Options options)
-    : port_(port), options_(options) {}
 
 agl::Result<PsResponse> RemotePsClient::Call(const PsRequest& req) {
   common::Socket sock;
@@ -29,37 +25,17 @@ agl::Result<PsResponse> RemotePsClient::Call(const PsRequest& req) {
     }
   }
   if (!sock.valid()) {
-    auto fresh = common::ConnectLoopback(port_, options_.connect_timeout_ms);
-    if (!fresh.ok()) {
-      common::MutexLock lock(&mu_);
-      stats_.transport_errors++;
-      return fresh.status();
-    }
-    sock = std::move(*fresh);
-    common::MutexLock lock(&mu_);
-    stats_.connections_opened++;
+    AGL_ASSIGN_OR_RETURN(sock,
+                         common::ConnectLoopback(port_, kConnectTimeoutMs));
   }
-  const std::string out = EncodePsRequest(req);
-  agl::Status write = sock.WriteFrame(out);
-  if (!write.ok()) {
-    common::MutexLock lock(&mu_);
-    stats_.transport_errors++;
-    return write;  // socket dropped — a fresh one is dialed next call
-  }
-  auto frame = sock.ReadFrame();
-  if (!frame.ok()) {
-    common::MutexLock lock(&mu_);
-    stats_.transport_errors++;
-    return frame.status();
-  }
+  // A failed write or read drops the socket; the next call dials afresh.
+  AGL_RETURN_IF_ERROR(sock.WriteFrame(EncodePsRequest(req)));
+  AGL_ASSIGN_OR_RETURN(const std::string frame, sock.ReadFrame());
   {
     common::MutexLock lock(&mu_);
-    stats_.requests++;
-    stats_.bytes_sent += static_cast<int64_t>(out.size()) + 4;
-    stats_.bytes_received += static_cast<int64_t>(frame->size()) + 4;
     idle_.push_back(std::move(sock));
   }
-  return DecodePsResponse(*frame);
+  return DecodePsResponse(frame);
 }
 
 agl::Status RemotePsClient::Initialize(
@@ -169,11 +145,6 @@ agl::Status RemotePsClient::CancelSsp() {
   PsRequest req;
   req.op = PsOp::kCancelSsp;
   return StatusOnly(Call(req));
-}
-
-ClientTransportStats RemotePsClient::transport_stats() const {
-  common::MutexLock lock(&mu_);
-  return stats_;
 }
 
 }  // namespace agl::ps

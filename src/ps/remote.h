@@ -22,24 +22,9 @@
 
 namespace agl::ps {
 
-/// Client-side transport counters (requests = completed round trips).
-struct ClientTransportStats {
-  int64_t requests = 0;
-  int64_t bytes_sent = 0;
-  int64_t bytes_received = 0;
-  int64_t connections_opened = 0;
-  /// Calls that failed at the transport layer (before a response landed).
-  int64_t transport_errors = 0;
-};
-
 class RemotePsClient : public PsClient {
  public:
-  struct Options {
-    int connect_timeout_ms = 10000;
-  };
-
-  explicit RemotePsClient(int port);
-  RemotePsClient(int port, Options options);
+  explicit RemotePsClient(int port) : port_(port) {}
 
   agl::Status Initialize(
       const std::map<std::string, tensor::Tensor>& state) override;
@@ -62,8 +47,6 @@ class RemotePsClient : public PsClient {
   agl::Status FinishSspWorker(int worker) override;
   agl::Status CancelSsp() override;
 
-  ClientTransportStats transport_stats() const;
-
  private:
   /// One round trip on a pooled connection. The returned response's
   /// `status` is the server-side outcome; a non-OK Result is a transport
@@ -71,10 +54,8 @@ class RemotePsClient : public PsClient {
   agl::Result<PsResponse> Call(const PsRequest& req);
 
   int port_;
-  Options options_;
-  mutable common::Mutex mu_;
+  common::Mutex mu_;
   std::vector<common::Socket> idle_ GUARDED_BY(mu_);
-  ClientTransportStats stats_ GUARDED_BY(mu_);
 };
 
 }  // namespace agl::ps

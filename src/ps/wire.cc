@@ -24,7 +24,7 @@ agl::Status GetTensor(io::BufferReader* r, tensor::Tensor* out) {
   AGL_RETURN_IF_ERROR(r->GetFloatArray(&data));
   // rows <= size / cols keeps rows * cols from wrapping.
   if ((cols != 0 && rows > data.size() / cols) || rows * cols != data.size()) {
-    return agl::Status::Corruption("ps wire: tensor size mismatch");
+    return agl::Status::Corruption("exported tensor size mismatch");
   }
   if (rows == 0 || cols == 0) {
     *out = tensor::Tensor();
@@ -70,38 +70,49 @@ const char* PsOpName(PsOp op) {
   return "Unknown";
 }
 
+void PutExportedParams(io::BufferWriter* w,
+                       const std::map<std::string, ExportedParam>& params) {
+  w->PutVarint64(params.size());
+  for (const auto& [name, param] : params) {
+    w->PutString(name);
+    PutTensor(w, param.value);
+    w->PutVarint64(static_cast<uint64_t>(param.opt_state.t));
+    PutTensor(w, param.opt_state.m);
+    PutTensor(w, param.opt_state.v);
+  }
+}
+
+agl::Status GetExportedParams(io::BufferReader* r,
+                              std::map<std::string, ExportedParam>* params) {
+  uint64_t n = 0;
+  AGL_RETURN_IF_ERROR(r->GetVarint64(&n));
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string name;
+    AGL_RETURN_IF_ERROR(r->GetString(&name));
+    ExportedParam param;
+    AGL_RETURN_IF_ERROR(GetTensor(r, &param.value));
+    uint64_t t = 0;
+    AGL_RETURN_IF_ERROR(r->GetVarint64(&t));
+    param.opt_state.t = static_cast<int64_t>(t);
+    AGL_RETURN_IF_ERROR(GetTensor(r, &param.opt_state.m));
+    AGL_RETURN_IF_ERROR(GetTensor(r, &param.opt_state.v));
+    params->emplace(std::move(name), std::move(param));
+  }
+  return agl::Status::OK();
+}
+
 std::string SerializeExportedState(
     const std::map<std::string, ExportedParam>& state) {
   io::BufferWriter w;
-  w.PutVarint64(state.size());
-  for (const auto& [name, param] : state) {
-    w.PutString(name);
-    PutTensor(&w, param.value);
-    w.PutVarint64(static_cast<uint64_t>(param.opt_state.t));
-    PutTensor(&w, param.opt_state.m);
-    PutTensor(&w, param.opt_state.v);
-  }
+  PutExportedParams(&w, state);
   return w.Release();
 }
 
 agl::Result<std::map<std::string, ExportedParam>> ParseExportedState(
     const std::string& bytes) {
   io::BufferReader r(bytes);
-  uint64_t n = 0;
-  AGL_RETURN_IF_ERROR(r.GetVarint64(&n));
   std::map<std::string, ExportedParam> state;
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string name;
-    AGL_RETURN_IF_ERROR(r.GetString(&name));
-    ExportedParam param;
-    AGL_RETURN_IF_ERROR(GetTensor(&r, &param.value));
-    uint64_t t = 0;
-    AGL_RETURN_IF_ERROR(r.GetVarint64(&t));
-    param.opt_state.t = static_cast<int64_t>(t);
-    AGL_RETURN_IF_ERROR(GetTensor(&r, &param.opt_state.m));
-    AGL_RETURN_IF_ERROR(GetTensor(&r, &param.opt_state.v));
-    state.emplace(std::move(name), std::move(param));
-  }
+  AGL_RETURN_IF_ERROR(GetExportedParams(&r, &state));
   if (!r.AtEnd()) {
     return agl::Status::Corruption("ps wire: trailing bytes in export");
   }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "io/codec.h"
 #include "ps/parameter_server.h"
 #include "tensor/tensor.h"
 
@@ -71,6 +72,16 @@ agl::Result<PsRequest> DecodePsRequest(const std::string& frame);
 
 std::string EncodePsResponse(const PsResponse& resp);
 agl::Result<PsResponse> DecodePsResponse(const std::string& frame);
+
+/// The ExportedParam map codec: a count, then per parameter its name,
+/// value, Adam step and moments. Shared by the wire frames, the driver's
+/// parked PS state and the trainer's mid-epoch checkpoints.
+/// GetExportedParams returns kCorruption for truncated input and for a
+/// tensor whose shape does not match its data (rows * cols wrapping too).
+void PutExportedParams(io::BufferWriter* w,
+                       const std::map<std::string, ExportedParam>& params);
+agl::Status GetExportedParams(io::BufferReader* r,
+                              std::map<std::string, ExportedParam>* params);
 
 /// (De)serialization of an ExportState snapshot — also used by the driver
 /// to park PS state on the DFS between epoch attempts.

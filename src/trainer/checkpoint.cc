@@ -6,36 +6,12 @@
 
 #include "common/logging.h"
 #include "io/codec.h"
+#include "ps/wire.h"
 
 namespace agl::trainer {
 namespace {
 
 constexpr char kMagic[8] = {'A', 'G', 'L', 'C', 'K', 'P', 'T', '1'};
-
-void PutTensor(io::BufferWriter* w, const tensor::Tensor& t) {
-  w->PutVarint64(static_cast<uint64_t>(t.rows()));
-  w->PutVarint64(static_cast<uint64_t>(t.cols()));
-  w->PutFloatArray(std::vector<float>(t.data(), t.data() + t.size()));
-}
-
-agl::Status GetTensor(io::BufferReader* r, tensor::Tensor* out) {
-  uint64_t rows = 0, cols = 0;
-  AGL_RETURN_IF_ERROR(r->GetVarint64(&rows));
-  AGL_RETURN_IF_ERROR(r->GetVarint64(&cols));
-  std::vector<float> data;
-  AGL_RETURN_IF_ERROR(r->GetFloatArray(&data));
-  if (data.size() != rows * cols) {
-    return agl::Status::Corruption("checkpoint tensor size mismatch");
-  }
-  if (rows == 0 || cols == 0) {
-    *out = tensor::Tensor();
-    return agl::Status::OK();
-  }
-  tensor::Tensor t(static_cast<int64_t>(rows), static_cast<int64_t>(cols));
-  std::memcpy(t.data(), data.data(), data.size() * sizeof(float));
-  *out = std::move(t);
-  return agl::Status::OK();
-}
 
 }  // namespace
 
@@ -57,14 +33,7 @@ std::string SerializeTrainCheckpoint(const TrainCheckpoint& ckpt) {
     w.PutDouble(c.loss_sum);
     w.PutString(c.rng_state);
   }
-  w.PutVarint64(ckpt.ps_state.size());
-  for (const auto& [name, param] : ckpt.ps_state) {
-    w.PutString(name);
-    PutTensor(&w, param.value);
-    w.PutVarint64(static_cast<uint64_t>(param.opt_state.t));
-    PutTensor(&w, param.opt_state.m);
-    PutTensor(&w, param.opt_state.v);
-  }
+  ps::PutExportedParams(&w, ckpt.ps_state);
   return w.Release();
 }
 
@@ -93,6 +62,11 @@ agl::Result<TrainCheckpoint> ParseTrainCheckpoint(
   ckpt.bad_evals = static_cast<int64_t>(u);
   uint64_t num_cursors = 0;
   AGL_RETURN_IF_ERROR(r.GetVarint64(&num_cursors));
+  // Every cursor takes at least one byte, so a larger count is corrupt
+  // (and must not reach the allocator).
+  if (num_cursors > r.remaining()) {
+    return agl::Status::Corruption("checkpoint cursor count overflows");
+  }
   ckpt.cursors.resize(num_cursors);
   for (WorkerCursor& c : ckpt.cursors) {
     AGL_RETURN_IF_ERROR(r.GetVarint64(&u));
@@ -100,19 +74,7 @@ agl::Result<TrainCheckpoint> ParseTrainCheckpoint(
     AGL_RETURN_IF_ERROR(r.GetDouble(&c.loss_sum));
     AGL_RETURN_IF_ERROR(r.GetString(&c.rng_state));
   }
-  uint64_t num_params = 0;
-  AGL_RETURN_IF_ERROR(r.GetVarint64(&num_params));
-  for (uint64_t i = 0; i < num_params; ++i) {
-    std::string name;
-    AGL_RETURN_IF_ERROR(r.GetString(&name));
-    ps::ExportedParam param;
-    AGL_RETURN_IF_ERROR(GetTensor(&r, &param.value));
-    AGL_RETURN_IF_ERROR(r.GetVarint64(&u));
-    param.opt_state.t = static_cast<int64_t>(u);
-    AGL_RETURN_IF_ERROR(GetTensor(&r, &param.opt_state.m));
-    AGL_RETURN_IF_ERROR(GetTensor(&r, &param.opt_state.v));
-    ckpt.ps_state.emplace(std::move(name), std::move(param));
-  }
+  AGL_RETURN_IF_ERROR(ps::GetExportedParams(&r, &ckpt.ps_state));
   if (!r.AtEnd()) {
     return agl::Status::Corruption("checkpoint has trailing bytes");
   }

@@ -1,10 +1,7 @@
 #include "trainer/feature_source.h"
 
-#include <algorithm>
 #include <iterator>
-
-#include "common/logging.h"
-#include "io/record_file.h"
+#include <limits>
 
 namespace agl::trainer {
 
@@ -30,38 +27,15 @@ agl::Result<DfsFeatureSource> DfsFeatureSource::Open(
   return DfsFeatureSource(std::move(family));
 }
 
-agl::Status DfsFeatureSource::ScanPart(
-    int64_t part,
-    const std::function<agl::Status(subgraph::GraphFeature)>& fn) const {
-  if (part < 0 || part >= num_parts()) {
-    return agl::Status::OutOfRange("part index " + std::to_string(part));
-  }
-  AGL_ASSIGN_OR_RETURN(io::RecordReader reader,
-                       io::RecordReader::Open(parts_[part]));
-  while (true) {
-    std::string bytes;
-    agl::Status s = reader.Next(&bytes);
-    if (s.code() == agl::StatusCode::kOutOfRange) return agl::Status::OK();
-    AGL_RETURN_IF_ERROR(s);
-    AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
-                         subgraph::GraphFeature::Parse(bytes));
-    AGL_RETURN_IF_ERROR(fn(std::move(gf)));
-  }
-}
-
 agl::Result<std::vector<subgraph::GraphFeature>> DfsFeatureSource::ReadShard(
     int worker, int num_workers) const {
-  if (worker < 0 || num_workers <= 0 || worker >= num_workers) {
-    return agl::Status::InvalidArgument("bad shard spec");
-  }
-  std::vector<subgraph::GraphFeature> out;
-  for (int64_t part = worker; part < num_parts(); part += num_workers) {
-    AGL_RETURN_IF_ERROR(ScanPart(part, [&out](subgraph::GraphFeature gf) {
-      out.push_back(std::move(gf));
-      return agl::Status::OK();
-    }));
-  }
-  return out;
+  // The whole shard as one batch.
+  AGL_ASSIGN_OR_RETURN(
+      StreamingShardReader reader,
+      StreamingShardReader::Open(
+          *this, worker, num_workers,
+          {.batch_size = std::numeric_limits<int64_t>::max()}));
+  return reader.Next();
 }
 
 agl::Result<std::vector<subgraph::GraphFeature>> DfsFeatureSource::ReadAll()
@@ -69,7 +43,7 @@ agl::Result<std::vector<subgraph::GraphFeature>> DfsFeatureSource::ReadAll()
   return ReadShard(0, 1);
 }
 
-agl::Result<std::unique_ptr<StreamingShardReader>> StreamingShardReader::Open(
+agl::Result<StreamingShardReader> StreamingShardReader::Open(
     const DfsFeatureSource& source, int worker, int num_workers,
     const Options& options) {
   if (worker < 0 || num_workers <= 0 || worker >= num_workers) {
@@ -78,72 +52,42 @@ agl::Result<std::unique_ptr<StreamingShardReader>> StreamingShardReader::Open(
   if (options.batch_size <= 0) {
     return agl::Status::InvalidArgument("batch_size must be positive");
   }
-  std::unique_ptr<StreamingShardReader> reader(
-      new StreamingShardReader(source, options));
-  reader->thread_ = std::thread(
-      [r = reader.get(), worker, num_workers] {
-        r->ReaderLoop(worker, num_workers);
-      });
-  return reader;
-}
-
-StreamingShardReader::StreamingShardReader(DfsFeatureSource source,
-                                           const Options& options)
-    : source_(std::move(source)),
-      batch_size_(options.batch_size),
-      queue_(static_cast<std::size_t>(std::max(1, options.prefetch_batches))) {
-}
-
-StreamingShardReader::~StreamingShardReader() {
-  queue_.Cancel();
-  if (thread_.joinable()) thread_.join();
-}
-
-void StreamingShardReader::ReaderLoop(int worker, int num_workers) {
-  std::vector<subgraph::GraphFeature> batch;
-  batch.reserve(static_cast<std::size_t>(batch_size_));
-  for (int64_t part = worker; part < source_.num_parts();
-       part += num_workers) {
-    agl::Status s =
-        source_.ScanPart(part, [&](subgraph::GraphFeature gf) {
-          batch.push_back(std::move(gf));
-          if (static_cast<int64_t>(batch.size()) == batch_size_) {
-            if (!queue_.Push(std::move(batch))) {
-              // Consumer cancelled; stop the scan without recording an
-              // error of our own.
-              return agl::Status::Aborted("stream cancelled");
-            }
-            batch.clear();
-            batch.reserve(static_cast<std::size_t>(batch_size_));
-          }
-          return agl::Status::OK();
-        });
-    if (!s.ok()) {
-      if (!queue_.cancelled()) {
-        common::MutexLock lock(&status_mu_);
-        reader_status_ = s;
-        queue_.Cancel();
-      }
-      return;
-    }
+  std::vector<std::string> parts;
+  for (int64_t part = worker; part < source.num_parts(); part += num_workers) {
+    parts.push_back(source.parts_[part]);
   }
-  if (!batch.empty()) {
-    if (!queue_.Push(std::move(batch))) return;
-  }
-  queue_.Close();
+  return StreamingShardReader(std::move(parts), options.batch_size);
 }
 
 agl::Result<std::vector<subgraph::GraphFeature>> StreamingShardReader::Next() {
-  std::vector<subgraph::GraphFeature> batch;
-  if (queue_.Pop(&batch)) return batch;
-  if (queue_.cancelled()) {
-    common::MutexLock lock(&status_mu_);
-    if (!reader_status_.ok()) return reader_status_;
-    return agl::Status::Aborted("stream cancelled");
-  }
-  return std::vector<subgraph::GraphFeature>{};  // cleanly exhausted
+  AGL_RETURN_IF_ERROR(status_);
+  agl::Result<std::vector<subgraph::GraphFeature>> batch = ReadBatch();
+  if (!batch.ok()) status_ = batch.status();
+  return batch;
 }
 
-void StreamingShardReader::Cancel() { queue_.Cancel(); }
+agl::Result<std::vector<subgraph::GraphFeature>>
+StreamingShardReader::ReadBatch() {
+  std::vector<subgraph::GraphFeature> batch;
+  std::string bytes;
+  while (static_cast<int64_t>(batch.size()) < batch_size_) {
+    if (!part_.has_value()) {
+      if (next_part_ == parts_.size()) break;  // shard exhausted
+      AGL_ASSIGN_OR_RETURN(io::RecordReader reader,
+                           io::RecordReader::Open(parts_[next_part_++]));
+      part_.emplace(std::move(reader));
+    }
+    agl::Status s = part_->Next(&bytes);
+    if (s.code() == agl::StatusCode::kOutOfRange) {
+      part_.reset();
+      continue;
+    }
+    AGL_RETURN_IF_ERROR(s);
+    AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
+                         subgraph::GraphFeature::Parse(bytes));
+    batch.push_back(std::move(gf));
+  }
+  return batch;
+}
 
 }  // namespace agl::trainer

@@ -8,16 +8,13 @@
 
 #pragma once
 
-#include <functional>
-#include <memory>
+#include <cstddef>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/bounded_queue.h"
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
+#include "io/record_file.h"
 #include "mr/local_dfs.h"
 #include "subgraph/graph_feature.h"
 
@@ -45,71 +42,51 @@ class DfsFeatureSource {
   /// Parses the entire dataset.
   agl::Result<std::vector<subgraph::GraphFeature>> ReadAll() const;
 
-  /// Streams records of one part file through `fn` without keeping them:
-  /// `fn` gets each parsed GraphFeature; returning a non-OK status stops
-  /// the scan and is propagated.
-  agl::Status ScanPart(
-      int64_t part,
-      const std::function<agl::Status(subgraph::GraphFeature)>& fn) const;
-
  private:
+  friend class StreamingShardReader;
+
   explicit DfsFeatureSource(std::vector<std::string> parts)
       : parts_(std::move(parts)) {}
 
   std::vector<std::string> parts_;  // absolute part-file paths, sorted
 };
 
-/// Streaming prefetch over one worker's shard of a feature dataset.
+/// One worker's shard of a feature dataset, read as a synchronous cursor.
 ///
-/// Unlike ReadShard (which materializes the whole shard up front), a
-/// background reader thread scans the assigned part files one record at a
-/// time and batches them into a bounded queue, so resident memory stays
-/// O(prefetch_batches x batch_size) regardless of shard size. This is the
-/// DFS reader stage of the trainer's pipeline.
+/// Unlike ReadShard (which materializes the whole shard up front), each
+/// Next() parses at most one batch off the one open part file, so the
+/// reader holds O(batch_size) features. It runs in whichever stage calls
+/// it: in the trainer that is the reader/prep stage, whose bounded queue
+/// (TrainerConfig::prefetch_batches) is the only run-ahead.
 class StreamingShardReader {
  public:
   struct Options {
     int64_t batch_size = 32;
-    /// Queue depth: how many batches the reader may run ahead.
-    int prefetch_batches = 2;
   };
 
-  /// Starts prefetching the parts of `source` assigned to `worker` out of
+  /// A reader over the parts of `source` assigned to `worker` out of
   /// `num_workers` (round-robin, exactly ReadShard's assignment, so the
-  /// record order matches the materialized path). The source's parts list
-  /// is copied; the source itself need not outlive the reader.
-  static agl::Result<std::unique_ptr<StreamingShardReader>> Open(
+  /// record order matches the materialized path). No file is opened
+  /// until the first Next(); the source need not outlive the reader.
+  static agl::Result<StreamingShardReader> Open(
       const DfsFeatureSource& source, int worker, int num_workers,
       const Options& options);
 
-  /// Joins the reader thread (cancelling it first if still running).
-  ~StreamingShardReader();
-
-  StreamingShardReader(const StreamingShardReader&) = delete;
-  StreamingShardReader& operator=(const StreamingShardReader&) = delete;
-
-  /// Pops the next batch (up to batch_size features, in shard order). An
-  /// empty vector signals a cleanly exhausted shard; read/parse errors and
-  /// Cancel() surface as statuses.
+  /// The next batch (up to batch_size features, in shard order). An empty
+  /// vector signals a cleanly exhausted shard; a read or parse error is
+  /// returned by this and every later call.
   agl::Result<std::vector<subgraph::GraphFeature>> Next();
 
-  /// Early teardown: unblocks the reader thread and pending Next() calls,
-  /// which then fail with kAborted.
-  void Cancel();
-
  private:
-  StreamingShardReader(DfsFeatureSource source, const Options& options);
-  void ReaderLoop(int worker, int num_workers);
+  StreamingShardReader(std::vector<std::string> parts, int64_t batch_size)
+      : parts_(std::move(parts)), batch_size_(batch_size) {}
+  agl::Result<std::vector<subgraph::GraphFeature>> ReadBatch();
 
-  const DfsFeatureSource source_;
-  const int64_t batch_size_;
-  BoundedQueue<std::vector<subgraph::GraphFeature>> queue_;
-  common::Mutex status_mu_;
-  // First reader-side error, if any. Published under status_mu_ before the
-  // queue is cancelled, so a consumer that observed the cancellation
-  // always sees it.
-  agl::Status reader_status_ GUARDED_BY(status_mu_);
-  std::thread thread_;
+  std::vector<std::string> parts_;  // this shard's part files, read order
+  int64_t batch_size_;
+  std::size_t next_part_ = 0;             // next part file to open
+  std::optional<io::RecordReader> part_;  // the open part file, if any
+  agl::Status status_;                    // first error, returned forever
 };
 
 }  // namespace agl::trainer

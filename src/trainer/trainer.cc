@@ -125,15 +125,17 @@ class SpanBatchProducer : public BatchProducer {
   const std::size_t bs_;
 };
 
-/// Batches deserialized straight off the DFS part files (TrainStreaming):
-/// the shard reader keeps memory bounded; this stage vectorizes them.
+/// Batches deserialized straight off the DFS part files (TrainStreaming)
+/// inside the reader stage, one batch per Next(). A reader that failed to
+/// open, like a read error, surfaces from Next().
 class StreamBatchProducer : public BatchProducer {
  public:
-  explicit StreamBatchProducer(std::unique_ptr<StreamingShardReader> reader)
+  explicit StreamBatchProducer(agl::Result<StreamingShardReader> reader)
       : reader_(std::move(reader)) {}
 
   agl::Result<std::optional<gnn::PreparedBatch>> Next(
       const gnn::GnnModel& prep_model) override {
+    AGL_RETURN_IF_ERROR(reader_.status());
     AGL_ASSIGN_OR_RETURN(std::vector<GraphFeature> features,
                          reader_->Next());
     if (features.empty()) return std::optional<gnn::PreparedBatch>();
@@ -142,8 +144,12 @@ class StreamBatchProducer : public BatchProducer {
   }
 
  private:
-  std::unique_ptr<StreamingShardReader> reader_;
+  agl::Result<StreamingShardReader> reader_;
 };
+
+/// Builds worker `worker`'s batch source for one epoch.
+using ProducerFactory =
+    std::function<std::unique_ptr<BatchProducer>(int worker)>;
 
 /// One gradient set travelling from the compute stage to the push/pull
 /// stage. `last` tells the comm stage not to pull a snapshot nobody will
@@ -186,14 +192,14 @@ agl::Status PushGrads(const WorkerEpochContext& ctx, GradMsg msg) {
 }
 
 /// Forward/backward for one batch on the worker's replica; fills `out`
-/// with the named gradients.
-agl::Status ComputeBatch(const WorkerEpochContext& ctx, gnn::GnnModel* model,
-                         Rng* rng, const Snapshot& snapshot,
+/// with the named gradients. The one training step of every runner.
+agl::Status ComputeBatch(TaskKind task, gnn::GnnModel* model, Rng* rng,
+                         const Snapshot& snapshot,
                          const gnn::PreparedBatch& batch, WorkerResult* res,
                          GradMsg* out) {
   AGL_RETURN_IF_ERROR(model->LoadStateDict(snapshot));
   Variable logits = model->Forward(batch, /*training=*/true, rng);
-  Variable loss = TaskLoss(ctx.config->task, logits, batch);
+  Variable loss = TaskLoss(task, logits, batch);
   autograd::Backward(loss);
   res->loss_sum += loss.value().at(0, 0);
   res->batches++;
@@ -206,6 +212,49 @@ agl::Status ComputeBatch(const WorkerEpochContext& ctx, gnn::GnnModel* model,
   // this batch's compute, and the pipeline must tear down without
   // deadlocking (the legacy fault_injector hook's contract).
   return fail::MaybeFail("trainer.step");
+}
+
+/// A worker's position with `tick` batches done: its loss accounting and
+/// its dropout RNG stream after those batches' draws. Taken only at
+/// checkpoint ticks (serializing the engine per batch would be waste).
+WorkerCursor MakeCursor(int64_t tick, const WorkerResult& res, Rng* rng) {
+  WorkerCursor cursor;
+  cursor.next_batch = tick;
+  cursor.loss_sum = res.loss_sum;
+  std::ostringstream oss;
+  oss << rng->engine();
+  cursor.rng_state = oss.str();
+  return cursor;
+}
+
+/// Resumes mid-epoch: continues the RNG stream and the loss accounting
+/// exactly where MakeCursor froze them.
+void RestoreCursor(const WorkerCursor& cursor, WorkerResult* res, Rng* rng) {
+  if (!cursor.rng_state.empty()) {
+    std::istringstream iss(cursor.rng_state);
+    iss >> rng->engine();
+  }
+  res->loss_sum = cursor.loss_sum;
+  res->batches = cursor.next_batch;
+}
+
+/// Publishes the mid-epoch checkpoint of `epoch` at `tick`: the workers'
+/// cursors, the TrainLoop's early-stopping state and the PS state, which
+/// the caller guarantees is quiescent.
+agl::Status WriteMidCheckpoint(const internal::MidCheckpointEnv& env,
+                               int epoch, int64_t tick,
+                               std::vector<WorkerCursor> cursors,
+                               ps::PsClient* client) {
+  TrainCheckpoint c;
+  c.fingerprint = env.fingerprint;
+  c.epoch = epoch;
+  c.tick = tick;
+  c.best_val_metric = *env.best_val_metric;
+  c.bad_evals = *env.bad_evals;
+  c.cursors = std::move(cursors);
+  AGL_ASSIGN_OR_RETURN(c.ps_state, client->ExportState());
+  return env.dfs->WriteDataset(env.dataset, {SerializeTrainCheckpoint(c)},
+                               /*num_parts=*/1);
 }
 
 /// The staged pipeline for one worker-epoch:
@@ -233,28 +282,8 @@ void RunPipelinedWorker(const WorkerEpochContext& ctx,
   Rng rng(DeriveSeed(config.seed,
                      static_cast<uint64_t>(ctx.epoch) * 1000 + ctx.worker));
   if (ctx.resume_cursor != nullptr) {
-    // Resume mid-epoch: continue the dropout RNG stream and the loss
-    // accounting exactly where the checkpoint froze them.
-    if (!ctx.resume_cursor->rng_state.empty()) {
-      std::istringstream iss(ctx.resume_cursor->rng_state);
-      iss >> rng.engine();
-    }
-    res->loss_sum = ctx.resume_cursor->loss_sum;
-    res->batches = ctx.resume_cursor->next_batch;
+    RestoreCursor(*ctx.resume_cursor, res, &rng);
   }
-  // Snapshot of this worker's position right after it computed batch
-  // `tick - 1`, i.e. with `tick` batches done and their RNG draws
-  // consumed. Only taken at checkpoint ticks (serializing the engine per
-  // batch would be waste).
-  const auto make_cursor = [&](int64_t tick) {
-    WorkerCursor cursor;
-    cursor.next_batch = tick;
-    cursor.loss_sum = res->loss_sum;
-    std::ostringstream oss;
-    oss << rng.engine();
-    cursor.rng_state = oss.str();
-    return cursor;
-  };
 
   agl::Status status;  // first failure from any stage of this worker
 
@@ -279,12 +308,13 @@ void RunPipelinedWorker(const WorkerEpochContext& ctx,
       }
       Stopwatch compute_watch;
       GradMsg msg;
-      status = ComputeBatch(ctx, &model, &rng, *snapshot, **next, res, &msg);
+      status = ComputeBatch(config.task, &model, &rng, *snapshot, **next,
+                            res, &msg);
       res->compute_seconds += compute_watch.Seconds();
       if (!status.ok()) break;
       ++tick;
       if (ctx.coord != nullptr && ctx.coord->IsCheckpointTick(tick)) {
-        ctx.coord->Deposit(ctx.worker, tick, make_cursor(tick));
+        ctx.coord->Deposit(ctx.worker, tick, MakeCursor(tick, *res, &rng));
       }
       Stopwatch push_watch;
       status = PushGrads(ctx, std::move(msg));
@@ -383,14 +413,15 @@ void RunPipelinedWorker(const WorkerEpochContext& ctx,
       if (!snap_q.Pop(&snapshot)) break;  // comm stage failed
       Stopwatch compute_watch;
       GradMsg msg;
-      status = ComputeBatch(ctx, &model, &rng, snapshot, batch, res, &msg);
+      status = ComputeBatch(config.task, &model, &rng, snapshot, batch, res,
+                            &msg);
       res->compute_seconds += compute_watch.Seconds();
       if (!status.ok()) break;
       ++tick;
       // Cursor deposit must precede handing the comm stage this tick's
       // gradient, so the worker's own barrier arrival always finds it.
       if (ctx.coord != nullptr && ctx.coord->IsCheckpointTick(tick)) {
-        ctx.coord->Deposit(ctx.worker, tick, make_cursor(tick));
+        ctx.coord->Deposit(ctx.worker, tick, MakeCursor(tick, *res, &rng));
       }
       // Mark the epoch's final push: exactly when the batch count is
       // known up front, best-effort (non-blocking peek at the reader
@@ -471,6 +502,175 @@ agl::Status CollectWorkerStatuses(const std::vector<WorkerResult>& results) {
   return agl::Status::OK();
 }
 
+/// One in-process epoch of the staged pipeline, span or stream alike:
+/// opens the SSP epoch (at the checkpointed clocks when resuming), runs
+/// RunPipelinedWorker for every worker over the producer `make_producer`
+/// builds for it, and closes the epoch.
+agl::Status RunPipelinedEpoch(const TrainerConfig& config, int epoch,
+                              ps::PsClient* client, ThreadPool* pool,
+                              int active_workers,
+                              const ProducerFactory& make_producer,
+                              std::vector<WorkerResult>* results,
+                              const internal::MidCheckpointEnv* ckpt) {
+  const bool ssp = config.sync_mode == SyncMode::kSsp;
+  const TrainCheckpoint* resume = ckpt != nullptr ? ckpt->resume : nullptr;
+  if (ssp) {
+    if (resume != nullptr) {
+      // The checkpoint barrier guarantees every worker's clock equalled
+      // the committed tick; restore both instead of starting at 0.
+      std::vector<int64_t> clocks;
+      clocks.reserve(resume->cursors.size());
+      for (const WorkerCursor& c : resume->cursors) {
+        clocks.push_back(c.next_batch);
+      }
+      AGL_RETURN_IF_ERROR(
+          client->BeginSspEpochAt(active_workers, config.staleness_bound,
+                                  std::move(clocks), resume->tick));
+    } else {
+      AGL_RETURN_IF_ERROR(
+          client->BeginSspEpoch(active_workers, config.staleness_bound));
+    }
+  }
+
+  std::optional<CheckpointCoordinator> coord;
+  if (ckpt != nullptr && ckpt->every > 0) {
+    coord.emplace(active_workers, ckpt->every,
+                  [&, epoch](int64_t tick, std::vector<WorkerCursor> cursors) {
+                    return WriteMidCheckpoint(*ckpt, epoch, tick,
+                                              std::move(cursors), client);
+                  });
+  }
+
+  std::vector<std::future<void>> futs;
+  for (int w = 0; w < active_workers; ++w) {
+    futs.push_back(pool->Submit([&, w] {
+      const std::unique_ptr<BatchProducer> producer = make_producer(w);
+      WorkerEpochContext ctx{&config,
+                             client,
+                             w,
+                             epoch,
+                             ssp,
+                             coord.has_value() ? &*coord : nullptr,
+                             resume != nullptr ? resume->tick : 0,
+                             resume != nullptr ? &resume->cursors[w]
+                                               : nullptr};
+      RunPipelinedWorker(ctx, producer.get(), &(*results)[w]);
+    }));
+  }
+  for (auto& f : futs) f.get();
+  agl::Status end_status;
+  if (ssp) end_status = client->EndSspEpoch();
+  AGL_RETURN_IF_ERROR(CollectWorkerStatuses(*results));
+  return end_status;
+}
+
+/// One kBsp epoch in lock-step rounds driven from the calling thread:
+/// every worker steps (ComputeBatch) on the same snapshot, the round's
+/// gradients are averaged into one push, and mid-epoch checkpoints are
+/// taken between rounds.
+agl::Status RunBspEpoch(
+    const TrainerConfig& config, std::span<const GraphFeature> train,
+    int epoch, ps::PsClient* client, ThreadPool* pool,
+    const std::vector<std::pair<std::size_t, std::size_t>>& partitions,
+    std::vector<WorkerResult>* results,
+    const internal::MidCheckpointEnv* ckpt) {
+  const int active_workers = static_cast<int>(partitions.size());
+  const std::size_t bs =
+      static_cast<std::size_t>(std::max(1, config.batch_size));
+  const TrainCheckpoint* resume = ckpt != nullptr ? ckpt->resume : nullptr;
+
+  // Lock-step rounds: the number of rounds is set by the largest
+  // partition; workers with fewer batches idle in later rounds.
+  std::vector<std::vector<std::size_t>> starts(active_workers);
+  std::size_t rounds = 0;
+  std::size_t min_rounds = std::numeric_limits<std::size_t>::max();
+  for (int w = 0; w < active_workers; ++w) {
+    const auto [begin, end] = partitions[w];
+    for (std::size_t s = begin; s < end; s += bs) starts[w].push_back(s);
+    rounds = std::max(rounds, starts[w].size());
+    min_rounds = std::min(min_rounds, starts[w].size());
+  }
+
+  // Persistent per-worker replicas avoid per-round construction cost.
+  std::vector<std::unique_ptr<gnn::GnnModel>> models;
+  std::vector<Rng> rngs;
+  for (int w = 0; w < active_workers; ++w) {
+    models.push_back(std::make_unique<gnn::GnnModel>(config.model));
+    rngs.emplace_back(DeriveSeed(config.seed,
+                                 static_cast<uint64_t>(epoch) * 1000 + w));
+  }
+  std::size_t start_round = 0;
+  if (resume != nullptr) {
+    // A BSP round is one tick for every worker.
+    start_round = static_cast<std::size_t>(resume->tick);
+    for (int w = 0; w < active_workers; ++w) {
+      RestoreCursor(resume->cursors[w], &(*results)[w], &rngs[w]);
+    }
+  }
+
+  for (std::size_t round = start_round; round < rounds; ++round) {
+    // Barrier 1: every participating worker sees the same snapshot.
+    AGL_ASSIGN_OR_RETURN(const Snapshot snapshot, client->PullAll());
+    std::vector<GradMsg> msgs(active_workers);
+    std::vector<agl::Status> statuses(active_workers);
+    std::vector<std::future<void>> futs;
+    for (int w = 0; w < active_workers; ++w) {
+      if (round >= starts[w].size()) continue;
+      futs.push_back(pool->Submit([&, w] {
+        WorkerResult& res = (*results)[w];
+        const std::size_t s = starts[w][round];
+        const std::size_t e = std::min(partitions[w].second, s + bs);
+        Stopwatch prep_watch;
+        gnn::PreparedBatch batch = PrepareSlice(*models[w], train, s, e);
+        res.prep_seconds += prep_watch.Seconds();
+        Stopwatch compute_watch;
+        statuses[w] = ComputeBatch(config.task, models[w].get(), &rngs[w],
+                                   snapshot, batch, &res, &msgs[w]);
+        res.compute_seconds += compute_watch.Seconds();
+      }));
+    }
+    for (auto& f : futs) f.get();
+    for (const agl::Status& s : statuses) AGL_RETURN_IF_ERROR(s);
+
+    // Barrier 2: average the round's gradients into one update.
+    std::map<std::string, tensor::Tensor> avg;
+    int contributors = 0;
+    for (const GradMsg& msg : msgs) {
+      if (msg.grads.empty()) continue;
+      ++contributors;
+      for (const auto& [key, g] : msg.grads) {
+        auto it = avg.find(key);
+        if (it == avg.end()) {
+          avg.emplace(key, g);
+        } else {
+          it->second.Add(g);
+        }
+      }
+    }
+    if (contributors == 0) continue;
+    for (auto& [key, g] : avg) {
+      g.Scale(1.f / static_cast<float>(contributors));
+    }
+    AGL_RETURN_IF_ERROR(client->PushGradients(avg));
+
+    // Between rounds the calling thread is the only PS client, so the
+    // checkpoint is trivially consistent. Stop once the smallest
+    // partition is exhausted — past that a round is no longer one tick
+    // for every worker, matching the SSP coordinator's rule.
+    const int64_t tick = static_cast<int64_t>(round) + 1;
+    if (ckpt != nullptr && ckpt->every > 0 && tick % ckpt->every == 0 &&
+        round + 1 <= min_rounds) {
+      std::vector<WorkerCursor> cursors;
+      for (int w = 0; w < active_workers; ++w) {
+        cursors.push_back(MakeCursor(tick, (*results)[w], &rngs[w]));
+      }
+      AGL_RETURN_IF_ERROR(
+          WriteMidCheckpoint(*ckpt, epoch, tick, std::move(cursors), client));
+    }
+  }
+  return agl::Status::OK();
+}
+
 }  // namespace
 
 agl::Status TrainerConfig::Validate() const {
@@ -533,19 +733,13 @@ agl::Result<TrainReport> GraphTrainer::TrainLoop(
     ps::ParameterServer* server, const internal::EpochRunner& run_epoch,
     int active_workers, std::span<const GraphFeature> val,
     std::optional<uint64_t> num_examples) const {
-  if (config_.staleness_bound < 0) {
-    return agl::Status::InvalidArgument("staleness_bound must be >= 0");
-  }
+  AGL_RETURN_IF_ERROR(config_.Validate());
   const bool want_mid = config_.checkpoint_every_batches > 0 ||
                         config_.resume;
   if (want_mid) {
     if (!num_examples.has_value()) {
       return agl::Status::InvalidArgument(
           "mid-epoch checkpoint/resume is only supported by Train()");
-    }
-    if (config_.checkpoint_dfs == nullptr) {
-      return agl::Status::InvalidArgument(
-          "checkpoint_every_batches/resume need checkpoint_dfs");
     }
     if (config_.sync_mode == SyncMode::kAsync) {
       return agl::Status::InvalidArgument(
@@ -706,11 +900,21 @@ agl::Result<TrainReport> GraphTrainer::Train(
       [&](int epoch, ps::PsClient* client, std::vector<WorkerResult>* results,
           const internal::MidCheckpointEnv* ckpt) {
         if (config_.sync_mode == SyncMode::kBsp) {
-          return RunBspEpoch(train, epoch, client, &pool, partitions,
-                             results, ckpt);
+          return RunBspEpoch(config_, train, epoch, client, &pool,
+                             partitions, results, ckpt);
         }
-        return RunPipelinedEpoch(train, epoch, client, &pool, partitions,
-                                 results, ckpt);
+        const TrainCheckpoint* resume =
+            ckpt != nullptr ? ckpt->resume : nullptr;
+        return RunPipelinedEpoch(
+            config_, epoch, client, &pool, active_workers,
+            [&](int w) {
+              // A resumed epoch skips the batches it already completed.
+              return std::make_unique<SpanBatchProducer>(
+                  train, partitions[w].first, partitions[w].second,
+                  static_cast<std::size_t>(config_.batch_size),
+                  resume != nullptr ? resume->cursors[w].next_batch : 0);
+            },
+            results, ckpt);
       },
       active_workers, val, static_cast<uint64_t>(train.size()));
 }
@@ -737,261 +941,17 @@ agl::Result<TrainReport> GraphTrainer::TrainStreaming(
       &server,
       [&](int epoch, ps::PsClient* client, std::vector<WorkerResult>* results,
           const internal::MidCheckpointEnv* ckpt) {
-        (void)ckpt;  // validation rejects mid-epoch checkpoints up front
-        return RunStreamingEpoch(source, epoch, client, &pool,
-                                 active_workers, results);
+        return RunPipelinedEpoch(
+            config_, epoch, client, &pool, active_workers,
+            [&](int w) {
+              return std::make_unique<StreamBatchProducer>(
+                  StreamingShardReader::Open(
+                      source, w, active_workers,
+                      {.batch_size = config_.batch_size}));
+            },
+            results, ckpt);
       },
       active_workers, val, std::nullopt);
-}
-
-agl::Status GraphTrainer::RunPipelinedEpoch(
-    std::span<const GraphFeature> train, int epoch,
-    ps::PsClient* client, ThreadPool* pool,
-    const std::vector<std::pair<std::size_t, std::size_t>>& partitions,
-    std::vector<WorkerResult>* results,
-    const internal::MidCheckpointEnv* ckpt) const {
-  const int active_workers = static_cast<int>(partitions.size());
-  const bool ssp = config_.sync_mode == SyncMode::kSsp;
-  const TrainCheckpoint* resume = ckpt != nullptr ? ckpt->resume : nullptr;
-  const int64_t base_tick = resume != nullptr ? resume->tick : 0;
-  if (ssp) {
-    if (resume != nullptr) {
-      // The checkpoint barrier guarantees every worker's clock equalled
-      // the committed tick; restore both instead of starting at 0.
-      std::vector<int64_t> clocks;
-      clocks.reserve(resume->cursors.size());
-      for (const WorkerCursor& c : resume->cursors) {
-        clocks.push_back(c.next_batch);
-      }
-      AGL_RETURN_IF_ERROR(
-          client->BeginSspEpochAt(active_workers, config_.staleness_bound,
-                                  std::move(clocks), resume->tick));
-    } else {
-      AGL_RETURN_IF_ERROR(
-          client->BeginSspEpoch(active_workers, config_.staleness_bound));
-    }
-  }
-
-  std::optional<CheckpointCoordinator> coord;
-  if (ckpt != nullptr && ckpt->every > 0) {
-    coord.emplace(
-        active_workers, ckpt->every,
-        [&, epoch](int64_t tick, std::vector<WorkerCursor> cursors) {
-          TrainCheckpoint c;
-          c.fingerprint = ckpt->fingerprint;
-          c.epoch = epoch;
-          c.tick = tick;
-          c.best_val_metric = *ckpt->best_val_metric;
-          c.bad_evals = *ckpt->bad_evals;
-          c.cursors = std::move(cursors);
-          auto exported = client->ExportState();
-          if (!exported.ok()) return exported.status();
-          c.ps_state = *std::move(exported);
-          return ckpt->dfs->WriteDataset(
-              ckpt->dataset, {SerializeTrainCheckpoint(c)},
-              /*num_parts=*/1);
-        });
-  }
-
-  const std::size_t bs =
-      static_cast<std::size_t>(std::max(1, config_.batch_size));
-  std::vector<std::future<void>> futs;
-  for (int w = 0; w < active_workers; ++w) {
-    futs.push_back(pool->Submit([&, w] {
-      const auto [begin, end] = partitions[w];
-      SpanBatchProducer producer(
-          train, begin, end, bs,
-          static_cast<std::size_t>(
-              resume != nullptr ? resume->cursors[w].next_batch : 0));
-      WorkerEpochContext ctx{&config_,
-                             client,
-                             w,
-                             epoch,
-                             ssp,
-                             coord.has_value() ? &*coord : nullptr,
-                             base_tick,
-                             resume != nullptr ? &resume->cursors[w]
-                                               : nullptr};
-      RunPipelinedWorker(ctx, &producer, &(*results)[w]);
-    }));
-  }
-  for (auto& f : futs) f.get();
-  agl::Status end_status;
-  if (ssp) end_status = client->EndSspEpoch();
-  AGL_RETURN_IF_ERROR(CollectWorkerStatuses(*results));
-  return end_status;
-}
-
-agl::Status GraphTrainer::RunStreamingEpoch(
-    const DfsFeatureSource& source, int epoch, ps::PsClient* client,
-    ThreadPool* pool, int active_workers,
-    std::vector<WorkerResult>* results) const {
-  const bool ssp = config_.sync_mode == SyncMode::kSsp;
-  if (ssp) {
-    AGL_RETURN_IF_ERROR(
-        client->BeginSspEpoch(active_workers, config_.staleness_bound));
-  }
-  StreamingShardReader::Options opts;
-  opts.batch_size = std::max(1, config_.batch_size);
-  opts.prefetch_batches = std::max(1, config_.prefetch_batches);
-  std::vector<std::future<void>> futs;
-  for (int w = 0; w < active_workers; ++w) {
-    futs.push_back(pool->Submit([&, w] {
-      WorkerResult& res = (*results)[w];
-      auto reader =
-          StreamingShardReader::Open(source, w, active_workers, opts);
-      if (!reader.ok()) {
-        res.status = reader.status();
-        if (ssp) {
-          client->CancelSsp();
-          client->FinishSspWorker(w);
-        }
-        return;
-      }
-      StreamBatchProducer producer(std::move(*reader));
-      WorkerEpochContext ctx{&config_, client, w, epoch, ssp};
-      RunPipelinedWorker(ctx, &producer, &res);
-    }));
-  }
-  for (auto& f : futs) f.get();
-  agl::Status end_status;
-  if (ssp) end_status = client->EndSspEpoch();
-  AGL_RETURN_IF_ERROR(CollectWorkerStatuses(*results));
-  return end_status;
-}
-
-agl::Status GraphTrainer::RunBspEpoch(
-    std::span<const GraphFeature> train, int epoch,
-    ps::PsClient* client, ThreadPool* pool,
-    const std::vector<std::pair<std::size_t, std::size_t>>& partitions,
-    std::vector<WorkerResult>* results,
-    const internal::MidCheckpointEnv* ckpt) const {
-  const int active_workers = static_cast<int>(partitions.size());
-  const std::size_t bs =
-      static_cast<std::size_t>(std::max(1, config_.batch_size));
-  const TrainCheckpoint* resume = ckpt != nullptr ? ckpt->resume : nullptr;
-
-  // Lock-step rounds: the number of rounds is set by the largest
-  // partition; workers with fewer batches idle in later rounds.
-  std::vector<std::vector<std::size_t>> starts(active_workers);
-  std::size_t rounds = 0;
-  std::size_t min_rounds = std::numeric_limits<std::size_t>::max();
-  for (int w = 0; w < active_workers; ++w) {
-    const auto [begin, end] = partitions[w];
-    for (std::size_t s = begin; s < end; s += bs) starts[w].push_back(s);
-    rounds = std::max(rounds, starts[w].size());
-    min_rounds = std::min(min_rounds, starts[w].size());
-  }
-
-  // Persistent per-worker replicas avoid per-round construction cost.
-  std::vector<std::unique_ptr<gnn::GnnModel>> models;
-  std::vector<Rng> rngs;
-  for (int w = 0; w < active_workers; ++w) {
-    models.push_back(std::make_unique<gnn::GnnModel>(config_.model));
-    rngs.emplace_back(DeriveSeed(config_.seed,
-                                 static_cast<uint64_t>(epoch) * 1000 + w));
-  }
-  std::size_t start_round = 0;
-  if (resume != nullptr) {
-    // A BSP round is one tick for every worker; restore each worker's
-    // RNG stream and loss accounting alongside the round cursor.
-    start_round = static_cast<std::size_t>(resume->tick);
-    for (int w = 0; w < active_workers; ++w) {
-      const WorkerCursor& c = resume->cursors[w];
-      if (!c.rng_state.empty()) {
-        std::istringstream iss(c.rng_state);
-        iss >> rngs[w].engine();
-      }
-      (*results)[w].loss_sum = c.loss_sum;
-      (*results)[w].batches = c.next_batch;
-    }
-  }
-
-  for (std::size_t round = start_round; round < rounds; ++round) {
-    // Barrier 1: every participating worker sees the same snapshot.
-    AGL_ASSIGN_OR_RETURN(const Snapshot snapshot, client->PullAll());
-    std::vector<std::map<std::string, tensor::Tensor>> grads(active_workers);
-    std::vector<agl::Status> statuses(active_workers);
-    std::vector<std::future<void>> futs;
-    for (int w = 0; w < active_workers; ++w) {
-      if (round >= starts[w].size()) continue;
-      futs.push_back(pool->Submit([&, w] {
-        WorkerResult& res = (*results)[w];
-        const std::size_t s = starts[w][round];
-        const std::size_t e = std::min(partitions[w].second, s + bs);
-        Stopwatch prep_watch;
-        gnn::PreparedBatch batch = PrepareSlice(*models[w], train, s, e);
-        res.prep_seconds += prep_watch.Seconds();
-        Stopwatch compute_watch;
-        statuses[w] = models[w]->LoadStateDict(snapshot);
-        if (!statuses[w].ok()) return;
-        Variable logits = models[w]->Forward(batch, true, &rngs[w]);
-        Variable loss = TaskLoss(config_.task, logits, batch);
-        autograd::Backward(loss);
-        res.loss_sum += loss.value().at(0, 0);
-        res.batches++;
-        for (const nn::NamedParameter& p : models[w]->Parameters()) {
-          if (p.variable.node()->has_grad()) {
-            grads[w].emplace(p.name, p.variable.grad());
-          }
-        }
-        res.compute_seconds += compute_watch.Seconds();
-        // Same "trainer.step" injection site the pipelined runner has.
-        statuses[w] = fail::MaybeFail("trainer.step");
-      }));
-    }
-    for (auto& f : futs) f.get();
-    for (const agl::Status& s : statuses) AGL_RETURN_IF_ERROR(s);
-
-    // Barrier 2: average the round's gradients into one update.
-    std::map<std::string, tensor::Tensor> avg;
-    int contributors = 0;
-    for (int w = 0; w < active_workers; ++w) {
-      if (grads[w].empty()) continue;
-      ++contributors;
-      for (const auto& [key, g] : grads[w]) {
-        auto it = avg.find(key);
-        if (it == avg.end()) {
-          avg.emplace(key, g);
-        } else {
-          it->second.Add(g);
-        }
-      }
-    }
-    if (contributors == 0) continue;
-    for (auto& [key, g] : avg) {
-      g.Scale(1.f / static_cast<float>(contributors));
-    }
-    AGL_RETURN_IF_ERROR(client->PushGradients(avg));
-
-    // Between rounds the main thread is the only PS client, so the
-    // checkpoint is trivially consistent. Stop once the smallest
-    // partition is exhausted — past that a round is no longer one tick
-    // for every worker, matching the SSP coordinator's rule.
-    const int64_t tick = static_cast<int64_t>(round) + 1;
-    if (ckpt != nullptr && ckpt->every > 0 && tick % ckpt->every == 0 &&
-        round + 1 <= min_rounds) {
-      TrainCheckpoint c;
-      c.fingerprint = ckpt->fingerprint;
-      c.epoch = epoch;
-      c.tick = tick;
-      c.best_val_metric = *ckpt->best_val_metric;
-      c.bad_evals = *ckpt->bad_evals;
-      for (int w = 0; w < active_workers; ++w) {
-        WorkerCursor cursor;
-        cursor.next_batch = tick;
-        cursor.loss_sum = (*results)[w].loss_sum;
-        std::ostringstream oss;
-        oss << rngs[w].engine();
-        cursor.rng_state = oss.str();
-        c.cursors.push_back(std::move(cursor));
-      }
-      AGL_ASSIGN_OR_RETURN(c.ps_state, client->ExportState());
-      AGL_RETURN_IF_ERROR(ckpt->dfs->WriteDataset(
-          ckpt->dataset, {SerializeTrainCheckpoint(c)}, /*num_parts=*/1));
-    }
-  }
-  return agl::Status::OK();
 }
 
 namespace internal {
@@ -1027,8 +987,7 @@ agl::Result<WorkerResult> RunWorkerEpoch(
   const bool ssp = config.sync_mode == SyncMode::kSsp;
   SpanBatchProducer producer(
       train, begin, end,
-      static_cast<std::size_t>(std::max(1, config.batch_size)),
-      /*start_batch=*/0);
+      static_cast<std::size_t>(std::max(1, config.batch_size)));
   WorkerEpochContext ctx{&config, client, worker, epoch, ssp};
   RunPipelinedWorker(ctx, &producer, &res);
   return res;

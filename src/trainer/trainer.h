@@ -7,10 +7,11 @@
 // loop is a staged pipeline per worker (§3.3.2 "training pipeline"):
 //
 //   reader/prep stage   — reads + vectorizes + prunes + normalizes batches
-//                         one queue-depth ahead of the model computation
-//                         (a dedicated thread feeding a bounded queue; in
-//                         streaming mode it deserializes GraphFeatures
-//                         straight off the DFS part files);
+//                         up to prefetch_batches ahead of the model
+//                         computation (a dedicated thread feeding a bounded
+//                         queue, the pipeline's only run-ahead; in
+//                         streaming mode this same stage deserializes
+//                         GraphFeatures straight off the DFS part files);
 //   compute stage       — forward/backward on the worker's model replica;
 //   push/pull stage     — a dedicated thread owns all PS traffic, so the
 //                         gradient push and the next parameter snapshot
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "gnn/model.h"
 #include "mr/local_dfs.h"
 #include "ps/client.h"
@@ -217,9 +217,10 @@ class GraphTrainer {
       std::span<const subgraph::GraphFeature> train,
       std::span<const subgraph::GraphFeature> val) const;
 
-  /// Trains directly off a DFS feature dataset: each worker's reader stage
-  /// streams and deserializes its round-robin share of the part files one
-  /// record at a time (memory O(prefetch_batches x batch), not O(shard)).
+  /// Trains directly off a DFS feature dataset: each worker's reader/prep
+  /// stage deserializes its round-robin share of the part files one batch
+  /// per step through a StreamingShardReader, so memory is bounded by that
+  /// stage's queue — O(prefetch_batches x batch), not O(shard).
   /// kBsp needs random access and is rejected here; use Train().
   agl::Result<TrainReport> TrainStreaming(
       const DfsFeatureSource& source,
@@ -244,23 +245,6 @@ class GraphTrainer {
       std::optional<uint64_t> num_examples) const;
 
  private:
-  agl::Status RunPipelinedEpoch(
-      std::span<const subgraph::GraphFeature> train, int epoch,
-      ps::PsClient* client, ThreadPool* pool,
-      const std::vector<std::pair<std::size_t, std::size_t>>& partitions,
-      std::vector<internal::WorkerResult>* results,
-      const internal::MidCheckpointEnv* ckpt) const;
-  agl::Status RunStreamingEpoch(
-      const DfsFeatureSource& source, int epoch,
-      ps::PsClient* client, ThreadPool* pool, int active_workers,
-      std::vector<internal::WorkerResult>* results) const;
-  agl::Status RunBspEpoch(
-      std::span<const subgraph::GraphFeature> train, int epoch,
-      ps::PsClient* client, ThreadPool* pool,
-      const std::vector<std::pair<std::size_t, std::size_t>>& partitions,
-      std::vector<internal::WorkerResult>* results,
-      const internal::MidCheckpointEnv* ckpt) const;
-
   TrainerConfig config_;
 };
 

@@ -72,7 +72,17 @@ TEST_F(FeatureSourceTest, ReadAllSeesEveryFeature) {
   EXPECT_EQ(src->num_parts(), 4);
   auto all = src->ReadAll();
   ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 10u);
+  ASSERT_EQ(all->size(), 10u);
+  // Parts in order, records in file order: the DFS's own reader is the
+  // independent oracle.
+  auto records = dfs_->ReadDataset("features");
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), all->size());
+  for (std::size_t i = 0; i < all->size(); ++i) {
+    auto gf = subgraph::GraphFeature::Parse((*records)[i]);
+    ASSERT_TRUE(gf.ok());
+    EXPECT_EQ((*all)[i].target_id, gf->target_id) << i;
+  }
 }
 
 TEST_F(FeatureSourceTest, ShardsPartitionTheDataset) {
@@ -103,18 +113,6 @@ TEST_F(FeatureSourceTest, BadShardSpecRejected) {
   EXPECT_FALSE(src->ReadShard(-1, 2).ok());
   EXPECT_FALSE(src->ReadShard(2, 2).ok());
   EXPECT_FALSE(src->ReadShard(0, 0).ok());
-}
-
-TEST_F(FeatureSourceTest, ScanStopsOnCallbackError) {
-  auto src = DfsFeatureSource::Open(*dfs_, "features");
-  ASSERT_TRUE(src.ok());
-  int count = 0;
-  agl::Status s = src->ScanPart(0, [&](subgraph::GraphFeature) {
-    if (++count >= 2) return agl::Status::Aborted("enough");
-    return agl::Status::OK();
-  });
-  EXPECT_EQ(s.code(), StatusCode::kAborted);
-  EXPECT_EQ(count, 2);
 }
 
 TEST_F(FeatureSourceTest, MissingDatasetIsNotFound) {
@@ -159,7 +157,7 @@ TEST_F(FeatureSourceTest, CorruptPartSurfacesAsError) {
 // --- StreamingShardReader --------------------------------------------------
 
 TEST_F(FeatureSourceTest, StreamingMatchesMaterializedShardOrder) {
-  // The prefetching stream must yield exactly ReadShard's records in
+  // The stream must yield exactly ReadShard's records in
   // exactly ReadShard's order (parts round-robin, records in file order) —
   // the trainer relies on this for pipeline/inline equivalence.
   auto src = DfsFeatureSource::Open(*dfs_, "features");
@@ -174,7 +172,7 @@ TEST_F(FeatureSourceTest, StreamingMatchesMaterializedShardOrder) {
       ASSERT_TRUE(reader.ok());
       std::vector<uint64_t> streamed;
       while (true) {
-        auto batch = (*reader)->Next();
+        auto batch = reader->Next();
         ASSERT_TRUE(batch.ok()) << batch.status().ToString();
         if (batch->empty()) break;
         EXPECT_LE(batch->size(), 3u);
@@ -194,11 +192,11 @@ TEST_F(FeatureSourceTest, StreamingReaderEndIsSticky) {
   auto reader =
       StreamingShardReader::Open(*src, 0, 1, {.batch_size = 100});
   ASSERT_TRUE(reader.ok());
-  auto batch = (*reader)->Next();
+  auto batch = reader->Next();
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->size(), 10u);  // whole dataset in one batch
   for (int i = 0; i < 3; ++i) {
-    auto end = (*reader)->Next();
+    auto end = reader->Next();
     ASSERT_TRUE(end.ok());
     EXPECT_TRUE(end->empty());
   }
@@ -213,43 +211,31 @@ TEST_F(FeatureSourceTest, StreamingReaderBadSpecRejected) {
       StreamingShardReader::Open(*src, 0, 1, {.batch_size = 0}).ok());
 }
 
-TEST_F(FeatureSourceTest, StreamingReaderCancelUnblocks) {
-  // With a depth-1 queue and batch_size 1 the reader parks on the queue
-  // almost immediately; Cancel() must release it and poison Next().
-  auto src = DfsFeatureSource::Open(*dfs_, "features");
-  ASSERT_TRUE(src.ok());
-  auto reader = StreamingShardReader::Open(
-      *src, 0, 1, {.batch_size = 1, .prefetch_batches = 1});
-  ASSERT_TRUE(reader.ok());
-  auto first = (*reader)->Next();
-  ASSERT_TRUE(first.ok());
-  ASSERT_EQ(first->size(), 1u);
-  (*reader)->Cancel();
-  auto after = (*reader)->Next();
-  EXPECT_EQ(after.status().code(), StatusCode::kAborted);
-  // Destructor must join cleanly (implicitly tested by scope exit).
-}
-
 TEST_F(FeatureSourceTest, StreamingReaderSurfacesCorruption) {
+  // The read error surfaces before the stream ends, and every later Next()
+  // returns it again: the reader never skips to the records behind it.
   auto parts = dfs_->ListParts("features");
   ASSERT_TRUE(parts.ok());
   FlipTrailingByte((*parts)[0]);
   auto src = DfsFeatureSource::Open(*dfs_, "features");
   ASSERT_TRUE(src.ok());
-  auto reader =
-      StreamingShardReader::Open(*src, 0, 1, {.batch_size = 2});
+  auto reader = StreamingShardReader::Open(*src, 0, 1, {.batch_size = 2});
   ASSERT_TRUE(reader.ok());
-  agl::Status last = agl::Status::OK();
-  for (int i = 0; i < 32 && last.ok(); ++i) {
-    auto batch = (*reader)->Next();
+  agl::Status first_error;
+  for (int i = 0; i < 32 && first_error.ok(); ++i) {
+    auto batch = reader->Next();
     if (!batch.ok()) {
-      last = batch.status();
-      break;
+      first_error = batch.status();
+    } else {
+      ASSERT_FALSE(batch->empty()) << "stream ended without surfacing error";
     }
-    ASSERT_FALSE(batch->empty()) << "stream ended without surfacing error";
   }
-  EXPECT_FALSE(last.ok());
-  EXPECT_NE(last.code(), StatusCode::kAborted);  // the real read error
+  ASSERT_EQ(first_error.code(), StatusCode::kCorruption);
+  for (int i = 0; i < 3; ++i) {
+    auto again = reader->Next();
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().ToString(), first_error.ToString());
+  }
 }
 
 TEST_F(FeatureSourceTest, TrainStreamingMatchesMaterializedTraining) {
@@ -285,6 +271,39 @@ TEST_F(FeatureSourceTest, TrainStreamingMatchesMaterializedTraining) {
   }
   for (const auto& [key, value] : materialized->final_state) {
     EXPECT_TRUE(streamed->final_state.at(key).AllClose(value, 0.f)) << key;
+  }
+}
+
+TEST_F(FeatureSourceTest, TrainStreamingReadErrorEndsTraining) {
+  // A corrupt part file ends training with the read error itself (not a
+  // kAborted echo of the teardown) and every worker joins: inline and
+  // pipelined, async and lockstep SSP with peers parked at the gate.
+  auto parts = dfs_->ListParts("features");
+  ASSERT_TRUE(parts.ok());
+  FlipTrailingByte((*parts)[0]);
+  auto src = DfsFeatureSource::Open(*dfs_, "features");
+  ASSERT_TRUE(src.ok());
+  for (bool pipeline : {true, false}) {
+    for (SyncMode mode : {SyncMode::kAsync, SyncMode::kSsp}) {
+      TrainerConfig config;
+      config.model.type = gnn::ModelType::kGcn;
+      config.model.num_layers = 1;
+      config.model.in_dim = 1;
+      config.model.hidden_dim = 4;
+      config.model.out_dim = 2;
+      config.task = TaskKind::kBinaryAuc;
+      config.sync_mode = mode;
+      config.staleness_bound = 0;
+      config.use_pipeline = pipeline;
+      config.num_workers = 3;
+      config.batch_size = 2;
+      config.epochs = 2;
+      config.eval_every = 0;
+      auto report = GraphTrainer(config).TrainStreaming(*src, {});
+      EXPECT_EQ(report.status().code(), StatusCode::kCorruption)
+          << "pipeline=" << pipeline << " mode=" << static_cast<int>(mode)
+          << ": " << report.status().ToString();
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include "common/failpoint.h"
 #include "data/dataset.h"
 #include "flat/graphflat.h"
+#include "io/codec.h"
 #include "mr/local_dfs.h"
 #include "trainer/checkpoint.h"
 #include "trainer/feature_source.h"
@@ -106,6 +107,65 @@ TEST(TrainCheckpointFormat, FingerprintMismatchIsFailedPrecondition) {
   const std::string bytes = SerializeTrainCheckpoint(SampleCheckpoint());
   auto parsed = ParseTrainCheckpoint(bytes, 0xfeedface + 1);
   EXPECT_EQ(parsed.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(TrainCheckpointFormat, BytesArePinned) {
+  // AGLCKPT1 is an on-DFS format a resumed run reads back: its bytes for a
+  // fixed checkpoint must never drift (the value the format has always
+  // produced for SampleCheckpoint).
+  EXPECT_EQ(Fnv1aHash(SerializeTrainCheckpoint(SampleCheckpoint())),
+            0x474a9e2383404cf2ULL);
+}
+
+// AGLCKPT1 bytes whose one parameter claims a rows x cols value tensor but
+// carries no floats.
+std::string CheckpointWithValueShape(uint64_t rows, uint64_t cols) {
+  TrainCheckpoint c = SampleCheckpoint();
+  c.ps_state.clear();
+  std::string bytes = SerializeTrainCheckpoint(c);
+  bytes.pop_back();  // the empty parameter map's count (varint 0)
+  io::BufferWriter w;
+  w.PutVarint64(1);
+  w.PutString("w");
+  w.PutVarint64(rows);
+  w.PutVarint64(cols);
+  w.PutFloatArray({});
+  w.PutVarint64(0);  // Adam step
+  for (int moment = 0; moment < 2; ++moment) {  // empty m and v
+    w.PutVarint64(0);
+    w.PutVarint64(0);
+    w.PutFloatArray({});
+  }
+  return bytes + w.Release();
+}
+
+TEST(TrainCheckpointFormat, WrappingTensorShapeIsCorruption) {
+  // rows * cols wraps to 0 in uint64, matching the empty float array.
+  ASSERT_TRUE(ParseTrainCheckpoint(CheckpointWithValueShape(0, 0),
+                                   0xfeedface)
+                  .ok());
+  for (const auto& [rows, cols] :
+       {std::pair<uint64_t, uint64_t>{1ULL << 32, 1ULL << 32},
+        std::pair<uint64_t, uint64_t>{1ULL << 63, 2}}) {
+    auto parsed = ParseTrainCheckpoint(CheckpointWithValueShape(rows, cols),
+                                       0xfeedface);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption)
+        << rows << " x " << cols;
+  }
+}
+
+TEST(TrainCheckpointFormat, HugeCursorCountIsCorruption) {
+  // The cursor count is the varint right before the first cursor; a count
+  // no input could hold must fail cleanly, not reach the allocator.
+  TrainCheckpoint c = SampleCheckpoint();
+  c.cursors.clear();
+  c.ps_state.clear();
+  std::string bytes = SerializeTrainCheckpoint(c);
+  bytes.resize(bytes.size() - 2);  // the two empty counts (varint 0 each)
+  io::BufferWriter w;
+  w.PutVarint64(1ULL << 60);
+  auto parsed = ParseTrainCheckpoint(bytes + w.Release(), 0xfeedface);
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
 }
 
 TEST(TrainCheckpointFormat, MidCheckpointNaming) {
