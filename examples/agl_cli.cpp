@@ -130,6 +130,22 @@ agl::Status WriteCsv(const std::string& path, const std::string& header,
   return status;
 }
 
+/// Parses a serve-script id list ("5,7,9") strictly: "5,x" or "5," is an
+/// error, never a silent node 0.
+agl::Result<std::vector<flat::NodeId>> ParseIdList(const std::string& csv) {
+  std::vector<flat::NodeId> ids;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t end = std::min(csv.find(',', start), csv.size());
+    AGL_ASSIGN_OR_RETURN(
+        flat::NodeId id,
+        flat::ParseU64(csv.substr(start, end - start), "node id"));
+    ids.push_back(id);
+    if (end == csv.size()) return ids;
+    start = end + 1;
+  }
+}
+
 void PrintScores(std::FILE* f, const std::vector<float>& scores) {
   for (float v : scores) std::fprintf(f, ",%g", v);
   std::fprintf(f, "\n");
@@ -765,14 +781,11 @@ agl::Status RunServeCmd(const std::vector<std::string>& args) {
           if (op == "score") {
             std::string ids_csv;
             in >> ids_csv;
-            std::vector<flat::NodeId> targets;
-            std::stringstream ids(ids_csv);
-            std::string id;
-            while (std::getline(ids, id, ',')) {
-              targets.push_back(std::strtoull(id.c_str(), nullptr, 10));
-            }
-            auto scores = service->Score(std::move(targets));
-            if (scores.ok()) {
+            auto targets = ParseIdList(ids_csv);
+            if (!targets.ok()) {
+              status = targets.status();
+            } else if (auto scores = service->Score(std::move(targets).value());
+                       scores.ok()) {
               for (const auto& [node, vec] : *scores) {
                 std::fprintf(f, "%d,%llu", request,
                              static_cast<unsigned long long>(node));

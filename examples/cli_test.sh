@@ -11,7 +11,8 @@
 #     training over the loaded dataset;
 #   * the served scores equal the offline inference scores;
 #   * bad inputs (a model artifact that does not fit the flags, a ragged
-#     node table, an unknown task) exit 1 with an `error:` line.
+#     node table, a malformed number in a serve script line, an unknown
+#     task) exit 1 with an `error:` line.
 set -euo pipefail
 
 CLI=${1:?usage: cli_test.sh <path-to-agl_cli>}
@@ -111,6 +112,11 @@ expect_error "infer on a ragged node table" \
 expect_error "serve on a ragged node table" \
   serve "${model[@]}" -n "$T/ragged.csv" -e "$E" --script "$T/ops.txt" \
   -o "$T/x.csv"
+for line in "score 1,x" "remove-edge -1 2"; do
+  printf '%s\n' "$line" >"$T/bad_ops.txt"
+  expect_error "serve script line '$line'" serve "${model[@]}" -n "$N" \
+    -e "$E" --script "$T/bad_ops.txt" -o "$T/x.csv"
+done
 expect_error "infer on a feature dataset" \
   infer -m "$T/dfs:features" --model-type graphsage -n "$N" -e "$E" \
   -o "$T/x.csv"

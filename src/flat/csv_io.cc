@@ -25,58 +25,15 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   }
 }
 
-agl::Result<uint64_t> ParseU64(const std::string& s, const char* what) {
-  uint64_t v = 0;
+template <typename T>
+agl::Result<T> ParseInt(const std::string& s, const char* what) {
+  T v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc() || ptr != s.data() + s.size()) {
     return agl::Status::InvalidArgument(std::string("bad ") + what + ": '" +
                                         s + "'");
   }
   return v;
-}
-
-agl::Result<int64_t> ParseI64(const std::string& s, const char* what) {
-  int64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
-    return agl::Status::InvalidArgument(std::string("bad ") + what + ": '" +
-                                        s + "'");
-  }
-  return v;
-}
-
-agl::Result<float> ParseF32(const std::string& s, const char* what) {
-  // std::from_chars<float> is not universally available; strtof suffices —
-  // but strtof silently skips leading whitespace and saturates on
-  // overflow, so both are rejected explicitly (from_chars-parity with the
-  // integer columns).
-  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
-    return agl::Status::InvalidArgument(std::string("bad ") + what + ": '" +
-                                        s + "'");
-  }
-  char* end = nullptr;
-  errno = 0;
-  const float v = std::strtof(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) {
-    return agl::Status::InvalidArgument(std::string("bad ") + what + ": '" +
-                                        s + "'");
-  }
-  if (errno == ERANGE && std::isinf(v)) {
-    return agl::Status::InvalidArgument(std::string("out-of-range ") + what +
-                                        ": '" + s + "'");
-  }
-  return v;
-}
-
-agl::Result<std::vector<float>> ParseFloatList(const std::string& s,
-                                               const char* what) {
-  std::vector<float> out;
-  if (s.empty()) return out;
-  for (const std::string& piece : Split(s, ';')) {
-    AGL_ASSIGN_OR_RETURN(float v, ParseF32(piece, what));
-    out.push_back(v);
-  }
-  return out;
 }
 
 /// Trailing empty columns (spreadsheet exports pad rows, and a CRLF file
@@ -86,15 +43,6 @@ agl::Result<std::vector<float>> ParseFloatList(const std::string& s,
 void DropTrailingEmptyColumns(std::vector<std::string>* cols,
                               std::size_t min_cols) {
   while (cols->size() > min_cols && cols->back().empty()) cols->pop_back();
-}
-
-std::string JoinFloats(const std::vector<float>& v) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) os << ';';
-    os << v[i];
-  }
-  return os.str();
 }
 
 /// Iterates data lines (skipping blanks and '#' comments).
@@ -134,6 +82,53 @@ agl::Result<std::string> ReadFile(const std::string& path) {
 
 }  // namespace
 
+agl::Result<uint64_t> ParseU64(const std::string& s, const char* what) {
+  return ParseInt<uint64_t>(s, what);
+}
+
+agl::Result<float> ParseF32(const std::string& s, const char* what) {
+  // std::from_chars<float> is not universally available; strtof suffices —
+  // but strtof silently skips leading whitespace and saturates on
+  // overflow, so both are rejected explicitly (from_chars-parity with the
+  // integer columns).
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
+    return agl::Status::InvalidArgument(std::string("bad ") + what + ": '" +
+                                        s + "'");
+  }
+  char* end = nullptr;
+  errno = 0;
+  const float v = std::strtof(s.c_str(), &end);
+  if (end != s.c_str() + s.size()) {
+    return agl::Status::InvalidArgument(std::string("bad ") + what + ": '" +
+                                        s + "'");
+  }
+  if (errno == ERANGE && std::isinf(v)) {
+    return agl::Status::InvalidArgument(std::string("out-of-range ") + what +
+                                        ": '" + s + "'");
+  }
+  return v;
+}
+
+agl::Result<std::vector<float>> ParseFloatList(const std::string& s,
+                                               const char* what, char sep) {
+  std::vector<float> out;
+  if (s.empty()) return out;
+  for (const std::string& piece : Split(s, sep)) {
+    AGL_ASSIGN_OR_RETURN(float v, ParseF32(piece, what));
+    out.push_back(v);
+  }
+  return out;
+}
+
+std::string JoinFloats(const std::vector<float>& v, char sep) {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) os << sep;
+    os << v[i];
+  }
+  return os.str();
+}
+
 agl::Result<std::vector<NodeRecord>> ParseNodeCsv(const std::string& text) {
   std::vector<NodeRecord> nodes;
   std::unordered_set<NodeId> seen_ids;
@@ -150,17 +145,17 @@ agl::Result<std::vector<NodeRecord>> ParseNodeCsv(const std::string& text) {
       return agl::Status::InvalidArgument("duplicate node id " + cols[0]);
     }
     if (!cols[1].empty()) {
-      AGL_ASSIGN_OR_RETURN(node.label, ParseI64(cols[1], "label"));
+      AGL_ASSIGN_OR_RETURN(node.label, ParseInt<int64_t>(cols[1], "label"));
     }
     if (cols[2].empty()) {
       return agl::Status::InvalidArgument(
           "node row has an empty feature column");
     }
     AGL_ASSIGN_OR_RETURN(node.features,
-                         ParseFloatList(cols[2], "node feature"));
+                         ParseFloatList(cols[2], "node feature", ';'));
     if (cols.size() == 4) {
       AGL_ASSIGN_OR_RETURN(node.multilabel,
-                           ParseFloatList(cols[3], "multilabel"));
+                           ParseFloatList(cols[3], "multilabel", ';'));
     }
     nodes.push_back(std::move(node));
     return agl::Status::OK();
@@ -185,7 +180,7 @@ agl::Result<std::vector<EdgeRecord>> ParseEdgeCsv(const std::string& text) {
     }
     if (cols.size() == 4) {
       AGL_ASSIGN_OR_RETURN(edge.features,
-                           ParseFloatList(cols[3], "edge feature"));
+                           ParseFloatList(cols[3], "edge feature", ';'));
     }
     edges.push_back(std::move(edge));
     return agl::Status::OK();
@@ -207,8 +202,8 @@ std::string WriteNodeCsv(const std::vector<NodeRecord>& nodes) {
   std::ostringstream os;
   os << "# id,label,features[,multilabel]\n";
   for (const NodeRecord& n : nodes) {
-    os << n.id << ',' << n.label << ',' << JoinFloats(n.features);
-    if (!n.multilabel.empty()) os << ',' << JoinFloats(n.multilabel);
+    os << n.id << ',' << n.label << ',' << JoinFloats(n.features, ';');
+    if (!n.multilabel.empty()) os << ',' << JoinFloats(n.multilabel, ';');
     os << '\n';
   }
   return os.str();
@@ -219,7 +214,7 @@ std::string WriteEdgeCsv(const std::vector<EdgeRecord>& edges) {
   os << "# src,dst,weight[,features]\n";
   for (const EdgeRecord& e : edges) {
     os << e.src << ',' << e.dst << ',' << e.weight;
-    if (!e.features.empty()) os << ',' << JoinFloats(e.features);
+    if (!e.features.empty()) os << ',' << JoinFloats(e.features, ';');
     os << '\n';
   }
   return os.str();

@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,18 @@
 #include "flat/tables.h"
 
 namespace agl::flat {
+
+/// Strict number parsers behind every text surface (these tables, the
+/// mutation stream, the serve script): the whole of `s` must be one
+/// in-range number — no sign on an id, no surrounding whitespace, no
+/// trailing junk, no saturation. Errors are kInvalidArgument naming `what`.
+agl::Result<uint64_t> ParseU64(const std::string& s, const char* what);
+agl::Result<float> ParseF32(const std::string& s, const char* what);
+/// A `sep`-separated list of ParseF32 values; empty `s` is the empty list
+/// and an empty item is an error. JoinFloats writes one back ("%g").
+agl::Result<std::vector<float>> ParseFloatList(const std::string& s,
+                                               const char* what, char sep);
+std::string JoinFloats(const std::vector<float>& v, char sep);
 
 /// Parses a node table from CSV text (one record per line, '#' comments
 /// and blank lines skipped; CRLF endings and trailing empty optional

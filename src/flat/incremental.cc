@@ -19,39 +19,14 @@ bool IsTargetNode(const GraphFlatConfig& config, const NodeRecord& n) {
 
 }  // namespace
 
-std::vector<NodeId> ForwardClosure(const std::vector<EdgeRecord>& edges,
-                                   const std::vector<NodeId>& seeds,
-                                   int hops) {
-  std::unordered_map<NodeId, std::vector<NodeId>> out_of;
-  for (const EdgeRecord& e : edges) out_of[e.src].push_back(e.dst);
-  std::unordered_set<NodeId> reached;
-  std::vector<NodeId> frontier;
-  for (NodeId s : seeds) {
-    if (reached.insert(s).second) frontier.push_back(s);
-  }
-  for (int hop = 0; hop < hops && !frontier.empty(); ++hop) {
-    std::vector<NodeId> next;
-    for (NodeId v : frontier) {
-      auto it = out_of.find(v);
-      if (it == out_of.end()) continue;
-      for (NodeId dst : it->second) {
-        if (reached.insert(dst).second) next.push_back(dst);
-      }
-    }
-    frontier = std::move(next);
-  }
-  std::vector<NodeId> out(reached.begin(), reached.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 agl::Status ReflattenDirty(const GraphFlatConfig& config,
-                           const std::vector<NodeRecord>& nodes,
-                           const std::vector<EdgeRecord>& edges,
+                           const TableGraph& graph,
                            const std::vector<NodeId>& dirty,
                            mr::LocalDfs* dfs, const std::string& dataset,
                            ReflattenStats* stats) {
   Stopwatch watch;
+  const std::vector<NodeRecord>& nodes = graph.nodes();
+  const std::vector<EdgeRecord>& edges = graph.edges();
   AGL_RETURN_IF_ERROR(config.Validate());
   if (nodes.empty()) {
     return agl::Status::InvalidArgument("ReflattenDirty: empty node table");
@@ -68,9 +43,10 @@ agl::Status ReflattenDirty(const GraphFlatConfig& config,
   // stay dormant in both the cold reference and the pruned re-run. Per-key
   // sampleable multiplicity is bounded by the in-degree.
   if (config.hub_threshold > 0) {
-    std::unordered_map<NodeId, int64_t> indeg;
     for (const EdgeRecord& e : edges) {
-      if (++indeg[e.dst] > config.hub_threshold) {
+      if (static_cast<int64_t>(
+              graph.Adjacent(e.dst, TableGraph::Direction::kIn).size()) >
+          config.hub_threshold) {
         return agl::Status::FailedPrecondition(
             "ReflattenDirty: node " + std::to_string(e.dst) +
             " exceeds hub_threshold; hub re-indexing samples, so the "
@@ -84,11 +60,8 @@ agl::Status ReflattenDirty(const GraphFlatConfig& config,
         " does not exist; run full GraphFlat first");
   }
 
-  std::unordered_map<NodeId, const NodeRecord*> node_of;
-  node_of.reserve(nodes.size());
   std::unordered_set<NodeId> target_set;
   for (const NodeRecord& n : nodes) {
-    node_of.emplace(n.id, &n);
     if (IsTargetNode(config, n)) target_set.insert(n.id);
   }
 
@@ -117,14 +90,9 @@ agl::Status ReflattenDirty(const GraphFlatConfig& config,
     }
   }
 
-  std::vector<NodeId> dirty_targets;
-  {
-    std::unordered_set<NodeId> seen;
-    for (NodeId id : dirty) {
-      if (target_set.count(id) > 0 && seen.insert(id).second) {
-        dirty_targets.push_back(id);
-      }
-    }
+  std::unordered_set<NodeId> dirty_targets;
+  for (NodeId id : dirty) {
+    if (target_set.count(id) > 0) dirty_targets.insert(id);
   }
   ReflattenStats local;
   local.candidate_targets = static_cast<int64_t>(dirty.size());
@@ -144,40 +112,18 @@ agl::Status ReflattenDirty(const GraphFlatConfig& config,
   // is what makes the dirty targets' re-flattened states exact: a target's
   // final state is the union of the round-0 infos of its <=K in-hop
   // sources, and every node on such a path is itself in the closure.
-  std::unordered_map<NodeId, std::vector<NodeId>> in_of;
-  for (const EdgeRecord& e : edges) in_of[e.dst].push_back(e.src);
-  std::unordered_set<NodeId> kept;
-  std::vector<NodeId> frontier;
-  for (NodeId t : dirty_targets) {
-    if (kept.insert(t).second) frontier.push_back(t);
-  }
-  for (int hop = 0; hop < config.hops && !frontier.empty(); ++hop) {
-    std::vector<NodeId> next;
-    for (NodeId v : frontier) {
-      auto it = in_of.find(v);
-      if (it == in_of.end()) continue;
-      for (NodeId src : it->second) {
-        if (kept.insert(src).second) next.push_back(src);
-      }
-    }
-    frontier = std::move(next);
-  }
-  std::vector<NodeRecord> pruned_nodes;
-  for (const NodeRecord& n : nodes) {
-    if (kept.count(n.id) > 0) pruned_nodes.push_back(n);
-  }
+  std::vector<std::pair<NodeId, int>> seeds;
+  for (NodeId t : dirty_targets) seeds.emplace_back(t, 0);
+  const std::unordered_map<NodeId, int> kept =
+      graph.Levels(seeds, TableGraph::Direction::kIn, config.hops);
   // An edge whose src falls outside the closure is kept anyway: the
   // pipeline handles structure-only endpoints, and the src's own info can
   // never reach a dirty target within K rounds.
-  std::vector<EdgeRecord> pruned_edges;
-  for (const EdgeRecord& e : edges) {
-    if (kept.count(e.dst) > 0) pruned_edges.push_back(e);
-  }
+  const auto [pruned_nodes, pruned_edges] =
+      graph.Slice(kept, /*src_reached=*/false);
   local.pruned_nodes = static_cast<int64_t>(pruned_nodes.size());
   local.pruned_edges = static_cast<int64_t>(pruned_edges.size());
 
-  std::unordered_set<NodeId> dirty_set(dirty_targets.begin(),
-                                       dirty_targets.end());
   if (pruned_edges.empty() && !edges.empty()) {
     // Every dirty target is isolated within K hops, but the cold pipeline
     // would still stamp its zero-row edge tensor with the table-wide edge
@@ -189,7 +135,7 @@ agl::Status ReflattenDirty(const GraphFlatConfig& config,
         static_cast<int64_t>(edges[0].features.size());
     for (NodeId t : dirty_targets) {
       SubgraphState state(t);
-      state.AddNode(*node_of.at(t));
+      state.AddNode(nodes[graph.NodeRow(t)]);
       AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
                            state.ToGraphFeature(node_dim, edge_dim));
       payload_of[t] = gf.Serialize();
@@ -205,7 +151,7 @@ agl::Status ReflattenDirty(const GraphFlatConfig& config,
                                               pruned_edges));
     std::size_t replaced = 0;
     for (const subgraph::GraphFeature& gf : features) {
-      if (dirty_set.count(gf.target_id) == 0) continue;
+      if (dirty_targets.count(gf.target_id) == 0) continue;
       payload_of[gf.target_id] = gf.Serialize();
       ++replaced;
     }

@@ -4,13 +4,14 @@
 // round-0 infos of every node within K in-hops of t. A mutation therefore
 // dirties target t iff one of its K-hop in-neighborhood round-0 infos
 // changed — i.e. iff a mutated node's *forward* (out-edge) K-hop closure
-// reaches t. ReflattenDirty re-runs the GraphFlat pipeline only on the
-// union of the dirty targets' K-hop in-neighborhoods (every <=K in-path of
-// a dirty target survives the pruning, so the re-flattened features are
-// byte-identical to a cold full run over the mutated graph — the GraphLab
-// DynPageRank idea of re-activating only affected vertices, applied to
-// feature generation) and republishes the dataset through the same Storing
-// step as RunGraphFlat.
+// reaches t (TableGraph::Levels over the post-mutation graph; see
+// serve/mutation.h). ReflattenDirty re-runs the GraphFlat pipeline only on the
+// union of the dirty targets' K-hop in-neighborhoods, walked on the same
+// TableGraph (every <=K in-path of a dirty target survives the pruning, so
+// the re-flattened features are byte-identical to a cold full run over the
+// mutated graph — the GraphLab DynPageRank idea of re-activating only
+// affected vertices, applied to feature generation) and republishes the
+// dataset through the same Storing step as RunGraphFlat.
 //
 // Byte-identity requires a deterministic pipeline: sampling must be off,
 // and the hub re-index pass (which force-samples above `hub_threshold`)
@@ -24,19 +25,11 @@
 
 #include "common/status.h"
 #include "flat/graphflat.h"
+#include "flat/table_graph.h"
 #include "flat/tables.h"
 #include "mr/local_dfs.h"
 
 namespace agl::flat {
-
-/// Nodes reachable from any seed within `hops` hops along out-edges
-/// (seeds included, at distance 0). This is the "which stored targets can
-/// a change at these nodes dirty" closure: the caller seeds it with the
-/// mutated nodes on the pre- and post-mutation edge tables and unions the
-/// results. Returned sorted and deduplicated.
-std::vector<NodeId> ForwardClosure(const std::vector<EdgeRecord>& edges,
-                                   const std::vector<NodeId>& seeds,
-                                   int hops);
 
 struct ReflattenStats {
   int64_t candidate_targets = 0;  // dirty candidates passed in
@@ -49,9 +42,9 @@ struct ReflattenStats {
 
 /// Recomputes the flattened features of the targets in `dirty` (candidates
 /// outside the stored target set are ignored) against the *post-mutation*
-/// `nodes`/`edges` tables and republishes `dataset` with every other stored
-/// payload reused as-is. The republished dataset is byte-identical to a
-/// cold `RunGraphFlat` over the same tables.
+/// `graph` (walking only their K-hop in-closure) and republishes `dataset`
+/// with every other stored payload reused as-is: byte-identical to a cold
+/// `RunGraphFlat` over the graph's tables.
 ///
 /// Requirements (kFailedPrecondition otherwise): `dataset` exists and
 /// stores exactly the current target set, `config.sampler` is
@@ -59,8 +52,7 @@ struct ReflattenStats {
 /// hub handling is enabled) — sampling and hub re-indexing would make the
 /// pruned re-run diverge from the cold reference.
 agl::Status ReflattenDirty(const GraphFlatConfig& config,
-                           const std::vector<NodeRecord>& nodes,
-                           const std::vector<EdgeRecord>& edges,
+                           const TableGraph& graph,
                            const std::vector<NodeId>& dirty,
                            mr::LocalDfs* dfs, const std::string& dataset,
                            ReflattenStats* stats = nullptr);

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "flat/shard.h"
+#include "flat/table_graph.h"
 #include "infer/embedding_cache.h"
 #include "infer/segmentation.h"
 #include "io/codec.h"
@@ -19,6 +20,7 @@ namespace {
 using flat::EdgeRecord;
 using flat::NodeId;
 using flat::NodeRecord;
+using Direction = flat::TableGraph::Direction;
 
 // Record tags.
 constexpr char kTagEmb = 'H';       // self embedding
@@ -62,6 +64,8 @@ std::string Tagged(char tag, const std::string& payload) {
   return out;
 }
 
+/// What every reduce round reads. The caller of RunInferCore fills in the
+/// slices and the cache fields; RunInferCore sets the rest.
 struct RoundContext {
   int round = 0;       // 0 = propagation bootstrap; 1..K layer slices;
                        // K+1 = prediction slice
@@ -72,8 +76,7 @@ struct RoundContext {
 
   // Cross-slice embedding store (batched driver only; nullptr otherwise).
   EmbeddingStore* cache = nullptr;
-  /// In-BFS depth of each pruned-graph node from the slice targets;
-  /// nullptr means the run is unpruned.
+  /// In-BFS depth of each slice-graph node from the slice targets.
   const std::unordered_map<NodeId, int>* depth = nullptr;
   /// True when the slice graph kept the whole input graph (no frontier
   /// truncation): every round of every node is then exact.
@@ -208,7 +211,6 @@ class InferReducer : public mr::Reducer {
   bool Cacheable(NodeId id) const {
     if (ctx_.cache == nullptr || !ctx_.cache->enabled()) return false;
     if (ctx_.cache_all_rounds) return true;
-    if (ctx_.depth == nullptr) return false;
     auto it = ctx_.depth->find(id);
     if (it == ctx_.depth->end()) return false;
     return ctx_.round + it->second <= ctx_.num_layers;
@@ -217,78 +219,12 @@ class InferReducer : public mr::Reducer {
   RoundContext ctx_;
 };
 
-/// A pruned per-slice input graph plus the BFS metadata the cache horizon
-/// needs.
-struct SliceGraph {
-  std::vector<NodeRecord> nodes;
-  std::vector<EdgeRecord> edges;
-  /// In-BFS hop at which each kept node was first reached from the targets
-  /// (targets have depth 0).
-  std::unordered_map<NodeId, int> depth;
-  /// The pruning kept every node and edge — the slice covers the graph.
-  bool complete = false;
-};
-
-using InEdgeIndex = std::unordered_map<NodeId, std::vector<NodeId>>;
-
-InEdgeIndex BuildInEdgeIndex(const std::vector<EdgeRecord>& edges) {
-  InEdgeIndex in_edges_of;
-  for (const EdgeRecord& e : edges) in_edges_of[e.dst].push_back(e.src);
-  return in_edges_of;
-}
-
-/// Target-subset pruning: restrict the pipeline to the union of the
-/// targets' K-hop in-neighborhoods. Nodes outside can never influence a
-/// target's embedding (Theorem 1), so dropping them up front is the
-/// inference-side analogue of the trainer's graph pruning.
-SliceGraph PruneToTargets(const std::vector<NodeRecord>& nodes,
-                          const std::vector<EdgeRecord>& edges,
-                          const InEdgeIndex& in_edges_of,
-                          const std::vector<NodeId>& targets, int hops) {
-  SliceGraph g;
-  g.depth.reserve(targets.size());
-  std::vector<NodeId> frontier;
-  for (NodeId t : targets) {
-    if (g.depth.emplace(t, 0).second) frontier.push_back(t);
-  }
-  for (int hop = 0; hop < hops; ++hop) {
-    std::vector<NodeId> next;
-    for (NodeId v : frontier) {
-      auto it = in_edges_of.find(v);
-      if (it == in_edges_of.end()) continue;
-      for (NodeId src : it->second) {
-        if (g.depth.emplace(src, hop + 1).second) next.push_back(src);
-      }
-    }
-    frontier = std::move(next);
-  }
-  for (const NodeRecord& n : nodes) {
-    if (g.depth.count(n.id) > 0) g.nodes.push_back(n);
-  }
-  for (const EdgeRecord& e : edges) {
-    if (g.depth.count(e.src) > 0 && g.depth.count(e.dst) > 0) {
-      g.edges.push_back(e);
-    }
-  }
-  g.complete =
-      g.nodes.size() == nodes.size() && g.edges.size() == edges.size();
-  return g;
-}
-
-struct CoreOptions {
-  const std::vector<ModelSlice>* slices = nullptr;
-  EmbeddingStore* cache = nullptr;
-  const std::unordered_map<NodeId, int>* depth = nullptr;
-  bool cache_all_rounds = false;
-  uint64_t model_version = 0;
-};
-
-/// The MapReduce round schedule over one (possibly pruned) input graph —
-/// the body both RunGraphInfer and the batched driver share.
+/// The MapReduce round schedule over one pruned slice graph — the batched
+/// driver's per-slice body.
 agl::Result<InferResult> RunInferCore(const InferConfig& config,
                                       const std::vector<NodeRecord>& nodes,
                                       const std::vector<EdgeRecord>& edges,
-                                      const CoreOptions& opts) {
+                                      RoundContext ctx) {
   if (nodes.empty()) {
     return agl::Status::InvalidArgument("GraphInfer: empty node table");
   }
@@ -346,16 +282,10 @@ agl::Result<InferResult> RunInferCore(const InferConfig& config,
     }
   }
 
-  RoundContext ctx;
   ctx.num_layers = config.model.num_layers;
   ctx.model = config.model;
-  ctx.slices = opts.slices;
   std::atomic<int64_t> embedding_evals{0};
   ctx.embedding_evals = &embedding_evals;
-  ctx.cache = opts.cache;
-  ctx.depth = opts.depth;
-  ctx.cache_all_rounds = opts.cache_all_rounds;
-  ctx.model_version = opts.model_version;
 
   InferResult result;
   // Sharded execution mirrors GraphFlat: records live on their key's home
@@ -415,19 +345,6 @@ agl::Result<InferResult> RunInferCore(const InferConfig& config,
   result.costs.cpu_core_minutes = (ProcessCpuSeconds() - cpu_start) / 60.0;
   result.costs.embedding_evaluations = embedding_evals.load();
   return result;
-}
-
-/// Keeps only the scores of `targets` (neighborhood nodes were computed
-/// with possibly pruned in-neighborhoods of their own).
-void FilterScoresToTargets(const std::vector<NodeId>& targets,
-                           InferResult* result) {
-  std::unordered_set<NodeId> wanted(targets.begin(), targets.end());
-  std::vector<std::pair<NodeId, std::vector<float>>> kept;
-  kept.reserve(std::min(result->scores.size(), wanted.size()));
-  for (auto& entry : result->scores) {
-    if (wanted.count(entry.first) > 0) kept.push_back(std::move(entry));
-  }
-  result->scores = std::move(kept);
 }
 
 }  // namespace
@@ -514,40 +431,37 @@ agl::Result<InferResult> RunGraphInfer(
     const std::map<std::string, tensor::Tensor>& state,
     const std::vector<NodeRecord>& nodes,
     const std::vector<EdgeRecord>& edges) {
-  if (nodes.empty()) {
-    return agl::Status::InvalidArgument("GraphInfer: empty node table");
-  }
-  AGL_ASSIGN_OR_RETURN(std::vector<ModelSlice> slices,
-                       SegmentModel(state, config.model));
-  CoreOptions opts;
-  opts.slices = &slices;
-  if (config.target_ids.empty()) {
-    return RunInferCore(config, nodes, edges, opts);
-  }
-
-  Stopwatch watch;
-  const InEdgeIndex in_edges_of = BuildInEdgeIndex(edges);
-  const SliceGraph g = PruneToTargets(nodes, edges, in_edges_of,
-                                      config.target_ids,
-                                      config.model.num_layers);
-  InferConfig sub_config = config;
-  sub_config.target_ids.clear();
-  AGL_ASSIGN_OR_RETURN(InferResult out,
-                       RunInferCore(sub_config, g.nodes, g.edges, opts));
-  FilterScoresToTargets(config.target_ids, &out);
-  out.costs.time_seconds = watch.Seconds();
-  return out;
+  // The batched driver with one slice and no cache: pruned to the targets'
+  // K-hop in-neighborhoods, or over the whole graph when there are none.
+  InferConfig one = config;
+  one.batch_slices = 1;
+  EmbeddingCache none(0);
+  return RunGraphInferBatched(one, state, flat::TableGraph(nodes, edges),
+                              &none);
 }
 
-namespace {
-
-/// Shared batched-driver body: `store` is whichever EmbeddingStore this
-/// pass shares — a call-local cache or a caller-owned (persistent) one.
-agl::Result<InferResult> RunBatchedWithStore(
+agl::Result<InferResult> RunGraphInferBatched(
     const InferConfig& config,
     const std::map<std::string, tensor::Tensor>& state,
     const std::vector<NodeRecord>& nodes,
-    const std::vector<EdgeRecord>& edges, EmbeddingStore* store) {
+    const std::vector<EdgeRecord>& edges) {
+  EmbeddingCache cache(config.cache_budget_bytes);
+  if (cache.enabled() && !config.cache_spill_path.empty()) {
+    AGL_RETURN_IF_ERROR(cache.EnableSpill(config.cache_spill_path));
+  }
+  return RunGraphInferBatched(config, state, flat::TableGraph(nodes, edges),
+                              &cache);
+}
+
+agl::Result<InferResult> RunGraphInferBatched(
+    const InferConfig& config,
+    const std::map<std::string, tensor::Tensor>& state,
+    const flat::TableGraph& graph, EmbeddingStore* store) {
+  if (store == nullptr) {
+    return agl::Status::InvalidArgument(
+        "RunGraphInferBatched: external store must not be null");
+  }
+  const std::vector<NodeRecord>& nodes = graph.nodes();
   if (nodes.empty()) {
     return agl::Status::InvalidArgument("GraphInfer: empty node table");
   }
@@ -568,82 +482,61 @@ agl::Result<InferResult> RunBatchedWithStore(
   const uint64_t version = StateFingerprint(state);
   // A shared store accumulates counters across calls; report this call's
   // delta so InferCosts keeps its per-run meaning.
-  const EmbeddingCacheStats stats_before = store->stats();
-
-  const InEdgeIndex in_edges_of = BuildInEdgeIndex(edges);
+  const EmbeddingCacheStats before = store->stats();
 
   InferResult out;
   out.num_slices = static_cast<int>(target_slices.size());
   for (const std::vector<NodeId>& slice_targets : target_slices) {
-    const SliceGraph g = PruneToTargets(nodes, edges, in_edges_of,
-                                        slice_targets,
-                                        config.model.num_layers);
-    InferConfig sub_config = config;
-    sub_config.target_ids.clear();
-    CoreOptions opts;
-    opts.slices = &slices;
-    opts.depth = &g.depth;
-    opts.cache_all_rounds = g.complete;
-    opts.model_version = version;
+    // Target-subset pruning: restrict the pipeline to the union of the
+    // targets' K-hop in-neighborhoods, walking only that frontier. Nodes
+    // outside can never influence a target's embedding (Theorem 1), so
+    // dropping them up front is the inference-side analogue of the
+    // trainer's graph pruning. `depth` is each kept node's in-BFS hop.
+    std::vector<std::pair<NodeId, int>> seeds;
+    for (NodeId t : slice_targets) seeds.emplace_back(t, 0);
+    const std::unordered_map<NodeId, int> depth =
+        graph.Levels(seeds, Direction::kIn, config.model.num_layers);
+    const auto [slice_nodes, slice_edges] =
+        graph.Slice(depth, /*src_reached=*/true);
+    // The pruning kept every node and edge: the slice covers the graph.
+    const bool complete = slice_nodes.size() == nodes.size() &&
+                          slice_edges.size() == graph.edges().size();
+    RoundContext ctx;
+    ctx.slices = &slices;
+    ctx.depth = &depth;
+    ctx.cache_all_rounds = complete;
+    ctx.model_version = version;
     // GCN's symmetric normalization folds in *out*-degrees, which frontier
     // truncation changes, so a pruned GCN slice has no slice-invariant
     // embeddings to share — the cache stays out of the loop there (the
     // complete-graph case is still safe and still cached).
     const bool gcn_pruned =
-        config.model.type == gnn::ModelType::kGcn && !g.complete;
-    opts.cache = gcn_pruned ? nullptr : store;
+        config.model.type == gnn::ModelType::kGcn && !complete;
+    ctx.cache = gcn_pruned ? nullptr : store;
     AGL_ASSIGN_OR_RETURN(InferResult slice_result,
-                         RunInferCore(sub_config, g.nodes, g.edges, opts));
-    FilterScoresToTargets(slice_targets, &slice_result);
+                         RunInferCore(config, slice_nodes, slice_edges, ctx));
     out.costs.embedding_evaluations +=
         slice_result.costs.embedding_evaluations;
     out.costs.memory_gb_minutes += slice_result.costs.memory_gb_minutes;
-    out.scores.insert(out.scores.end(),
-                      std::make_move_iterator(slice_result.scores.begin()),
-                      std::make_move_iterator(slice_result.scores.end()));
+    // Keep only the targets' (the depth-0 nodes') scores: neighborhood
+    // nodes were computed with possibly pruned in-neighborhoods of their own.
+    for (auto& entry : slice_result.scores) {
+      if (depth.at(entry.first) == 0) out.scores.push_back(std::move(entry));
+    }
   }
   std::sort(out.scores.begin(), out.scores.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  const EmbeddingCacheStats cache_stats = store->stats();
-  out.costs.cache_hits = cache_stats.hits - stats_before.hits;
-  out.costs.cache_misses = cache_stats.misses - stats_before.misses;
-  out.costs.cache_evictions =
-      cache_stats.evictions - stats_before.evictions;
-  out.costs.cache_spilled = cache_stats.spilled - stats_before.spilled;
-  out.costs.cache_spill_hits =
-      cache_stats.spill_hits - stats_before.spill_hits;
-  out.costs.cache_spill_failures =
-      cache_stats.spill_failures - stats_before.spill_failures;
+  const EmbeddingCacheStats after = store->stats();
+  out.costs.cache_hits = after.hits - before.hits;
+  out.costs.cache_misses = after.misses - before.misses;
+  out.costs.cache_evictions = after.evictions - before.evictions;
+  out.costs.cache_spilled = after.spilled - before.spilled;
+  out.costs.cache_spill_hits = after.spill_hits - before.spill_hits;
+  out.costs.cache_spill_failures = after.spill_failures - before.spill_failures;
   out.costs.time_seconds = watch.Seconds();
   out.costs.cpu_core_minutes = (ProcessCpuSeconds() - cpu_start) / 60.0;
   return out;
-}
-
-}  // namespace
-
-agl::Result<InferResult> RunGraphInferBatched(
-    const InferConfig& config,
-    const std::map<std::string, tensor::Tensor>& state,
-    const std::vector<NodeRecord>& nodes,
-    const std::vector<EdgeRecord>& edges) {
-  EmbeddingCache cache(config.cache_budget_bytes);
-  if (cache.enabled() && !config.cache_spill_path.empty()) {
-    AGL_RETURN_IF_ERROR(cache.EnableSpill(config.cache_spill_path));
-  }
-  return RunBatchedWithStore(config, state, nodes, edges, &cache);
-}
-
-agl::Result<InferResult> RunGraphInferBatched(
-    const InferConfig& config,
-    const std::map<std::string, tensor::Tensor>& state,
-    const std::vector<NodeRecord>& nodes,
-    const std::vector<EdgeRecord>& edges, EmbeddingStore* store) {
-  if (store == nullptr) {
-    return agl::Status::InvalidArgument(
-        "RunGraphInferBatched: external store must not be null");
-  }
-  return RunBatchedWithStore(config, state, nodes, edges, store);
 }
 
 }  // namespace agl::infer

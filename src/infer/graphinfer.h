@@ -24,6 +24,7 @@
 
 #include "common/status.h"
 #include "common/timer.h"
+#include "flat/table_graph.h"
 #include "flat/tables.h"
 #include "gnn/model.h"
 #include "mr/mapreduce.h"
@@ -117,9 +118,10 @@ agl::Result<InferResult> RunGraphInferBatched(
     const std::vector<flat::NodeRecord>& nodes,
     const std::vector<flat::EdgeRecord>& edges);
 
-/// Same, but reusing a caller-owned EmbeddingStore instead of a cache local
-/// to the call — the serving loop hands every pass the same (persistent)
-/// store so embeddings survive across requests and process restarts. The
+/// Same, over a caller-owned graph index and EmbeddingStore — the serving
+/// loop hands every pass its one flat::TableGraph (so a pass prunes by
+/// walking only the targets' K-hop frontier) and the same persistent store,
+/// so embeddings survive across requests and process restarts. The
 /// store's entries must fingerprint the same weights as `state`
 /// (CacheKey.version == StateFingerprint(state)); `config.cache_budget_bytes`
 /// and `config.cache_spill_path` are ignored. The cache counters in
@@ -127,8 +129,7 @@ agl::Result<InferResult> RunGraphInferBatched(
 agl::Result<InferResult> RunGraphInferBatched(
     const InferConfig& config,
     const std::map<std::string, tensor::Tensor>& state,
-    const std::vector<flat::NodeRecord>& nodes,
-    const std::vector<flat::EdgeRecord>& edges, EmbeddingStore* store);
+    const flat::TableGraph& graph, EmbeddingStore* store);
 
 /// kInvalidArgument naming the first node whose feature width is not
 /// `in_dim` — the input check every GraphInfer pass (and

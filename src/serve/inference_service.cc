@@ -65,10 +65,9 @@ InferenceService::InferenceService(
       state_(std::move(state)),
       model_version_(infer::StateFingerprint(state_)),
       dfs_(dfs),
-      nodes_(std::move(nodes)),
-      edges_(std::move(edges)) {
-  node_ids_.reserve(nodes_.size());
-  for (const flat::NodeRecord& n : nodes_) node_ids_.insert(n.id);
+      graph_(std::move(nodes), std::move(edges)) {
+  node_ids_.reserve(graph_.nodes().size());
+  for (const flat::NodeRecord& n : graph_.nodes()) node_ids_.insert(n.id);
 }
 
 agl::Result<std::unique_ptr<InferenceService>> InferenceService::Start(
@@ -103,7 +102,8 @@ agl::Result<std::unique_ptr<InferenceService>> InferenceService::Start(
   // Embeddings are a function of (weights, graph): a published index from
   // an incarnation that persisted after mutations must not serve against
   // these tables, so the store comes up warm only on a double match.
-  opts.graph_version = GraphFingerprint(svc->nodes_, svc->edges_);
+  opts.graph_version =
+      GraphFingerprint(svc->graph_.nodes(), svc->graph_.edges());
   AGL_ASSIGN_OR_RETURN(
       svc->store_,
       infer::PersistentEmbeddingStore::Open(dfs, config.store_name, opts));
@@ -266,7 +266,7 @@ void InferenceService::ProcessScoreBatch(std::vector<Item> batch) {
   cfg.cache_spill_path.clear();
   Stopwatch watch;
   auto result =
-      infer::RunGraphInferBatched(cfg, state_, nodes_, edges_, store_.get());
+      infer::RunGraphInferBatched(cfg, state_, graph_, store_.get());
   const double seconds = watch.Seconds();
   {
     common::MutexLock lock(&mu_);
@@ -307,45 +307,55 @@ void InferenceService::ProcessControlItem(Item item) {
     item.pending->Complete(store_->Publish(), {});
     return;
   }
-  // Mutation batch. Snapshot the pre tables: seeds and closures read both
-  // sides, and an apply error rolls back wholesale.
-  const std::vector<flat::NodeRecord> pre_nodes = nodes_;
-  const std::vector<flat::EdgeRecord> pre_edges = edges_;
+  // Mutation batch, applied in place. An apply error replays the applied
+  // mutations' inverses in reverse.
+  std::vector<Mutation> undo;
   for (std::size_t i = 0; i < item.mutations.size(); ++i) {
-    agl::Status s = ApplyMutation(item.mutations[i], &nodes_, &edges_);
-    if (!s.ok()) {
-      nodes_ = pre_nodes;
-      edges_ = pre_edges;
-      item.pending->Complete(
-          agl::Status(s.code(), "mutation " + std::to_string(i) + " (" +
-                                    item.mutations[i].ToString() +
-                                    "): " + s.message()),
-          {});
+    auto inverse = ApplyMutation(item.mutations[i], &graph_);
+    if (!inverse.ok()) {
+      agl::Status status(inverse.status().code(),
+                         "mutation " + std::to_string(i) + " (" +
+                             item.mutations[i].ToString() +
+                             "): " + inverse.status().message());
+      for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+        // Only an edge the mutators would never have admitted (an endpoint
+        // outside the node table, a ragged feature width) fails to return.
+        const agl::Status undone = ApplyMutation(*it, &graph_).status();
+        if (!undone.ok()) {
+          status = agl::Status::Internal("rollback (" + it->ToString() +
+                                         "): " + undone.message());
+        }
+      }
+      item.pending->Complete(std::move(status), {});
       return;
     }
+    undo.push_back(std::move(inverse).value());
   }
+  // Seeds and closures read the post-mutation graph only; see mutation.h
+  // for why the removed edges cannot change them.
   const DirtySeeds seeds = ComputeDirtySeeds(config_.infer.model.type,
-                                             item.mutations, pre_edges,
-                                             edges_);
-  // Distances for both the removed (pre) and added (post) influence are
-  // bounded below by distances over the union table.
-  std::vector<flat::EdgeRecord> union_edges = pre_edges;
-  union_edges.insert(union_edges.end(), edges_.begin(), edges_.end());
+                                             item.mutations, graph_);
   const std::vector<std::pair<flat::NodeId, int32_t>> floors =
-      PropagateInvalidations(seeds.cache_seeds, union_edges,
+      PropagateInvalidations(seeds.cache_seeds, graph_,
                              config_.infer.model.num_layers);
   for (const auto& [node, min_round] : floors) {
     store_->Invalidate(node, min_round);
   }
   // The graph moved: restamp the store so the next Publish() pins the
   // index to the tables it actually describes.
-  store_->set_graph_version(GraphFingerprint(nodes_, edges_));
+  store_->set_graph_version(GraphFingerprint(graph_.nodes(), graph_.edges()));
   agl::Status status = agl::Status::OK();
   flat::ReflattenStats rstats;
   if (!config_.features_dataset.empty()) {
-    const std::vector<flat::NodeId> dirty = flat::ForwardClosure(
-        union_edges, seeds.dataset_seeds, config_.flat.hops);
-    status = flat::ReflattenDirty(config_.flat, nodes_, edges_, dirty, dfs_,
+    std::vector<std::pair<flat::NodeId, int>> starts;
+    for (flat::NodeId id : seeds.dataset_seeds) starts.emplace_back(id, 0);
+    std::vector<flat::NodeId> dirty;
+    for (const auto& reached :
+         graph_.Levels(starts, flat::TableGraph::Direction::kOut,
+                       config_.flat.hops)) {
+      dirty.push_back(reached.first);
+    }
+    status = flat::ReflattenDirty(config_.flat, graph_, dirty, dfs_,
                                   config_.features_dataset, &rstats);
   }
   {

@@ -15,20 +15,23 @@
 //
 // guarantees r1 is scored on the pre-m graph and r2 on the post-m graph —
 // a request observes exactly the mutation batches enqueued before it.
-// Applying a batch (1) updates the in-memory tables, (2) invalidates the
-// precisely-dirtied (node, round) store entries (model-aware; see
-// mutation.h), and (3) incrementally re-flattens the dirtied targets of
-// the configured flattened dataset (flat::ReflattenDirty). Consequence —
+// The service's one graph index, a flat::TableGraph, serves every pass's
+// pruning and the mutation path. Applying a batch (1) updates it in place,
+// (2) invalidates the precisely-dirtied (node, round) store entries
+// (model-aware; see mutation.h), and (3) incrementally re-flattens the
+// dirtied targets of the configured flattened dataset
+// (flat::ReflattenDirty). Consequence —
 // the freshness/consistency contract: every served score is byte-identical
 // to a cold offline RunGraphInferBatched over the tables as mutated by the
 // batches admitted before the request.
 //
 // Failure contract: a failed pipeline pass fails every request coalesced
 // into it (kUnavailable and the underlying message); a mutation batch that
-// fails to apply is rolled back wholesale; a re-flatten failure after a
-// successful apply is reported but leaves serving correct (the store was
-// already invalidated — only the on-DFS dataset lags). Store corruption
-// degrades to recompute, never to a wrong score.
+// fails to apply is rolled back wholesale (by its inverses, in reverse);
+// a re-flatten failure after a successful apply is reported but leaves
+// serving correct (the store was already invalidated — only the on-DFS
+// dataset lags). Store corruption degrades to recompute, never to a wrong
+// score.
 
 #pragma once
 
@@ -45,6 +48,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "flat/graphflat.h"
+#include "flat/table_graph.h"
 #include "flat/tables.h"
 #include "infer/graphinfer.h"
 #include "infer/persistent_store.h"
@@ -197,8 +201,7 @@ class InferenceService {
 
   // Owned by the serving thread after Start (and by whoever holds the
   // joined thread afterwards — Shutdown's join orders the accesses).
-  std::vector<flat::NodeRecord> nodes_;
-  std::vector<flat::EdgeRecord> edges_;
+  flat::TableGraph graph_;
   std::unique_ptr<infer::PersistentEmbeddingStore> store_;
 
   mutable common::Mutex mu_;

@@ -1,11 +1,13 @@
 #include "serve/mutation.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <map>
+#include <set>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
+
+#include "flat/csv_io.h"
 
 namespace agl::serve {
 namespace {
@@ -18,117 +20,57 @@ std::vector<std::string> SplitWs(const std::string& line) {
   return out;
 }
 
-agl::Result<std::vector<float>> ParseFloats(const std::string& csv) {
-  std::vector<float> out;
-  std::stringstream in(csv);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) {
-      return agl::Status::InvalidArgument("empty float in list: " + csv);
-    }
-    char* end = nullptr;
-    const float v = std::strtof(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0') {
-      return agl::Status::InvalidArgument("bad float '" + item + "'");
-    }
-    out.push_back(v);
-  }
-  return out;
-}
-
-agl::Result<uint64_t> ParseId(const std::string& tok) {
-  char* end = nullptr;
-  const uint64_t v = std::strtoull(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0') {
-    return agl::Status::InvalidArgument("bad node id '" + tok + "'");
-  }
-  return v;
-}
-
-std::string JoinFloats(const std::vector<float>& v) {
-  std::string out;
-  char buf[32];
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%g", static_cast<double>(v[i]));
-    if (i > 0) out += ',';
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace
 
 agl::Result<Mutation> Mutation::Parse(const std::string& line) {
   const std::vector<std::string> tok = SplitWs(line);
-  if (tok.empty()) {
-    return agl::Status::InvalidArgument("empty mutation line");
-  }
+  const std::string op = tok.empty() ? "" : tok[0];
   Mutation m;
-  if (tok[0] == "add-edge") {
-    if (tok.size() < 4 || tok.size() > 5) {
-      return agl::Status::InvalidArgument(
-          "add-edge wants: add-edge <src> <dst> <weight> [f1,f2,...]");
-    }
-    m.type = Type::kAddEdge;
-    AGL_ASSIGN_OR_RETURN(m.edge.src, ParseId(tok[1]));
-    AGL_ASSIGN_OR_RETURN(m.edge.dst, ParseId(tok[2]));
-    char* end = nullptr;
-    m.edge.weight = std::strtof(tok[3].c_str(), &end);
-    if (end == tok[3].c_str() || *end != '\0') {
-      return agl::Status::InvalidArgument("bad weight '" + tok[3] + "'");
+  const bool add = op == "add-edge" && (tok.size() == 4 || tok.size() == 5);
+  if (add || (op == "remove-edge" && tok.size() == 3)) {
+    m.type = add ? Type::kAddEdge : Type::kRemoveEdge;
+    AGL_ASSIGN_OR_RETURN(m.edge.src, flat::ParseU64(tok[1], "node id"));
+    AGL_ASSIGN_OR_RETURN(m.edge.dst, flat::ParseU64(tok[2], "node id"));
+    if (add) {
+      AGL_ASSIGN_OR_RETURN(m.edge.weight, flat::ParseF32(tok[3], "weight"));
     }
     if (tok.size() == 5) {
-      AGL_ASSIGN_OR_RETURN(m.edge.features, ParseFloats(tok[4]));
+      AGL_ASSIGN_OR_RETURN(m.edge.features,
+                           flat::ParseFloatList(tok[4], "feature", ','));
     }
     return m;
   }
-  if (tok[0] == "remove-edge") {
-    if (tok.size() != 3) {
-      return agl::Status::InvalidArgument(
-          "remove-edge wants: remove-edge <src> <dst>");
-    }
-    m.type = Type::kRemoveEdge;
-    AGL_ASSIGN_OR_RETURN(m.edge.src, ParseId(tok[1]));
-    AGL_ASSIGN_OR_RETURN(m.edge.dst, ParseId(tok[2]));
-    return m;
-  }
-  if (tok[0] == "update-features") {
-    if (tok.size() != 3) {
-      return agl::Status::InvalidArgument(
-          "update-features wants: update-features <node> f1,f2,...");
-    }
+  if (op == "update-features" && tok.size() == 3) {
     m.type = Type::kUpdateFeatures;
-    AGL_ASSIGN_OR_RETURN(m.node, ParseId(tok[1]));
-    AGL_ASSIGN_OR_RETURN(m.features, ParseFloats(tok[2]));
+    AGL_ASSIGN_OR_RETURN(m.node, flat::ParseU64(tok[1], "node id"));
+    AGL_ASSIGN_OR_RETURN(m.features,
+                         flat::ParseFloatList(tok[2], "feature", ','));
     return m;
   }
-  return agl::Status::InvalidArgument("unknown mutation '" + tok[0] + "'");
+  return agl::Status::InvalidArgument(
+      "bad mutation '" + line +
+      "'; want add-edge <src> <dst> <weight> [f1,f2,...], "
+      "remove-edge <src> <dst> or update-features <node> f1,f2,...");
 }
 
 std::string Mutation::ToString() const {
-  char buf[64];
   switch (type) {
     case Type::kAddEdge: {
-      std::snprintf(buf, sizeof(buf), "add-edge %llu %llu %g",
-                    static_cast<unsigned long long>(edge.src),
-                    static_cast<unsigned long long>(edge.dst),
-                    static_cast<double>(edge.weight));
-      std::string out = buf;
+      std::string out = "add-edge " + std::to_string(edge.src) + " " +
+                        std::to_string(edge.dst) + " " +
+                        flat::JoinFloats({edge.weight}, ',');
       if (!edge.features.empty()) {
         out += ' ';
-        out += JoinFloats(edge.features);
+        out += flat::JoinFloats(edge.features, ',');
       }
       return out;
     }
     case Type::kRemoveEdge:
-      std::snprintf(buf, sizeof(buf), "remove-edge %llu %llu",
-                    static_cast<unsigned long long>(edge.src),
-                    static_cast<unsigned long long>(edge.dst));
-      return buf;
+      return "remove-edge " + std::to_string(edge.src) + " " +
+             std::to_string(edge.dst);
     case Type::kUpdateFeatures:
-      std::snprintf(buf, sizeof(buf), "update-features %llu ",
-                    static_cast<unsigned long long>(node));
-      return std::string(buf) + JoinFloats(features);
+      return "update-features " + std::to_string(node) + " " +
+             flat::JoinFloats(features, ',');
   }
   return "";
 }
@@ -154,86 +96,45 @@ agl::Result<std::vector<Mutation>> ParseMutationStream(
   return out;
 }
 
-agl::Status ApplyMutation(const Mutation& m,
-                          std::vector<flat::NodeRecord>* nodes,
-                          std::vector<flat::EdgeRecord>* edges) {
-  auto find_node = [&](flat::NodeId id) -> flat::NodeRecord* {
-    for (flat::NodeRecord& n : *nodes) {
-      if (n.id == id) return &n;
-    }
-    return nullptr;
-  };
+agl::Result<Mutation> ApplyMutation(const Mutation& m,
+                                    flat::TableGraph* graph) {
+  Mutation inverse = m;
   switch (m.type) {
-    case Mutation::Type::kAddEdge: {
-      if (find_node(m.edge.src) == nullptr ||
-          find_node(m.edge.dst) == nullptr) {
-        return agl::Status::NotFound(
-            "add-edge: endpoint not in the node table");
-      }
-      for (const flat::EdgeRecord& e : *edges) {
-        if (e.src == m.edge.src && e.dst == m.edge.dst) {
-          return agl::Status::AlreadyExists(
-              "add-edge: edge " + std::to_string(m.edge.src) + "->" +
-              std::to_string(m.edge.dst) + " already present");
-        }
-      }
-      if (!edges->empty() &&
-          m.edge.features.size() != (*edges)[0].features.size()) {
-        return agl::Status::InvalidArgument(
-            "add-edge: feature width " +
-            std::to_string(m.edge.features.size()) + " != table width " +
-            std::to_string((*edges)[0].features.size()));
-      }
-      edges->push_back(m.edge);
-      return agl::Status::OK();
-    }
+    case Mutation::Type::kAddEdge:
+      AGL_RETURN_IF_ERROR(graph->AddEdge(m.edge));
+      inverse.type = Mutation::Type::kRemoveEdge;
+      return inverse;
     case Mutation::Type::kRemoveEdge: {
-      for (auto it = edges->begin(); it != edges->end(); ++it) {
-        if (it->src == m.edge.src && it->dst == m.edge.dst) {
-          edges->erase(it);
-          return agl::Status::OK();
-        }
-      }
-      return agl::Status::NotFound(
-          "remove-edge: edge " + std::to_string(m.edge.src) + "->" +
-          std::to_string(m.edge.dst) + " not present");
+      AGL_ASSIGN_OR_RETURN(inverse.edge,
+                           graph->RemoveEdge(m.edge.src, m.edge.dst));
+      inverse.type = Mutation::Type::kAddEdge;
+      return inverse;
     }
     case Mutation::Type::kUpdateFeatures: {
-      flat::NodeRecord* n = find_node(m.node);
-      if (n == nullptr) {
-        return agl::Status::NotFound("update-features: node " +
-                                     std::to_string(m.node) +
-                                     " not in the node table");
-      }
-      if (m.features.size() != n->features.size()) {
-        return agl::Status::InvalidArgument(
-            "update-features: width " + std::to_string(m.features.size()) +
-            " != table width " + std::to_string(n->features.size()));
-      }
-      n->features = m.features;
-      return agl::Status::OK();
+      AGL_ASSIGN_OR_RETURN(inverse.features,
+                           graph->SetFeatures(m.node, m.features));
+      return inverse;
     }
   }
   return agl::Status::Internal("unreachable mutation type");
 }
 
+agl::Status ApplyMutation(const Mutation& m,
+                          std::vector<flat::NodeRecord>* nodes,
+                          std::vector<flat::EdgeRecord>* edges) {
+  flat::TableGraph graph(std::move(*nodes), std::move(*edges));
+  const agl::Status status = ApplyMutation(m, &graph).status();
+  *nodes = graph.nodes();
+  *edges = graph.edges();
+  return status;
+}
+
 DirtySeeds ComputeDirtySeeds(gnn::ModelType model,
                              const std::vector<Mutation>& batch,
-                             const std::vector<flat::EdgeRecord>& pre_edges,
-                             const std::vector<flat::EdgeRecord>& post_edges) {
-  // outN over pre + post, only needed for GCN's column-degree coupling.
-  std::unordered_map<flat::NodeId, std::vector<flat::NodeId>> out_of;
-  if (model == gnn::ModelType::kGcn) {
-    for (const flat::EdgeRecord& e : pre_edges) {
-      out_of[e.src].push_back(e.dst);
-    }
-    for (const flat::EdgeRecord& e : post_edges) {
-      out_of[e.src].push_back(e.dst);
-    }
-  }
-  std::unordered_set<flat::NodeId> dataset;
+                             const flat::TableGraph& post) {
+  std::set<flat::NodeId> dataset;
   // node -> best (lowest) base round.
-  std::unordered_map<flat::NodeId, int> cache;
+  std::map<flat::NodeId, int> cache;
   auto seed_cache = [&](flat::NodeId id, int base) {
     auto [it, inserted] = cache.emplace(id, base);
     if (!inserted && base < it->second) it->second = base;
@@ -249,9 +150,9 @@ DirtySeeds ComputeDirtySeeds(gnn::ModelType model,
           // col_deg(src) changed: every entry in column src, i.e. src's
           // self-loop row and every out-neighbor's row.
           seed_cache(m.edge.src, 1);
-          auto it = out_of.find(m.edge.src);
-          if (it != out_of.end()) {
-            for (flat::NodeId w : it->second) seed_cache(w, 1);
+          for (std::size_t r :
+               post.Adjacent(m.edge.src, flat::TableGraph::Direction::kOut)) {
+            seed_cache(post.edges()[r].dst, 1);
           }
         }
         break;
@@ -262,52 +163,17 @@ DirtySeeds ComputeDirtySeeds(gnn::ModelType model,
         break;
     }
   }
-  DirtySeeds out;
-  out.dataset_seeds.assign(dataset.begin(), dataset.end());
-  std::sort(out.dataset_seeds.begin(), out.dataset_seeds.end());
-  out.cache_seeds.assign(cache.begin(), cache.end());
-  std::sort(out.cache_seeds.begin(), out.cache_seeds.end());
-  return out;
+  return {{dataset.begin(), dataset.end()}, {cache.begin(), cache.end()}};
 }
 
 std::vector<std::pair<flat::NodeId, int32_t>> PropagateInvalidations(
     const std::vector<std::pair<flat::NodeId, int>>& cache_seeds,
-    const std::vector<flat::EdgeRecord>& edges, int num_layers) {
-  std::unordered_map<flat::NodeId, std::vector<flat::NodeId>> out_of;
-  for (const flat::EdgeRecord& e : edges) out_of[e.src].push_back(e.dst);
-  // Level-bucketed multi-source BFS where a node's level is
-  // min(base + dist) over seeds — bases are 0/1 and hops cost 1, so
-  // expanding levels in order is exact (a tiny Dijkstra with unit edges).
-  std::unordered_map<flat::NodeId, int> best;
-  std::vector<std::vector<flat::NodeId>> bucket(
-      static_cast<std::size_t>(num_layers) + 1);
-  for (const auto& [id, base] : cache_seeds) {
-    if (base > num_layers) continue;
-    auto [it, inserted] = best.emplace(id, base);
-    if (inserted || base < it->second) {
-      it->second = base;
-      bucket[base].push_back(id);
-    }
-  }
-  for (int level = 0; level <= num_layers; ++level) {
-    for (std::size_t i = 0; i < bucket[level].size(); ++i) {
-      const flat::NodeId v = bucket[level][i];
-      if (best[v] != level) continue;  // superseded by a lower level
-      if (level == num_layers) continue;
-      auto it = out_of.find(v);
-      if (it == out_of.end()) continue;
-      for (flat::NodeId dst : it->second) {
-        auto [jt, inserted] = best.emplace(dst, level + 1);
-        if (inserted || level + 1 < jt->second) {
-          jt->second = level + 1;
-          bucket[level + 1].push_back(dst);
-        }
-      }
-    }
-  }
+    const flat::TableGraph& post, int num_layers) {
+  const std::unordered_map<flat::NodeId, int> levels =
+      post.Levels(cache_seeds, flat::TableGraph::Direction::kOut, num_layers);
   std::vector<std::pair<flat::NodeId, int32_t>> out;
-  out.reserve(best.size());
-  for (const auto& [id, level] : best) {
+  out.reserve(levels.size());
+  for (const auto& [id, level] : levels) {
     out.emplace_back(id, static_cast<int32_t>(std::max(1, level)));
   }
   std::sort(out.begin(), out.end());

@@ -24,9 +24,12 @@
 // the dirt then propagates one out-hop per round: (x, r) is stale iff
 // r >= base(w) + dist(w -> x) for some directly-dirty seed (w, base). A
 // feature update at u seeds (u, base 0) — u's round-0 embedding is its raw
-// feature row. Distances are taken over the union of the pre- and
-// post-mutation edge tables, which upper-bounds both the old influence
-// being removed and the new influence being added.
+// feature row. Distances must bound both the old influence removed and the
+// new influence added, i.e. hold over every pre- and post-mutation edge.
+// The post-mutation graph alone gives the same levels: an edge the batch
+// removed, x -> y, ends at y, which the batch itself seeds at level <= 1
+// (0 for the dataset closure), so no path through it lowers any level.
+// The same holds for GCN's outN(a): a removed a -> y adds only y.
 
 #pragma once
 
@@ -35,6 +38,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "flat/table_graph.h"
 #include "flat/tables.h"
 #include "gnn/model.h"
 
@@ -62,12 +66,16 @@ struct Mutation {
 agl::Result<std::vector<Mutation>> ParseMutationStream(
     const std::string& text);
 
-/// Applies one mutation to the service's node/edge tables. Strict, so a
-/// mutation either happened exactly or not at all: kAddEdge requires both
-/// endpoints in the node table and no existing (src, dst) edge
-/// (multi-edges are not supported by the serving path); kRemoveEdge
-/// requires the edge to exist; kUpdateFeatures requires the node to exist
-/// and the replacement row to keep the table's feature width.
+/// Applies one mutation to `graph` in place, in O(degree), and returns its
+/// inverse (a removal's inverse re-adds the removed record; an update's
+/// restores the old row), so a failed batch rolls back without a snapshot.
+/// Strict — the checks of flat::TableGraph's mutators: kAddEdge requires
+/// both endpoints in the node table and no existing (src, dst) edge;
+/// kRemoveEdge requires the edge; kUpdateFeatures requires the node and
+/// the table's feature width.
+agl::Result<Mutation> ApplyMutation(const Mutation& m,
+                                    flat::TableGraph* graph);
+/// The same on plain tables; edge rows may be reordered.
 agl::Status ApplyMutation(const Mutation& m,
                           std::vector<flat::NodeRecord>* nodes,
                           std::vector<flat::EdgeRecord>* edges);
@@ -76,7 +84,7 @@ agl::Status ApplyMutation(const Mutation& m,
 struct DirtySeeds {
   /// Structural seeds for the flattened dataset: a node whose round-0 info
   /// (its table row + its in-edge set) changed. Forward K-hop closure of
-  /// these over pre+post edges = the dirty stored targets.
+  /// these over the post-mutation graph = the dirty stored targets.
   std::vector<flat::NodeId> dataset_seeds;
   /// Model-aware (node, base-round) seeds for the embedding store: the
   /// node's aggregation row changed (base 1) or its raw features changed
@@ -84,20 +92,22 @@ struct DirtySeeds {
   std::vector<std::pair<flat::NodeId, int>> cache_seeds;
 };
 
-/// Computes both frontiers for `batch` applied on top of `pre_edges`
-/// (yielding `post_edges`). GCN's column-degree coupling reads outN(a)
-/// over the union of the two tables.
+/// Computes both frontiers for `batch`, already applied to `post`. GCN's
+/// column-degree coupling reads outN(a) there.
 DirtySeeds ComputeDirtySeeds(gnn::ModelType model,
                              const std::vector<Mutation>& batch,
-                             const std::vector<flat::EdgeRecord>& pre_edges,
-                             const std::vector<flat::EdgeRecord>& post_edges);
+                             const flat::TableGraph& post);
 
 /// Propagates cache seeds through `num_layers` rounds of out-edge hops over
-/// `edges` (pass the pre+post union) and returns the per-node invalidation
+/// `post` and returns the per-node invalidation
 /// floor: pairs (node, min_round) meaning every cached (node, r >= min_round)
 /// entry is stale. min_round is clamped to >= 1 (round 0 is never cached)
 /// and nodes whose best seed distance exceeds `num_layers` are dropped
 /// (their cached rounds all predate the dirt's arrival).
+std::vector<std::pair<flat::NodeId, int32_t>> PropagateInvalidations(
+    const std::vector<std::pair<flat::NodeId, int>>& cache_seeds,
+    const flat::TableGraph& post, int num_layers);
+
 /// Order-insensitive fingerprint of the graph table contents (every field
 /// of every row, combined commutatively, plus the row counts). Two table
 /// pairs fingerprint equal iff they hold the same multiset of rows — so a
@@ -107,9 +117,5 @@ DirtySeeds ComputeDirtySeeds(gnn::ModelType model,
 /// whose graph no longer matches the serving tables must come up cold.
 uint64_t GraphFingerprint(const std::vector<flat::NodeRecord>& nodes,
                           const std::vector<flat::EdgeRecord>& edges);
-
-std::vector<std::pair<flat::NodeId, int32_t>> PropagateInvalidations(
-    const std::vector<std::pair<flat::NodeId, int>>& cache_seeds,
-    const std::vector<flat::EdgeRecord>& edges, int num_layers);
 
 }  // namespace agl::serve

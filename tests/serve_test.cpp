@@ -17,8 +17,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <random>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -163,49 +166,276 @@ TEST(MutationTest, ApplyIsStrictAndAtomicPerMutation) {
   EXPECT_EQ(nodes[0].features, (std::vector<float>{5.f, 6.f}));
 }
 
+TEST(MutationTest, ParseRejectsMalformedNumbers) {
+  for (const char* line :
+       {"remove-edge -1 2", "remove-edge 99999999999999999999999 2",
+        "remove-edge 1 2x", "update-features +4 1,2",
+        "update-features 4 1,2,", "update-features 4 ,1",
+        "update-features 4 1,,2", "update-features 4 1,2x",
+        "add-edge 1 2 1e99", "add-edge 1 2 w", "add-edge 1 2 1 0.5,",
+        "add-edge 0x1 2 1"}) {
+    EXPECT_EQ(Mutation::Parse(line).status().code(),
+              StatusCode::kInvalidArgument)
+        << line;
+  }
+  auto ok = Mutation::Parse("update-features 4 -1.5,2e-3");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->features, (std::vector<float>{-1.5f, 2e-3f}));
+}
+
+/// Nodes 1..n with one-wide feature rows.
+std::vector<flat::NodeRecord> NodesUpTo(flat::NodeId n) {
+  std::vector<flat::NodeRecord> nodes;
+  for (flat::NodeId id = 1; id <= n; ++id) nodes.push_back({id, {0.f}, -1, {}});
+  return nodes;
+}
+
 TEST(MutationTest, DirtySeedsAreModelAware) {
   // Chain 1 -> 2 -> 3 plus 2 -> 4 (so outN(2) = {3, 4}).
-  const std::vector<flat::EdgeRecord> pre = {
-      {1, 2, 1.f, {}}, {2, 3, 1.f, {}}, {2, 4, 1.f, {}}};
-  std::vector<flat::EdgeRecord> post = pre;
+  flat::TableGraph graph(NodesUpTo(5),
+                         {{1, 2, 1.f, {}}, {2, 3, 1.f, {}}, {2, 4, 1.f, {}}});
   const Mutation add = *Mutation::Parse("add-edge 2 5 1");
-  post.push_back(add.edge);
+  ASSERT_TRUE(ApplyMutation(add, &graph).ok());
 
   // Row-normalized models: only the destination's gather row changes.
   DirtySeeds sage =
-      ComputeDirtySeeds(gnn::ModelType::kGraphSage, {add}, pre, post);
+      ComputeDirtySeeds(gnn::ModelType::kGraphSage, {add}, graph);
   EXPECT_EQ(sage.dataset_seeds, (std::vector<flat::NodeId>{5}));
   EXPECT_EQ(sage.cache_seeds,
             (std::vector<std::pair<flat::NodeId, int>>{{5, 1}}));
 
   // GCN: col_deg(2) changes, so rows {2} + outN(2) join the dst.
-  DirtySeeds gcn = ComputeDirtySeeds(gnn::ModelType::kGcn, {add}, pre, post);
+  DirtySeeds gcn = ComputeDirtySeeds(gnn::ModelType::kGcn, {add}, graph);
   EXPECT_EQ(gcn.dataset_seeds, (std::vector<flat::NodeId>{5}));
   EXPECT_EQ(gcn.cache_seeds, (std::vector<std::pair<flat::NodeId, int>>{
                                  {2, 1}, {3, 1}, {4, 1}, {5, 1}}));
 
   // A feature update seeds the node itself at base round 0.
   const Mutation feat = *Mutation::Parse("update-features 1 9");
-  DirtySeeds f = ComputeDirtySeeds(gnn::ModelType::kGcn, {feat}, pre, pre);
+  DirtySeeds f = ComputeDirtySeeds(gnn::ModelType::kGcn, {feat}, graph);
   EXPECT_EQ(f.cache_seeds,
             (std::vector<std::pair<flat::NodeId, int>>{{1, 0}}));
+
+  // GCN removal: outN(2) after the batch is {4, 5}; the removed edge's
+  // dst, 3, is a seed of its own.
+  const Mutation remove = *Mutation::Parse("remove-edge 2 3");
+  ASSERT_TRUE(ApplyMutation(remove, &graph).ok());
+  DirtySeeds gone = ComputeDirtySeeds(gnn::ModelType::kGcn, {remove}, graph);
+  EXPECT_EQ(gone.cache_seeds, (std::vector<std::pair<flat::NodeId, int>>{
+                                  {2, 1}, {3, 1}, {4, 1}, {5, 1}}));
 }
 
 TEST(MutationTest, PropagationFloorsFollowOutEdgeDistance) {
   // 1 -> 2 -> 3 -> 4, K = 2.
-  const std::vector<flat::EdgeRecord> edges = {
-      {1, 2, 1.f, {}}, {2, 3, 1.f, {}}, {3, 4, 1.f, {}}};
+  const flat::TableGraph graph(
+      NodesUpTo(4), {{1, 2, 1.f, {}}, {2, 3, 1.f, {}}, {3, 4, 1.f, {}}});
   // Feature update at 1 (base 0): floor 1 at node 1, 1 at node 2 (its
   // round-1 embedding aggregates 1's features), 2 at node 3; node 4 is 3
   // hops out — beyond every cached round, so it is absent.
-  auto floors = PropagateInvalidations({{1, 0}}, edges, 2);
+  auto floors = PropagateInvalidations({{1, 0}}, graph, 2);
   EXPECT_EQ(floors, (std::vector<std::pair<flat::NodeId, int32_t>>{
                         {1, 1}, {2, 1}, {3, 2}}));
   // Edge mutation dirtying row 2 (base 1): node 2 from round 1, node 3
   // from round 2; node 4 would start at round 3 > K.
-  floors = PropagateInvalidations({{2, 1}}, edges, 2);
+  floors = PropagateInvalidations({{2, 1}}, graph, 2);
   EXPECT_EQ(floors, (std::vector<std::pair<flat::NodeId, int32_t>>{
                         {2, 1}, {3, 2}}));
+}
+
+// --- TableGraph properties ------------------------------------------------
+
+std::map<flat::NodeId, int> Ordered(
+    const std::unordered_map<flat::NodeId, int>& levels) {
+  return {levels.begin(), levels.end()};
+}
+
+/// Brute-force oracle for TableGraph::Levels: Bellman-Ford relaxation of
+/// min(base + dist) over every table edge.
+std::map<flat::NodeId, int> OracleLevels(
+    const std::vector<flat::EdgeRecord>& edges,
+    const std::vector<std::pair<flat::NodeId, int>>& seeds,
+    flat::TableGraph::Direction dir, int max_level) {
+  std::map<flat::NodeId, int> level;
+  for (const auto& [id, base] : seeds) {
+    if (base < 0 || base > max_level) continue;
+    auto [it, inserted] = level.emplace(id, base);
+    if (!inserted) it->second = std::min(it->second, base);
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const flat::EdgeRecord& e : edges) {
+      const bool in = dir == flat::TableGraph::Direction::kIn;
+      const flat::NodeId from = in ? e.dst : e.src;
+      const flat::NodeId to = in ? e.src : e.dst;
+      auto it = level.find(from);
+      if (it == level.end() || it->second + 1 > max_level) continue;
+      auto [jt, inserted] = level.emplace(to, it->second + 1);
+      if (inserted || it->second + 1 < jt->second) {
+        jt->second = it->second + 1;
+        changed = true;
+      }
+    }
+  }
+  return level;
+}
+
+/// The index must equal one rebuilt from its own tables: same row map and,
+/// per node, the same in/out edge rows as multisets.
+void ExpectIndexMatchesRebuild(const flat::TableGraph& graph,
+                               flat::NodeId max_id) {
+  const flat::TableGraph rebuilt(graph.nodes(), graph.edges());
+  for (flat::NodeId id = 0; id <= max_id; ++id) {
+    ASSERT_EQ(graph.NodeRow(id), rebuilt.NodeRow(id)) << "node " << id;
+    for (auto dir : {flat::TableGraph::Direction::kIn,
+                     flat::TableGraph::Direction::kOut}) {
+      std::vector<std::size_t> got = graph.Adjacent(id, dir);
+      std::vector<std::size_t> want = rebuilt.Adjacent(id, dir);
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(got, want) << "node " << id;
+    }
+  }
+}
+
+TEST(TableGraphTest, RandomMutationsKeepIndexAndLevelsExact) {
+  constexpr flat::NodeId kNodes = 24;
+  for (uint32_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&](flat::NodeId n) {
+      return static_cast<flat::NodeId>(rng() % n);
+    };
+    std::vector<flat::NodeRecord> nodes;
+    for (flat::NodeId id = 0; id < kNodes; ++id) {
+      nodes.push_back({id, {static_cast<float>(id), 1.f}, -1, {}});
+    }
+    std::set<std::pair<flat::NodeId, flat::NodeId>> present;
+    std::vector<flat::EdgeRecord> edges;
+    for (int i = 0; i < 50; ++i) {
+      const flat::NodeId src = pick(kNodes), dst = pick(kNodes);
+      if (present.insert({src, dst}).second) {
+        edges.push_back({src, dst, 1.f + static_cast<float>(i), {}});
+      }
+    }
+    flat::TableGraph graph(nodes, edges);
+    // The reference model the graph's tables must match as multisets.
+    std::map<std::pair<flat::NodeId, flat::NodeId>, float> model_edges;
+    for (const auto& e : edges) model_edges[{e.src, e.dst}] = e.weight;
+    std::map<flat::NodeId, std::vector<float>> model_rows;
+    for (const auto& n : nodes) model_rows[n.id] = n.features;
+
+    for (int step = 0; step < 60; ++step) {
+      // A batch of 1-4 mutations; some fail (absent edge, duplicate,
+      // unknown node, wrong width) and roll the batch back, and some
+      // successful batches are rolled back on purpose.
+      std::vector<Mutation> batch;
+      const int size = 1 + static_cast<int>(rng() % 4);
+      for (int k = 0; k < size; ++k) {
+        Mutation m;
+        const flat::NodeId a = pick(kNodes + 2), b = pick(kNodes);
+        switch (rng() % 3) {
+          case 0:
+            m.type = Mutation::Type::kAddEdge;
+            m.edge = {a, b, 0.5f + static_cast<float>(step), {}};
+            break;
+          case 1: {
+            m.type = Mutation::Type::kRemoveEdge;
+            if (!model_edges.empty() && rng() % 4 != 0) {
+              auto it = model_edges.begin();
+              std::advance(it, rng() % model_edges.size());
+              m.edge.src = it->first.first;
+              m.edge.dst = it->first.second;
+            } else {
+              m.edge = {a, b, 1.f, {}};
+            }
+            break;
+          }
+          default:
+            m.type = Mutation::Type::kUpdateFeatures;
+            m.node = a;
+            m.features.assign(rng() % 8 == 0 ? 3 : 2,
+                              static_cast<float>(step));
+            break;
+        }
+        batch.push_back(m);
+      }
+      const std::vector<flat::EdgeRecord> pre_edges = graph.edges();
+      std::vector<Mutation> undo;
+      bool failed = false;
+      for (const Mutation& m : batch) {
+        auto inverse = ApplyMutation(m, &graph);
+        if (!inverse.ok()) {
+          failed = true;
+          break;
+        }
+        undo.push_back(*inverse);
+      }
+      if (failed || rng() % 5 == 0) {
+        for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+          ASSERT_TRUE(ApplyMutation(*it, &graph).ok()) << it->ToString();
+        }
+      } else {
+        for (const Mutation& m : batch) {
+          if (m.type == Mutation::Type::kAddEdge) {
+            model_edges[{m.edge.src, m.edge.dst}] = m.edge.weight;
+          } else if (m.type == Mutation::Type::kRemoveEdge) {
+            model_edges.erase({m.edge.src, m.edge.dst});
+          } else {
+            model_rows[m.node] = m.features;
+          }
+        }
+      }
+
+      // Tables == the reference model; node rows never moved.
+      std::map<std::pair<flat::NodeId, flat::NodeId>, float> got_edges;
+      for (const auto& e : graph.edges()) {
+        ASSERT_TRUE(got_edges.emplace(std::pair{e.src, e.dst}, e.weight)
+                        .second);
+      }
+      ASSERT_EQ(got_edges, model_edges) << "seed " << seed << " step " << step;
+      ASSERT_EQ(graph.nodes().size(), static_cast<std::size_t>(kNodes));
+      for (flat::NodeId id = 0; id < kNodes; ++id) {
+        ASSERT_EQ(graph.nodes()[id].id, id);
+        ASSERT_EQ(graph.nodes()[id].features, model_rows[id]);
+      }
+      ExpectIndexMatchesRebuild(graph, kNodes + 2);
+
+      // Levels == the brute-force oracle, both directions, mixed 0/1
+      // bases.
+      std::vector<std::pair<flat::NodeId, int>> seeds;
+      for (int k = 0; k < 3; ++k) {
+        seeds.emplace_back(pick(kNodes + 2), static_cast<int>(rng() % 2));
+      }
+      for (auto dir : {flat::TableGraph::Direction::kIn,
+                       flat::TableGraph::Direction::kOut}) {
+        for (int max_level = 0; max_level <= 3; ++max_level) {
+          ASSERT_EQ(Ordered(graph.Levels(seeds, dir, max_level)),
+                    OracleLevels(graph.edges(), seeds, dir, max_level))
+              << "seed " << seed << " step " << step;
+        }
+      }
+
+      // An applied batch's seeds, floors and dataset closure over the post
+      // graph alone equal those over the union of the pre- and
+      // post-mutation tables.
+      if (failed || undo.empty() || graph.edges() == pre_edges) continue;
+      std::vector<flat::EdgeRecord> both = pre_edges;
+      both.insert(both.end(), graph.edges().begin(), graph.edges().end());
+      const flat::TableGraph joined(graph.nodes(), both);
+      for (auto type : {gnn::ModelType::kGcn, gnn::ModelType::kGraphSage}) {
+        const DirtySeeds post = ComputeDirtySeeds(type, batch, graph);
+        const DirtySeeds pre_post = ComputeDirtySeeds(type, batch, joined);
+        ASSERT_EQ(post.dataset_seeds, pre_post.dataset_seeds);
+        ASSERT_EQ(post.cache_seeds, pre_post.cache_seeds);
+        ASSERT_EQ(PropagateInvalidations(post.cache_seeds, graph, 2),
+                  PropagateInvalidations(post.cache_seeds, joined, 2));
+        std::vector<std::pair<flat::NodeId, int>> starts;
+        for (flat::NodeId id : post.dataset_seeds) starts.emplace_back(id, 0);
+        const auto out = flat::TableGraph::Direction::kOut;
+        ASSERT_EQ(Ordered(graph.Levels(starts, out, 2)),
+                  Ordered(joined.Levels(starts, out, 2)));
+      }
+    }
+  }
 }
 
 // --- config validation ----------------------------------------------------
@@ -551,6 +781,28 @@ TEST_F(ServeTest, StoreReopenAgainstDifferentGraphStartsCold) {
   }
 }
 
+// A rollback re-adds removed edges through the strict mutators, so an edge
+// they would never admit (here one into an id outside the node table)
+// cannot come back: the batch fails as kInternal rather than silently.
+TEST_F(ServeTest, RollbackThatCannotRestoreAnEdgeIsInternal) {
+  data::Dataset ds = SmallUug(20);
+  gnn::ModelConfig mconfig =
+      SmallModel(gnn::ModelType::kGraphSage, 2, ds.feature_dim);
+  const auto state = gnn::GnnModel(mconfig).StateDict();
+  mr::LocalDfs dfs = OpenDfs();
+  std::vector<flat::EdgeRecord> edges = ds.edges;
+  edges.push_back({0, 777, 1.f, {}});
+  ServeConfig config;
+  config.infer.model = mconfig;
+  auto svc = agl::Run(config, state, ds.nodes, edges, &dfs);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  EXPECT_EQ((*svc)
+                ->ApplyMutations({*Mutation::Parse("remove-edge 0 777"),
+                                  *Mutation::Parse("add-edge 0 424242 1")})
+                .code(),
+            StatusCode::kInternal);
+}
+
 // --- mutations ------------------------------------------------------------
 
 class ServeMutationTest
@@ -658,6 +910,99 @@ TEST_P(ServeMutationTest, MutationStreamKeepsServingByteIdenticalToCold) {
   auto unmoved = service.Score(all);
   ASSERT_TRUE(unmoved.ok());
   ExpectScoresIdentical(*unmoved, *after, "rollback left the graph alone");
+}
+
+// A batch that fails after a successful remove-edge and update-features
+// rolls back by inverses; the service must then keep serving exactly. The
+// next batch adds and removes the same edge (a removed-list entry that is
+// in neither table) and removes an edge whose source keeps other
+// out-neighbours (GCN reads that source's out-row before and after).
+TEST_P(ServeMutationTest, RollbackThenNextBatchStaysByteIdenticalToCold) {
+  const gnn::ModelType type = GetParam();
+  data::Dataset ds = SmallUug(50);
+  gnn::ModelConfig mconfig = SmallModel(type, 2, ds.feature_dim);
+  const auto state = gnn::GnnModel(mconfig).StateDict();
+  const std::vector<flat::NodeId> all = AllIds(ds);
+  mr::LocalDfs dfs = OpenDfs();
+
+  flat::GraphFlatConfig fconfig;
+  fconfig.hops = 2;
+  fconfig.targets = flat::GraphFlatConfig::Targets::kLabeledNodes;
+  ASSERT_TRUE(agl::Run(fconfig, ds.nodes, ds.edges, &dfs, "features").ok());
+  ServeConfig config;
+  config.infer.model = mconfig;
+  config.infer.batch_slices = 3;
+  config.features_dataset = "features";
+  config.flat = fconfig;
+  auto svc = agl::Run(config, state, ds.nodes, ds.edges, &dfs);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  InferenceService& service = **svc;
+  ASSERT_TRUE(service.Score(all).ok());
+
+  auto edge_line = [](const char* op, flat::NodeId src, flat::NodeId dst) {
+    return *Mutation::Parse(std::string(op) + " " + std::to_string(src) +
+                            " " + std::to_string(dst) +
+                            (op[0] == 'a' ? " 2" : ""));
+  };
+  std::map<flat::NodeId, int> out_degree;
+  std::set<std::pair<flat::NodeId, flat::NodeId>> present;
+  for (const auto& e : ds.edges) {
+    ++out_degree[e.src];
+    present.insert({e.src, e.dst});
+  }
+  const flat::EdgeRecord* fanout = nullptr;
+  for (const auto& e : ds.edges) {
+    if (out_degree[e.src] >= 2 && &e != &ds.edges[0]) {
+      fanout = &e;
+      break;
+    }
+  }
+  ASSERT_NE(fanout, nullptr);
+  std::pair<flat::NodeId, flat::NodeId> absent{1, 1};
+  for (const auto& n : ds.nodes) {
+    if (n.id != 1 && !present.count({1, n.id})) {
+      absent = {1, n.id};
+      break;
+    }
+  }
+  ASSERT_NE(absent.second, 1u);
+
+  std::vector<Mutation> doomed = {
+      edge_line("remove-edge", ds.edges[0].src, ds.edges[0].dst),
+      *Mutation::Parse("update-features 3 9,8,7,6,5,4"),
+      *Mutation::Parse("add-edge 0 424242 1")};
+  EXPECT_EQ(service.ApplyMutations(doomed).code(), StatusCode::kNotFound);
+  auto unmoved = service.Score(all);
+  ASSERT_TRUE(unmoved.ok());
+  ExpectScoresIdentical(
+      *unmoved, ColdScores(config.infer, state, ds.nodes, ds.edges, all),
+      "after rollback");
+
+  const std::vector<Mutation> batch = {
+      edge_line("add-edge", absent.first, absent.second),
+      edge_line("remove-edge", absent.first, absent.second),
+      edge_line("remove-edge", fanout->src, fanout->dst),
+      *Mutation::Parse("update-features 5 1,2,3,4,5,6")};
+  ASSERT_TRUE(service.ApplyMutations(batch).ok());
+  std::vector<flat::NodeRecord> nodes = ds.nodes;
+  std::vector<flat::EdgeRecord> edges = ds.edges;
+  for (const Mutation& m : batch) {
+    ASSERT_TRUE(ApplyMutation(m, &nodes, &edges).ok());
+  }
+  auto served = service.Score(all);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ExpectScoresIdentical(*served,
+                        ColdScores(config.infer, state, nodes, edges, all),
+                        std::string("after the next batch ") +
+                            gnn::ModelTypeName(type));
+
+  ASSERT_TRUE(agl::Run(fconfig, nodes, edges, &dfs, "features_cold").ok());
+  auto incremental = dfs.ReadDataset("features");
+  auto cold = dfs.ReadDataset("features_cold");
+  ASSERT_TRUE(incremental.ok());
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(*incremental, *cold);
+  EXPECT_EQ(service.stats().mutation_batches, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ServeMutationTest,
