@@ -21,7 +21,7 @@ bool IsTargetNode(const GraphFlatConfig& config, const NodeRecord& n) {
 
 agl::Status ReflattenDirty(const GraphFlatConfig& config,
                            const TableGraph& graph,
-                           const std::vector<NodeId>& dirty,
+                           const std::vector<NodeId>& changed,
                            mr::LocalDfs* dfs, const std::string& dataset,
                            ReflattenStats* stats) {
   Stopwatch watch;
@@ -90,12 +90,16 @@ agl::Status ReflattenDirty(const GraphFlatConfig& config,
     }
   }
 
+  std::vector<std::pair<NodeId, int>> seeds;
+  for (NodeId id : changed) seeds.emplace_back(id, 0);
+  const std::unordered_map<NodeId, int> reached =
+      graph.Levels(seeds, TableGraph::Direction::kOut, config.hops);
   std::unordered_set<NodeId> dirty_targets;
-  for (NodeId id : dirty) {
-    if (target_set.count(id) > 0) dirty_targets.insert(id);
+  for (const auto& entry : reached) {
+    if (target_set.count(entry.first) > 0) dirty_targets.insert(entry.first);
   }
   ReflattenStats local;
-  local.candidate_targets = static_cast<int64_t>(dirty.size());
+  local.candidate_targets = static_cast<int64_t>(reached.size());
   local.dirty_targets = static_cast<int64_t>(dirty_targets.size());
   local.reused_payloads =
       static_cast<int64_t>(target_set.size() - dirty_targets.size());
@@ -112,7 +116,7 @@ agl::Status ReflattenDirty(const GraphFlatConfig& config,
   // is what makes the dirty targets' re-flattened states exact: a target's
   // final state is the union of the round-0 infos of its <=K in-hop
   // sources, and every node on such a path is itself in the closure.
-  std::vector<std::pair<NodeId, int>> seeds;
+  seeds.clear();
   for (NodeId t : dirty_targets) seeds.emplace_back(t, 0);
   const std::unordered_map<NodeId, int> kept =
       graph.Levels(seeds, TableGraph::Direction::kIn, config.hops);

@@ -5,8 +5,9 @@
 // dirties target t iff one of its K-hop in-neighborhood round-0 infos
 // changed — i.e. iff a mutated node's *forward* (out-edge) K-hop closure
 // reaches t (TableGraph::Levels over the post-mutation graph; see
-// serve/mutation.h). ReflattenDirty re-runs the GraphFlat pipeline only on the
-// union of the dirty targets' K-hop in-neighborhoods, walked on the same
+// serve/mutation.h for why the removed edges need not be walked).
+// ReflattenDirty finds those targets and re-runs the GraphFlat pipeline
+// only on the union of their K-hop in-neighborhoods, walked on the same
 // TableGraph (every <=K in-path of a dirty target survives the pruning, so
 // the re-flattened features are byte-identical to a cold full run over the
 // mutated graph — the GraphLab DynPageRank idea of re-activating only
@@ -32,7 +33,7 @@
 namespace agl::flat {
 
 struct ReflattenStats {
-  int64_t candidate_targets = 0;  // dirty candidates passed in
+  int64_t candidate_targets = 0;  // nodes in the changed nodes' closure
   int64_t dirty_targets = 0;      // candidates that are stored targets
   int64_t reused_payloads = 0;    // stored features carried over untouched
   int64_t pruned_nodes = 0;       // node rows the re-run actually processed
@@ -40,11 +41,12 @@ struct ReflattenStats {
   double elapsed_seconds = 0;
 };
 
-/// Recomputes the flattened features of the targets in `dirty` (candidates
-/// outside the stored target set are ignored) against the *post-mutation*
-/// `graph` (walking only their K-hop in-closure) and republishes `dataset`
-/// with every other stored payload reused as-is: byte-identical to a cold
-/// `RunGraphFlat` over the graph's tables.
+/// Recomputes the flattened features of the stored targets within
+/// `config.hops` out-hops of a `changed` node (one whose table row or
+/// in-edge set changed) against the *post-mutation* `graph` (walking only
+/// their K-hop in-closure) and republishes `dataset` with every other
+/// stored payload reused as-is: byte-identical to a cold `RunGraphFlat`
+/// over the graph's tables.
 ///
 /// Requirements (kFailedPrecondition otherwise): `dataset` exists and
 /// stores exactly the current target set, `config.sampler` is
@@ -53,7 +55,7 @@ struct ReflattenStats {
 /// pruned re-run diverge from the cold reference.
 agl::Status ReflattenDirty(const GraphFlatConfig& config,
                            const TableGraph& graph,
-                           const std::vector<NodeId>& dirty,
+                           const std::vector<NodeId>& changed,
                            mr::LocalDfs* dfs, const std::string& dataset,
                            ReflattenStats* stats = nullptr);
 

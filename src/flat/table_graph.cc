@@ -34,6 +34,12 @@ void TableGraph::Link(std::size_t row) {
   vertex_of_[edges_[row].dst].in.push_back(row);
 }
 
+void TableGraph::Release(std::vector<NodeRecord>* nodes,
+                         std::vector<EdgeRecord>* edges) && {
+  *nodes = std::move(nodes_);
+  *edges = std::move(edges_);
+}
+
 int64_t TableGraph::NodeRow(NodeId id) const {
   auto it = vertex_of_.find(id);
   return it == vertex_of_.end() ? -1 : it->second.row;
@@ -125,9 +131,13 @@ agl::Status TableGraph::AddEdge(EdgeRecord edge) {
         "edge feature width " + std::to_string(edge.features.size()) +
         " != table width " + std::to_string(edges_[0].features.size()));
   }
+  InsertEdge(std::move(edge));
+  return agl::Status::OK();
+}
+
+void TableGraph::InsertEdge(EdgeRecord edge) {
   edges_.push_back(std::move(edge));
   Link(edges_.size() - 1);
-  return agl::Status::OK();
 }
 
 agl::Result<EdgeRecord> TableGraph::RemoveEdge(NodeId src, NodeId dst) {

@@ -31,6 +31,9 @@ class TableGraph {
 
   const std::vector<NodeRecord>& nodes() const { return nodes_; }
   const std::vector<EdgeRecord>& edges() const { return edges_; }
+  /// Moves the tables out; the graph is spent.
+  void Release(std::vector<NodeRecord>* nodes,
+               std::vector<EdgeRecord>* edges) &&;
 
   /// Row of node `id` in nodes(), or -1 when the node table lacks it.
   int64_t NodeRow(NodeId id) const;
@@ -59,8 +62,12 @@ class TableGraph {
   /// (src, dst) edge is present, kInvalidArgument when the feature width
   /// differs from the table's.
   agl::Status AddEdge(EdgeRecord edge);
-  /// Returns the removed edge; kNotFound if absent.
+  /// Returns the removed edge; kNotFound if absent. Of several (src, dst)
+  /// rows (a multi-edge), which one goes is unspecified.
   agl::Result<EdgeRecord> RemoveEdge(NodeId src, NodeId dst);
+  /// Appends `edge` without AddEdge's checks — the exact undo of
+  /// RemoveEdge, which must be able to restore any row the tables held.
+  void InsertEdge(EdgeRecord edge);
   /// Returns the old row; kNotFound for an unknown node, kInvalidArgument
   /// for a width change.
   agl::Result<std::vector<float>> SetFeatures(NodeId id,

@@ -219,8 +219,8 @@ class InferReducer : public mr::Reducer {
   RoundContext ctx_;
 };
 
-/// The MapReduce round schedule over one pruned slice graph — the batched
-/// driver's per-slice body.
+/// The MapReduce round schedule over one (possibly pruned) input graph —
+/// the body both RunGraphInfer and the batched driver share.
 agl::Result<InferResult> RunInferCore(const InferConfig& config,
                                       const std::vector<NodeRecord>& nodes,
                                       const std::vector<EdgeRecord>& edges,
@@ -347,6 +347,44 @@ agl::Result<InferResult> RunInferCore(const InferConfig& config,
   return result;
 }
 
+/// Target-subset pruning: runs the round schedule over the union of the
+/// targets' K-hop in-neighborhoods, found by walking only that frontier,
+/// and adds the targets' scores and the run's costs to `out`. Nodes outside
+/// can never influence a target's embedding (Theorem 1), so dropping them
+/// up front is the inference-side analogue of the trainer's graph pruning.
+agl::Status RunPruned(const InferConfig& config,
+                      const flat::TableGraph& graph,
+                      const std::vector<NodeId>& targets, RoundContext ctx,
+                      InferResult* out) {
+  std::vector<std::pair<NodeId, int>> seeds;
+  for (NodeId t : targets) seeds.emplace_back(t, 0);
+  const std::unordered_map<NodeId, int> depth =
+      graph.Levels(seeds, Direction::kIn, config.model.num_layers);
+  const auto [nodes, edges] = graph.Slice(depth, /*src_reached=*/true);
+  ctx.depth = &depth;
+  // The pruning kept every node and edge: the slice covers the graph.
+  ctx.cache_all_rounds = nodes.size() == graph.nodes().size() &&
+                         edges.size() == graph.edges().size();
+  // GCN's symmetric normalization folds in *out*-degrees, which frontier
+  // truncation changes, so a pruned GCN slice has no slice-invariant
+  // embeddings to share — the cache stays out of the loop there (the
+  // complete-graph case is still safe and still cached).
+  if (config.model.type == gnn::ModelType::kGcn && !ctx.cache_all_rounds) {
+    ctx.cache = nullptr;
+  }
+  AGL_ASSIGN_OR_RETURN(InferResult result,
+                       RunInferCore(config, nodes, edges, ctx));
+  out->costs.embedding_evaluations += result.costs.embedding_evaluations;
+  out->costs.memory_gb_minutes += result.costs.memory_gb_minutes;
+  out->costs.cpu_core_minutes += result.costs.cpu_core_minutes;
+  // Keep only the targets' (the depth-0 nodes') scores: neighborhood nodes
+  // were computed with possibly pruned in-neighborhoods of their own.
+  for (auto& entry : result.scores) {
+    if (depth.at(entry.first) == 0) out->scores.push_back(std::move(entry));
+  }
+  return agl::Status::OK();
+}
+
 }  // namespace
 
 agl::Status InferConfig::Validate() const {
@@ -431,13 +469,20 @@ agl::Result<InferResult> RunGraphInfer(
     const std::map<std::string, tensor::Tensor>& state,
     const std::vector<NodeRecord>& nodes,
     const std::vector<EdgeRecord>& edges) {
-  // The batched driver with one slice and no cache: pruned to the targets'
-  // K-hop in-neighborhoods, or over the whole graph when there are none.
-  InferConfig one = config;
-  one.batch_slices = 1;
-  EmbeddingCache none(0);
-  return RunGraphInferBatched(one, state, flat::TableGraph(nodes, edges),
-                              &none);
+  AGL_ASSIGN_OR_RETURN(std::vector<ModelSlice> slices,
+                       SegmentModel(state, config.model));
+  RoundContext ctx;
+  ctx.slices = &slices;
+  if (config.target_ids.empty()) {
+    return RunInferCore(config, nodes, edges, ctx);
+  }
+
+  Stopwatch watch;
+  InferResult out;
+  AGL_RETURN_IF_ERROR(RunPruned(config, flat::TableGraph(nodes, edges),
+                                config.target_ids, ctx, &out));
+  out.costs.time_seconds = watch.Seconds();
+  return out;
 }
 
 agl::Result<InferResult> RunGraphInferBatched(
@@ -479,7 +524,10 @@ agl::Result<InferResult> RunGraphInferBatched(
   const std::vector<std::vector<NodeId>> target_slices =
       PartitionTargets(targets, config.batch_slices);
 
-  const uint64_t version = StateFingerprint(state);
+  RoundContext ctx;
+  ctx.slices = &slices;
+  ctx.cache = store;
+  ctx.model_version = StateFingerprint(state);
   // A shared store accumulates counters across calls; report this call's
   // delta so InferCosts keeps its per-run meaning.
   const EmbeddingCacheStats before = store->stats();
@@ -487,42 +535,7 @@ agl::Result<InferResult> RunGraphInferBatched(
   InferResult out;
   out.num_slices = static_cast<int>(target_slices.size());
   for (const std::vector<NodeId>& slice_targets : target_slices) {
-    // Target-subset pruning: restrict the pipeline to the union of the
-    // targets' K-hop in-neighborhoods, walking only that frontier. Nodes
-    // outside can never influence a target's embedding (Theorem 1), so
-    // dropping them up front is the inference-side analogue of the
-    // trainer's graph pruning. `depth` is each kept node's in-BFS hop.
-    std::vector<std::pair<NodeId, int>> seeds;
-    for (NodeId t : slice_targets) seeds.emplace_back(t, 0);
-    const std::unordered_map<NodeId, int> depth =
-        graph.Levels(seeds, Direction::kIn, config.model.num_layers);
-    const auto [slice_nodes, slice_edges] =
-        graph.Slice(depth, /*src_reached=*/true);
-    // The pruning kept every node and edge: the slice covers the graph.
-    const bool complete = slice_nodes.size() == nodes.size() &&
-                          slice_edges.size() == graph.edges().size();
-    RoundContext ctx;
-    ctx.slices = &slices;
-    ctx.depth = &depth;
-    ctx.cache_all_rounds = complete;
-    ctx.model_version = version;
-    // GCN's symmetric normalization folds in *out*-degrees, which frontier
-    // truncation changes, so a pruned GCN slice has no slice-invariant
-    // embeddings to share — the cache stays out of the loop there (the
-    // complete-graph case is still safe and still cached).
-    const bool gcn_pruned =
-        config.model.type == gnn::ModelType::kGcn && !complete;
-    ctx.cache = gcn_pruned ? nullptr : store;
-    AGL_ASSIGN_OR_RETURN(InferResult slice_result,
-                         RunInferCore(config, slice_nodes, slice_edges, ctx));
-    out.costs.embedding_evaluations +=
-        slice_result.costs.embedding_evaluations;
-    out.costs.memory_gb_minutes += slice_result.costs.memory_gb_minutes;
-    // Keep only the targets' (the depth-0 nodes') scores: neighborhood
-    // nodes were computed with possibly pruned in-neighborhoods of their own.
-    for (auto& entry : slice_result.scores) {
-      if (depth.at(entry.first) == 0) out.scores.push_back(std::move(entry));
-    }
+    AGL_RETURN_IF_ERROR(RunPruned(config, graph, slice_targets, ctx, &out));
   }
   std::sort(out.scores.begin(), out.scores.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });

@@ -313,20 +313,15 @@ void InferenceService::ProcessControlItem(Item item) {
   for (std::size_t i = 0; i < item.mutations.size(); ++i) {
     auto inverse = ApplyMutation(item.mutations[i], &graph_);
     if (!inverse.ok()) {
-      agl::Status status(inverse.status().code(),
-                         "mutation " + std::to_string(i) + " (" +
-                             item.mutations[i].ToString() +
-                             "): " + inverse.status().message());
       for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-        // Only an edge the mutators would never have admitted (an endpoint
-        // outside the node table, a ragged feature width) fails to return.
-        const agl::Status undone = ApplyMutation(*it, &graph_).status();
-        if (!undone.ok()) {
-          status = agl::Status::Internal("rollback (" + it->ToString() +
-                                         "): " + undone.message());
-        }
+        UndoMutation(*it, &graph_);
       }
-      item.pending->Complete(std::move(status), {});
+      item.pending->Complete(
+          agl::Status(inverse.status().code(),
+                      "mutation " + std::to_string(i) + " (" +
+                          item.mutations[i].ToString() +
+                          "): " + inverse.status().message()),
+          {});
       return;
     }
     undo.push_back(std::move(inverse).value());
@@ -347,16 +342,8 @@ void InferenceService::ProcessControlItem(Item item) {
   agl::Status status = agl::Status::OK();
   flat::ReflattenStats rstats;
   if (!config_.features_dataset.empty()) {
-    std::vector<std::pair<flat::NodeId, int>> starts;
-    for (flat::NodeId id : seeds.dataset_seeds) starts.emplace_back(id, 0);
-    std::vector<flat::NodeId> dirty;
-    for (const auto& reached :
-         graph_.Levels(starts, flat::TableGraph::Direction::kOut,
-                       config_.flat.hops)) {
-      dirty.push_back(reached.first);
-    }
-    status = flat::ReflattenDirty(config_.flat, graph_, dirty, dfs_,
-                                  config_.features_dataset, &rstats);
+    status = flat::ReflattenDirty(config_.flat, graph_, seeds.dataset_seeds,
+                                  dfs_, config_.features_dataset, &rstats);
   }
   {
     common::MutexLock lock(&mu_);

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/logging.h"
 #include "flat/csv_io.h"
 
 namespace agl::serve {
@@ -75,27 +76,6 @@ std::string Mutation::ToString() const {
   return "";
 }
 
-agl::Result<std::vector<Mutation>> ParseMutationStream(
-    const std::string& text) {
-  std::vector<Mutation> out;
-  std::istringstream in(text);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    auto parsed = Mutation::Parse(line);
-    if (!parsed.ok()) {
-      return agl::Status::InvalidArgument(
-          "mutation stream line " + std::to_string(lineno) + ": " +
-          parsed.status().message());
-    }
-    out.push_back(std::move(parsed).value());
-  }
-  return out;
-}
-
 agl::Result<Mutation> ApplyMutation(const Mutation& m,
                                     flat::TableGraph* graph) {
   Mutation inverse = m;
@@ -119,13 +99,22 @@ agl::Result<Mutation> ApplyMutation(const Mutation& m,
   return agl::Status::Internal("unreachable mutation type");
 }
 
+void UndoMutation(const Mutation& inverse, flat::TableGraph* graph) {
+  if (inverse.type == Mutation::Type::kAddEdge) {
+    graph->InsertEdge(inverse.edge);
+  } else {
+    // Always re-applies: the edge an AddEdge admitted is the only (src, dst)
+    // row, and an old feature row has the table's width.
+    AGL_CHECK_OK(ApplyMutation(inverse, graph).status());
+  }
+}
+
 agl::Status ApplyMutation(const Mutation& m,
                           std::vector<flat::NodeRecord>* nodes,
                           std::vector<flat::EdgeRecord>* edges) {
   flat::TableGraph graph(std::move(*nodes), std::move(*edges));
   const agl::Status status = ApplyMutation(m, &graph).status();
-  *nodes = graph.nodes();
-  *edges = graph.edges();
+  std::move(graph).Release(nodes, edges);
   return status;
 }
 

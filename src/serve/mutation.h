@@ -44,7 +44,7 @@
 
 namespace agl::serve {
 
-/// One graph mutation. Text form (one per line, '#' comments allowed):
+/// One graph mutation. Text form:
 ///   add-edge <src> <dst> <weight> [f1,f2,...]
 ///   remove-edge <src> <dst>
 ///   update-features <node> f1,f2,...
@@ -61,21 +61,22 @@ struct Mutation {
   std::string ToString() const;
 };
 
-/// Parses a mutation-stream text file body: one mutation per line, blank
-/// lines and lines starting with '#' skipped.
-agl::Result<std::vector<Mutation>> ParseMutationStream(
-    const std::string& text);
-
 /// Applies one mutation to `graph` in place, in O(degree), and returns its
 /// inverse (a removal's inverse re-adds the removed record; an update's
 /// restores the old row), so a failed batch rolls back without a snapshot.
 /// Strict — the checks of flat::TableGraph's mutators: kAddEdge requires
 /// both endpoints in the node table and no existing (src, dst) edge;
-/// kRemoveEdge requires the edge; kUpdateFeatures requires the node and
-/// the table's feature width.
+/// kRemoveEdge requires the edge (on a multi-edge it removes one of the
+/// (src, dst) rows, unspecified which); kUpdateFeatures requires the node
+/// and the table's feature width.
 agl::Result<Mutation> ApplyMutation(const Mutation& m,
                                     flat::TableGraph* graph);
-/// The same on plain tables; edge rows may be reordered.
+/// Applies an inverse returned by ApplyMutation to the graph that mutation
+/// left. Exact and infallible: a removed edge comes back without the
+/// admission checks, so the tables again hold the pre-mutation rows (edge
+/// rows possibly reordered).
+void UndoMutation(const Mutation& inverse, flat::TableGraph* graph);
+/// The same as ApplyMutation on plain tables; edge rows may be reordered.
 agl::Status ApplyMutation(const Mutation& m,
                           std::vector<flat::NodeRecord>* nodes,
                           std::vector<flat::EdgeRecord>* edges);

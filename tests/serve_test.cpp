@@ -130,14 +130,6 @@ TEST(MutationTest, ParseToStringRoundTrip) {
   EXPECT_FALSE(Mutation::Parse("frobnicate 1 2").ok());
   EXPECT_FALSE(Mutation::Parse("add-edge 1").ok());
   EXPECT_FALSE(Mutation::Parse("update-features x 1,2").ok());
-
-  auto stream = ParseMutationStream(
-      "# warmup\n\nadd-edge 1 2 1\nremove-edge 2 1\n");
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  EXPECT_EQ(stream->size(), 2u);
-  auto bad = ParseMutationStream("add-edge 1 2 1\nnope\n");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("line 2"), std::string::npos);
 }
 
 TEST(MutationTest, ApplyIsStrictAndAtomicPerMutation) {
@@ -371,7 +363,7 @@ TEST(TableGraphTest, RandomMutationsKeepIndexAndLevelsExact) {
       }
       if (failed || rng() % 5 == 0) {
         for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-          ASSERT_TRUE(ApplyMutation(*it, &graph).ok()) << it->ToString();
+          UndoMutation(*it, &graph);
         }
       } else {
         for (const Mutation& m : batch) {
@@ -781,26 +773,59 @@ TEST_F(ServeTest, StoreReopenAgainstDifferentGraphStartsCold) {
   }
 }
 
-// A rollback re-adds removed edges through the strict mutators, so an edge
-// they would never admit (here one into an id outside the node table)
-// cannot come back: the batch fails as kInternal rather than silently.
-TEST_F(ServeTest, RollbackThatCannotRestoreAnEdgeIsInternal) {
+// A rollback restores every edge the batch removed, also ones the strict
+// mutators would never admit: an edge into an id outside the node table
+// and an edge with a ragged feature width (removing row 0 swap-moves it
+// there, the row AddEdge's width check reads). The batch keeps its own
+// error and the service keeps serving the pre-batch tables.
+TEST_F(ServeTest, RollbackRestoresEdgesTheMutatorsWouldRefuse) {
   data::Dataset ds = SmallUug(20);
   gnn::ModelConfig mconfig =
       SmallModel(gnn::ModelType::kGraphSage, 2, ds.feature_dim);
   const auto state = gnn::GnnModel(mconfig).StateDict();
+  const std::vector<flat::NodeId> all = AllIds(ds);
   mr::LocalDfs dfs = OpenDfs();
+  std::set<std::pair<flat::NodeId, flat::NodeId>> present;
+  for (const auto& e : ds.edges) present.insert({e.src, e.dst});
+  flat::EdgeRecord ragged{0, 0, 0.5f, ds.edges[0].features};
+  ragged.features.push_back(0.25f);
+  for (const auto& n : ds.nodes) {
+    if (n.id != 0 && !present.count({0, n.id})) {
+      ragged.dst = n.id;
+      break;
+    }
+  }
+  ASSERT_NE(ragged.dst, 0u);
   std::vector<flat::EdgeRecord> edges = ds.edges;
-  edges.push_back({0, 777, 1.f, {}});
+  edges.push_back({0, 777, 1.f, ds.edges[0].features});
+  edges.push_back(ragged);
   ServeConfig config;
   config.infer.model = mconfig;
   auto svc = agl::Run(config, state, ds.nodes, edges, &dfs);
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();
-  EXPECT_EQ((*svc)
-                ->ApplyMutations({*Mutation::Parse("remove-edge 0 777"),
-                                  *Mutation::Parse("add-edge 0 424242 1")})
+  InferenceService& service = **svc;
+
+  const std::string first = "remove-edge " + std::to_string(edges[0].src) +
+                            " " + std::to_string(edges[0].dst);
+  const std::string third = "remove-edge 0 " + std::to_string(ragged.dst);
+  EXPECT_EQ(service
+                .ApplyMutations({*Mutation::Parse(first),
+                                 *Mutation::Parse("remove-edge 0 777"),
+                                 *Mutation::Parse(third),
+                                 *Mutation::Parse("add-edge 0 424242 1")})
                 .code(),
-            StatusCode::kInternal);
+            StatusCode::kNotFound);
+  auto scores = service.Score(all);
+  ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+  ExpectScoresIdentical(
+      *scores, ColdScores(config.infer, state, ds.nodes, edges, all),
+      "after rollback");
+  // All three edges are back: the same removals now succeed.
+  EXPECT_TRUE(service
+                  .ApplyMutations({*Mutation::Parse(first),
+                                   *Mutation::Parse("remove-edge 0 777"),
+                                   *Mutation::Parse(third)})
+                  .ok());
 }
 
 // --- mutations ------------------------------------------------------------
@@ -914,9 +939,9 @@ TEST_P(ServeMutationTest, MutationStreamKeepsServingByteIdenticalToCold) {
 
 // A batch that fails after a successful remove-edge and update-features
 // rolls back by inverses; the service must then keep serving exactly. The
-// next batch adds and removes the same edge (a removed-list entry that is
-// in neither table) and removes an edge whose source keeps other
-// out-neighbours (GCN reads that source's out-row before and after).
+// next batch adds and removes the same edge (an edge in neither table)
+// and removes an edge whose source keeps other out-neighbours (GCN reads
+// that source's out-row before and after).
 TEST_P(ServeMutationTest, RollbackThenNextBatchStaysByteIdenticalToCold) {
   const gnn::ModelType type = GetParam();
   data::Dataset ds = SmallUug(50);
@@ -1003,6 +1028,109 @@ TEST_P(ServeMutationTest, RollbackThenNextBatchStaysByteIdenticalToCold) {
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(*incremental, *cold);
   EXPECT_EQ(service.stats().mutation_batches, 1);
+}
+
+// No output depends on edge row order. RemoveEdge swap-removes, and the
+// cold references above reorder rows the same way, so they cannot see an
+// order dependence; here the reference keeps table order. Shuffled edge
+// rows give the same GraphFlat bytes and batched scores, and a service
+// started on them and then mutated serves what a cold run over the
+// order-preserving mutated tables gives.
+TEST_P(ServeMutationTest, EdgeRowOrderReachesNoOutput) {
+  const gnn::ModelType type = GetParam();
+  data::Dataset ds = SmallUug(120);
+  gnn::ModelConfig mconfig = SmallModel(type, 2, ds.feature_dim);
+  const auto state = gnn::GnnModel(mconfig).StateDict();
+  const std::vector<flat::NodeId> all = AllIds(ds);
+  mr::LocalDfs dfs = OpenDfs();
+  std::vector<flat::EdgeRecord> shuffled = ds.edges;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+  ASSERT_FALSE(shuffled == ds.edges);
+
+  flat::GraphFlatConfig fconfig;
+  fconfig.hops = 2;
+  fconfig.targets = flat::GraphFlatConfig::Targets::kLabeledNodes;
+  ASSERT_TRUE(agl::Run(fconfig, ds.nodes, ds.edges, &dfs, "features").ok());
+  ASSERT_TRUE(agl::Run(fconfig, ds.nodes, shuffled, &dfs, "shuffled").ok());
+  auto in_order = dfs.ReadDataset("features");
+  auto reordered = dfs.ReadDataset("shuffled");
+  ASSERT_TRUE(in_order.ok());
+  ASSERT_TRUE(reordered.ok());
+  EXPECT_EQ(*in_order, *reordered);
+
+  infer::InferConfig iconfig;
+  iconfig.model = mconfig;
+  iconfig.batch_slices = 3;
+  iconfig.cache_budget_bytes = -1;
+  auto expected = infer::RunGraphInferBatched(iconfig, state, ds.nodes,
+                                              ds.edges);
+  auto actual = infer::RunGraphInferBatched(iconfig, state, ds.nodes,
+                                            shuffled);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  ExpectScoresIdentical(actual->scores, expected->scores,
+                        "shuffled edge rows");
+
+  ServeConfig config;
+  config.infer.model = mconfig;
+  config.infer.batch_slices = 3;
+  config.features_dataset = "shuffled";
+  config.flat = fconfig;
+  auto svc = agl::Run(config, state, ds.nodes, shuffled, &dfs);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  InferenceService& service = **svc;
+  ASSERT_TRUE(service.Score(all).ok());
+  std::set<std::pair<flat::NodeId, flat::NodeId>> present;
+  for (const auto& e : ds.edges) present.insert({e.src, e.dst});
+  std::vector<Mutation> batch;
+  for (std::size_t i : {std::size_t{0}, ds.edges.size() / 2,
+                        ds.edges.size() - 1}) {
+    batch.push_back(*Mutation::Parse(
+        "remove-edge " + std::to_string(ds.edges[i].src) + " " +
+        std::to_string(ds.edges[i].dst)));
+  }
+  for (const auto& n : ds.nodes) {
+    if (n.id != 2 && !present.count({2, n.id})) {
+      batch.push_back(
+          *Mutation::Parse("add-edge 2 " + std::to_string(n.id) + " 2"));
+      break;
+    }
+  }
+  batch.push_back(*Mutation::Parse("update-features 3 9,8,7,6,5,4"));
+  ASSERT_EQ(batch.size(), 5u);
+  ASSERT_TRUE(service.ApplyMutations(batch).ok());
+
+  std::vector<flat::NodeRecord> nodes = ds.nodes;
+  std::vector<flat::EdgeRecord> edges = ds.edges;
+  for (const Mutation& m : batch) {
+    switch (m.type) {
+      case Mutation::Type::kAddEdge:
+        edges.push_back(m.edge);
+        break;
+      case Mutation::Type::kRemoveEdge:
+        edges.erase(std::find_if(edges.begin(), edges.end(), [&](auto& e) {
+          return e.src == m.edge.src && e.dst == m.edge.dst;
+        }));
+        break;
+      case Mutation::Type::kUpdateFeatures:
+        for (auto& n : nodes) {
+          if (n.id == m.node) n.features = m.features;
+        }
+        break;
+    }
+  }
+  auto served = service.Score(all);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ExpectScoresIdentical(*served,
+                        ColdScores(config.infer, state, nodes, edges, all),
+                        std::string("mutated shuffled rows ") +
+                            gnn::ModelTypeName(type));
+  ASSERT_TRUE(agl::Run(fconfig, nodes, edges, &dfs, "features_cold").ok());
+  auto maintained = dfs.ReadDataset("shuffled");
+  auto cold = dfs.ReadDataset("features_cold");
+  ASSERT_TRUE(maintained.ok());
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(*maintained, *cold);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ServeMutationTest,
