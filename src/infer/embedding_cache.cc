@@ -54,7 +54,10 @@ agl::Status EmbeddingCache::RestoreSpill(const std::string& path,
   for (const auto& [key, offset] : snap.entries) {
     // Defensive: an offset at or past the durable prefix points into the
     // truncated tail; admitting it would read garbage, so drop it.
-    if (offset < snap.valid_bytes) spill_offset_[key] = offset;
+    if (offset < snap.valid_bytes) {
+      spill_offset_[key] = offset;
+      NoteKeyLocked(key);
+    }
   }
   spill_flushed_bytes_ = snap.valid_bytes;
   spill_path_ = path;
@@ -123,26 +126,35 @@ void EmbeddingCache::Insert(const CacheKey& key,
 void EmbeddingCache::Invalidate(uint64_t node, int32_t min_round) {
   if (!enabled()) return;
   common::MutexLock lock(&mu_);
-  for (auto it = index_.begin(); it != index_.end();) {
-    if (it->first.node == node && it->first.round >= min_round) {
-      stats_.resident_bytes -= EntryBytes(it->second->embedding);
-      lru_.erase(it->second);
-      it = index_.erase(it);
-      ++stats_.invalidations;
-    } else {
-      ++it;
+  if (versions_.size() * rounds_.size() <=
+      index_.size() + spill_offset_.size()) {
+    for (uint64_t version : versions_) {
+      for (auto r = rounds_.lower_bound(min_round); r != rounds_.end(); ++r) {
+        EraseLocked({node, *r, version});
+      }
     }
+    return;
+  }
+  std::vector<CacheKey> doomed;
+  for (const auto& [key, it] : index_) {
+    if (key.node == node && key.round >= min_round) doomed.push_back(key);
+  }
+  for (const auto& [key, offset] : spill_offset_) {
+    if (key.node == node && key.round >= min_round) doomed.push_back(key);
+  }
+  for (const CacheKey& key : doomed) EraseLocked(key);
+}
+
+void EmbeddingCache::EraseLocked(const CacheKey& key) {
+  if (auto it = index_.find(key); it != index_.end()) {
+    stats_.resident_bytes -= EntryBytes(it->second->embedding);
+    lru_.erase(it->second);
+    index_.erase(it);
+    ++stats_.invalidations;
   }
   // The spilled bytes stay in the file (it is append-only); forgetting the
   // offset is what makes the entry unreachable.
-  for (auto it = spill_offset_.begin(); it != spill_offset_.end();) {
-    if (it->first.node == node && it->first.round >= min_round) {
-      it = spill_offset_.erase(it);
-      ++stats_.invalidations;
-    } else {
-      ++it;
-    }
-  }
+  if (spill_offset_.erase(key) > 0) ++stats_.invalidations;
 }
 
 EmbeddingCacheStats EmbeddingCache::stats() const {
@@ -157,6 +169,7 @@ void EmbeddingCache::AdmitLocked(const CacheKey& key,
   stats_.resident_bytes += EntryBytes(embedding);
   lru_.push_front(Entry{key, std::move(embedding)});
   index_[key] = lru_.begin();
+  NoteKeyLocked(key);
   ++stats_.inserts;
   if (bounded()) {
     while (stats_.resident_bytes > budget_bytes_ && !lru_.empty()) {
@@ -179,6 +192,11 @@ void EmbeddingCache::EvictOneLocked() {
   ++stats_.evictions;
 }
 
+void EmbeddingCache::NoteKeyLocked(const CacheKey& key) {
+  versions_.insert(key.version);
+  rounds_.insert(key.round);
+}
+
 agl::Status EmbeddingCache::SpillAppendLocked(
     const CacheKey& key, const std::vector<float>& embedding) {
   // Failpoint "infer.spill": an injected fault fails this spill write only.
@@ -190,6 +208,7 @@ agl::Status EmbeddingCache::SpillAppendLocked(
       // Buffered append: the bytes reach the reader lazily (flush before a
       // read past spill_flushed_bytes_) and stable storage on PublishSpill.
       spill_offset_[key] = offset;
+      NoteKeyLocked(key);
       ++stats_.spilled;
     }
   }

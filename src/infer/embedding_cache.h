@@ -27,6 +27,7 @@
 #include <functional>
 #include <list>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -93,7 +94,12 @@ class EmbeddingCache final : public EmbeddingStore {
       override EXCLUDES(mu_);
 
   /// Drops every entry (RAM and spill index) for `node` with
-  /// round >= `min_round`, across all model versions.
+  /// round >= `min_round`, across all model versions. Probes the keys
+  /// (node, r, v) for every version v and round r >= min_round any key
+  /// has ever carried — in serving 1 version x 2-3 rounds — instead of
+  /// scanning the store; when that product exceeds the number of stored
+  /// keys (a hostile restored index) it scans instead, so it never costs
+  /// more than a scan.
   void Invalidate(uint64_t node, int32_t min_round) override EXCLUDES(mu_);
 
   EmbeddingCacheStats stats() const override EXCLUDES(mu_);
@@ -114,6 +120,11 @@ class EmbeddingCache final : public EmbeddingStore {
   void AdmitLocked(const CacheKey& key, std::vector<float> embedding)
       REQUIRES(mu_);
   void EvictOneLocked() REQUIRES(mu_);
+  /// Records the key's version and round for Invalidate's probes. Called
+  /// wherever a key enters index_ or spill_offset_.
+  void NoteKeyLocked(const CacheKey& key) REQUIRES(mu_);
+  /// Erases `key` from index_ and spill_offset_, counting each erase.
+  void EraseLocked(const CacheKey& key) REQUIRES(mu_);
   /// Appends one entry to the spill file (buffered; no flush) and records
   /// its offset. Counts a spill_failure and reports non-OK on error.
   agl::Status SpillAppendLocked(const CacheKey& key,
@@ -146,6 +157,11 @@ class EmbeddingCache final : public EmbeddingStore {
   uint64_t spill_flushed_bytes_ GUARDED_BY(mu_) = 0;
   std::unordered_map<CacheKey, uint64_t, CacheKeyHash> spill_offset_
       GUARDED_BY(mu_);
+  // Every version and round a key in index_ or spill_offset_ has ever
+  // carried. They only grow: a stale value costs Invalidate one probe,
+  // a missing one would leave an entry un-invalidated.
+  std::set<uint64_t> versions_ GUARDED_BY(mu_);
+  std::set<int32_t> rounds_ GUARDED_BY(mu_);
   EmbeddingCacheStats stats_ GUARDED_BY(mu_);
 };
 

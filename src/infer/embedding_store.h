@@ -42,7 +42,9 @@ class EmbeddingStore {
   /// Drops every entry for `node` with round >= `min_round` (all model
   /// versions). The serving layer calls this when a mutation dirties a
   /// node's round-`min_round` embedding: deeper rounds at that node
-  /// transitively depend on it, shallower ones do not.
+  /// transitively depend on it, shallower ones do not. Called once per
+  /// invalidated node of every mutation batch, so it must cost in the
+  /// keys it could match, not in the size of the store.
   virtual void Invalidate(uint64_t node, int32_t min_round) = 0;
 
   virtual EmbeddingCacheStats stats() const = 0;

@@ -103,13 +103,17 @@ PersistentEmbeddingStore::Open(mr::LocalDfs* dfs, const std::string& name,
 
   // Try to re-attach the previous incarnation. Everything short of success
   // degrades to a cold start — the store must come up serving either way.
-  if (dfs->DatasetExists(store->index_dataset_) &&
-      std::filesystem::exists(store->spill_path_)) {
+  std::error_code ec;
+  const uint64_t spill_bytes =
+      std::filesystem::file_size(store->spill_path_, ec);
+  if (dfs->DatasetExists(store->index_dataset_) && !ec) {
     auto records = dfs->ReadDataset(store->index_dataset_);
     if (records.ok()) {
       auto snap = ParseIndex(*records, options.model_version,
                              options.graph_version);
-      if (snap.ok() &&
+      // An index claiming more durable bytes than the spill file holds is
+      // corrupt; restoring it would grow the file to the claimed size.
+      if (snap.ok() && snap->valid_bytes <= spill_bytes &&
           store->cache_.RestoreSpill(store->spill_path_, *snap).ok()) {
         store->opened_warm_ = !snap->entries.empty();
       }
@@ -121,11 +125,9 @@ PersistentEmbeddingStore::Open(mr::LocalDfs* dfs, const std::string& name,
     // truncating: the old bytes are unreachable from this incarnation, but
     // a still-published index describes that prefix, and clobbering it
     // would orphan the index for any later incarnation it DOES match.
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(store->spill_path_, ec);
     if (!ec) {
       SpillSnapshot fresh;
-      fresh.valid_bytes = size;
+      fresh.valid_bytes = spill_bytes;
       AGL_RETURN_IF_ERROR(
           store->cache_.RestoreSpill(store->spill_path_, fresh));
     } else {

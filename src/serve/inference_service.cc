@@ -65,7 +65,8 @@ InferenceService::InferenceService(
       state_(std::move(state)),
       model_version_(infer::StateFingerprint(state_)),
       dfs_(dfs),
-      graph_(std::move(nodes), std::move(edges)) {
+      graph_(std::move(nodes), std::move(edges)),
+      fingerprint_(graph_.nodes(), graph_.edges()) {
   node_ids_.reserve(graph_.nodes().size());
   for (const flat::NodeRecord& n : graph_.nodes()) node_ids_.insert(n.id);
 }
@@ -102,8 +103,7 @@ agl::Result<std::unique_ptr<InferenceService>> InferenceService::Start(
   // Embeddings are a function of (weights, graph): a published index from
   // an incarnation that persisted after mutations must not serve against
   // these tables, so the store comes up warm only on a double match.
-  opts.graph_version =
-      GraphFingerprint(svc->graph_.nodes(), svc->graph_.edges());
+  opts.graph_version = svc->fingerprint_.value();
   AGL_ASSIGN_OR_RETURN(
       svc->store_,
       infer::PersistentEmbeddingStore::Open(dfs, config.store_name, opts));
@@ -338,7 +338,10 @@ void InferenceService::ProcessControlItem(Item item) {
   }
   // The graph moved: restamp the store so the next Publish() pins the
   // index to the tables it actually describes.
-  store_->set_graph_version(GraphFingerprint(graph_.nodes(), graph_.edges()));
+  for (std::size_t i = 0; i < undo.size(); ++i) {
+    fingerprint_.Apply(item.mutations[i], undo[i], graph_);
+  }
+  store_->set_graph_version(fingerprint_.value());
   agl::Status status = agl::Status::OK();
   flat::ReflattenStats rstats;
   if (!config_.features_dataset.empty()) {

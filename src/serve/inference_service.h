@@ -18,9 +18,12 @@
 // The service's one graph index, a flat::TableGraph, serves every pass's
 // pruning and the mutation path. Applying a batch (1) updates it in place,
 // (2) invalidates the precisely-dirtied (node, round) store entries
-// (model-aware; see mutation.h), and (3) incrementally re-flattens the
-// dirtied targets of the configured flattened dataset
-// (flat::ReflattenDirty). Consequence —
+// (model-aware; see mutation.h) and restamps the store with the graph
+// fingerprint, maintained per mutation, and (3) incrementally re-flattens
+// the dirtied targets of the configured flattened dataset
+// (flat::ReflattenDirty). Steps (1) and (2) cost O(change); the
+// re-flatten still scans the tables and re-publishes the dataset.
+// Consequence —
 // the freshness/consistency contract: every served score is byte-identical
 // to a cold offline RunGraphInferBatched over the tables as mutated by the
 // batches admitted before the request.
@@ -202,6 +205,8 @@ class InferenceService {
   // Owned by the serving thread after Start (and by whoever holds the
   // joined thread afterwards — Shutdown's join orders the accesses).
   flat::TableGraph graph_;
+  /// GraphFingerprint of graph_, restamped on the store after every batch.
+  RunningFingerprint fingerprint_;
   std::unique_ptr<infer::PersistentEmbeddingStore> store_;
 
   mutable common::Mutex mu_;

@@ -189,31 +189,71 @@ uint64_t HashFloats(const std::vector<float>& v, uint64_t h) {
   return Fnv1a(&n, sizeof(n), h);
 }
 
+// Per-row FNV-1a hashes combined by addition: commutative (row order is
+// irrelevant) but still sensitive to any field of any row. Node and edge
+// rows seed differently so an id can't masquerade as a src.
+constexpr uint64_t kRowSumSeed = 0x9ae16a3b2f90404fULL;
+
+/// Hash of `row` with its feature row replaced by `features`.
+uint64_t NodeRowHash(const flat::NodeRecord& row,
+                     const std::vector<float>& features) {
+  uint64_t h = Fnv1a(&row.id, sizeof(row.id), kFnvOffset ^ 0x4eULL);
+  h = HashFloats(features, h);
+  h = Fnv1a(&row.label, sizeof(row.label), h);
+  h = HashFloats(row.multilabel, h);
+  return h * 0x9e3779b97f4a7c15ULL;
+}
+
+uint64_t EdgeRowHash(const flat::EdgeRecord& e) {
+  uint64_t h = Fnv1a(&e.src, sizeof(e.src), kFnvOffset ^ 0x45ULL);
+  h = Fnv1a(&e.dst, sizeof(e.dst), h);
+  h = Fnv1a(&e.weight, sizeof(e.weight), h);
+  h = HashFloats(e.features, h);
+  return h * 0xbf58476d1ce4e5b9ULL;
+}
+
 }  // namespace
+
+RunningFingerprint::RunningFingerprint(
+    const std::vector<flat::NodeRecord>& nodes,
+    const std::vector<flat::EdgeRecord>& edges)
+    : row_sum_(kRowSumSeed),
+      num_nodes_(nodes.size()),
+      num_edges_(edges.size()) {
+  for (const flat::NodeRecord& n : nodes) {
+    row_sum_ += NodeRowHash(n, n.features);
+  }
+  for (const flat::EdgeRecord& e : edges) row_sum_ += EdgeRowHash(e);
+}
+
+void RunningFingerprint::Apply(const Mutation& m, const Mutation& inverse,
+                               const flat::TableGraph& post) {
+  switch (m.type) {
+    case Mutation::Type::kAddEdge:
+      row_sum_ += EdgeRowHash(m.edge);
+      ++num_edges_;
+      break;
+    case Mutation::Type::kRemoveEdge:
+      row_sum_ -= EdgeRowHash(inverse.edge);
+      --num_edges_;
+      break;
+    case Mutation::Type::kUpdateFeatures: {
+      // Only the feature row moved: the old row had the inverse's.
+      const flat::NodeRecord& row = post.nodes()[post.NodeRow(m.node)];
+      row_sum_ -= NodeRowHash(row, inverse.features);
+      row_sum_ += NodeRowHash(row, m.features);
+      break;
+    }
+  }
+}
+
+uint64_t RunningFingerprint::value() const {
+  return row_sum_ ^ (num_nodes_ * kFnvPrime) ^ num_edges_;
+}
 
 uint64_t GraphFingerprint(const std::vector<flat::NodeRecord>& nodes,
                           const std::vector<flat::EdgeRecord>& edges) {
-  // Per-row FNV-1a hashes combined by addition: commutative (row order is
-  // irrelevant) but still sensitive to any field of any row. Node and edge
-  // rows seed differently so an id can't masquerade as a src.
-  uint64_t acc = 0x9ae16a3b2f90404fULL;
-  for (const flat::NodeRecord& n : nodes) {
-    uint64_t h = Fnv1a(&n.id, sizeof(n.id), kFnvOffset ^ 0x4eULL);
-    h = HashFloats(n.features, h);
-    h = Fnv1a(&n.label, sizeof(n.label), h);
-    h = HashFloats(n.multilabel, h);
-    acc += h * 0x9e3779b97f4a7c15ULL;
-  }
-  for (const flat::EdgeRecord& e : edges) {
-    uint64_t h = Fnv1a(&e.src, sizeof(e.src), kFnvOffset ^ 0x45ULL);
-    h = Fnv1a(&e.dst, sizeof(e.dst), h);
-    h = Fnv1a(&e.weight, sizeof(e.weight), h);
-    h = HashFloats(e.features, h);
-    acc += h * 0xbf58476d1ce4e5b9ULL;
-  }
-  acc ^= nodes.size() * kFnvPrime;
-  acc ^= edges.size();
-  return acc;
+  return RunningFingerprint(nodes, edges).value();
 }
 
 }  // namespace agl::serve

@@ -30,6 +30,10 @@
 // removed, x -> y, ends at y, which the batch itself seeds at level <= 1
 // (0 for the dataset closure), so no path through it lowers any level.
 // The same holds for GCN's outN(a): a removed a -> y adds only y.
+//
+// A batch also moves the graph fingerprint the persistent store is
+// stamped with. RunningFingerprint maintains it per mutation in O(change),
+// bit-identical to the full GraphFingerprint over the mutated tables.
 
 #pragma once
 
@@ -109,14 +113,41 @@ std::vector<std::pair<flat::NodeId, int32_t>> PropagateInvalidations(
     const std::vector<std::pair<flat::NodeId, int>>& cache_seeds,
     const flat::TableGraph& post, int num_layers);
 
-/// Order-insensitive fingerprint of the graph table contents (every field
-/// of every row, combined commutatively, plus the row counts). Two table
-/// pairs fingerprint equal iff they hold the same multiset of rows — so a
-/// restart that re-reads identical tables in a different row order still
-/// matches. The persistent store stamps this next to the model version:
-/// embeddings are a function of (weights, graph), and a published index
-/// whose graph no longer matches the serving tables must come up cold.
+/// Order-insensitive fingerprint of the graph table contents: a sum of
+/// per-row hashes of every field of every row (mod 2^64), with the row
+/// counts folded in at the end. Two table pairs fingerprint equal iff they
+/// hold the same multiset of rows — so a restart that re-reads identical
+/// tables in a different row order still matches. The persistent store
+/// stamps this next to the model version: embeddings are a function of
+/// (weights, graph), and a published index whose graph no longer matches
+/// the serving tables must come up cold.
 uint64_t GraphFingerprint(const std::vector<flat::NodeRecord>& nodes,
                           const std::vector<flat::EdgeRecord>& edges);
+
+/// GraphFingerprint maintained under mutations in O(change): a mutation
+/// adds or subtracts the hashes of the rows it adds or removes (the added
+/// edge, the removed edge, the old and new node row) and moves the row
+/// counts. The serving loop keeps one so a batch restamps the store
+/// without hashing both tables; value() stays bit-identical to
+/// GraphFingerprint over the mutated tables.
+class RunningFingerprint {
+ public:
+  /// Hashes every row, O(graph).
+  RunningFingerprint(const std::vector<flat::NodeRecord>& nodes,
+                     const std::vector<flat::EdgeRecord>& edges);
+
+  /// Accounts for `m`, which ApplyMutation applied (returning `inverse`)
+  /// to the graph that is now `post`. Mutations of a batch may be
+  /// accounted for after the whole batch applied, in any order.
+  void Apply(const Mutation& m, const Mutation& inverse,
+             const flat::TableGraph& post);
+
+  uint64_t value() const;
+
+ private:
+  uint64_t row_sum_;
+  uint64_t num_nodes_;
+  uint64_t num_edges_;
+};
 
 }  // namespace agl::serve

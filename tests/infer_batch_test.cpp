@@ -10,9 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <list>
+#include <map>
+#include <memory>
+#include <optional>
+#include <random>
+#include <tuple>
+#include <utility>
 #if !defined(_WIN32)
 #include <unistd.h>
 #endif
@@ -366,6 +374,190 @@ TEST(EmbeddingCacheTest, TruncatedSpillFileDegradesToMiss) {
   const auto stats = cache.stats();
   EXPECT_GT(stats.spill_failures, 0);
   EXPECT_EQ(stats.spill_hits, 0);
+}
+
+struct KeyLess {
+  bool operator()(const CacheKey& a, const CacheKey& b) const {
+    return std::tie(a.node, a.round, a.version) <
+           std::tie(b.node, b.round, b.version);
+  }
+};
+using KeyMap = std::map<CacheKey, std::vector<float>, KeyLess>;
+
+/// Brute-force model of EmbeddingCache: the same LRU, budget and spill
+/// bookkeeping, but Invalidate scans every key it holds.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(int64_t budget) : budget_(budget) {}
+
+  bool Lookup(const CacheKey& key, std::vector<float>* out) {
+    if (auto it = Find(key); it != lru_.end()) {
+      lru_.splice(lru_.begin(), lru_, it);
+      *out = it->second;
+      return true;
+    }
+    if (auto it = spilled_.find(key); it != spilled_.end()) {
+      ++stats.spill_hits;
+      *out = it->second;
+      Admit(key, it->second);
+      return true;
+    }
+    return false;
+  }
+
+  void Insert(const CacheKey& key, const std::vector<float>& embedding) {
+    if (auto it = Find(key); it != lru_.end()) {
+      lru_.splice(lru_.begin(), lru_, it);
+    } else {
+      Admit(key, embedding);
+    }
+  }
+
+  void Invalidate(uint64_t node, int32_t min_round) {
+    auto stale = [&](const CacheKey& k) {
+      return k.node == node && k.round >= min_round;
+    };
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (stale(it->first)) {
+        stats.resident_bytes -= Bytes(it->second);
+        it = lru_.erase(it);
+        ++stats.invalidations;
+      } else {
+        ++it;
+      }
+    }
+    for (auto it = spilled_.begin(); it != spilled_.end();) {
+      if (stale(it->first)) {
+        it = spilled_.erase(it);
+        ++stats.invalidations;
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  /// PublishSpill: every resident entry gets a spill slot; returns what a
+  /// restore of the snapshot would serve.
+  KeyMap Publish() {
+    for (const auto& [key, embedding] : lru_) spilled_.emplace(key, embedding);
+    return spilled_;
+  }
+
+  /// A fresh cache restored from `published`.
+  void Restore(const KeyMap& published) {
+    lru_.clear();
+    spilled_ = published;
+    stats = {};
+  }
+
+  EmbeddingCacheStats stats;
+
+ private:
+  static int64_t Bytes(const std::vector<float>& v) {
+    return static_cast<int64_t>(v.size() * sizeof(float)) + 64;
+  }
+
+  std::list<std::pair<CacheKey, std::vector<float>>>::iterator Find(
+      const CacheKey& key) {
+    return std::find_if(lru_.begin(), lru_.end(),
+                        [&](const auto& e) { return e.first == key; });
+  }
+
+  void Admit(const CacheKey& key, std::vector<float> embedding) {
+    stats.resident_bytes += Bytes(embedding);
+    lru_.emplace_front(key, std::move(embedding));
+    while (stats.resident_bytes > budget_ && !lru_.empty()) {
+      spilled_.emplace(lru_.back().first, lru_.back().second);
+      stats.resident_bytes -= Bytes(lru_.back().second);
+      lru_.pop_back();
+      ++stats.evictions;
+    }
+  }
+
+  const int64_t budget_;
+  std::list<std::pair<CacheKey, std::vector<float>>> lru_;  // front = MRU
+  KeyMap spilled_;
+};
+
+// Invalidate probes (node, round, version) keys instead of scanning the
+// store. Differential check against the scanning reference over random
+// Insert / Lookup / Invalidate / PublishSpill / RestoreSpill sequences:
+// a budget of ~3 entries so evictions spill, two model versions, rounds
+// 1..3, and restores into a fresh cache whose only keys came from the
+// snapshot.
+TEST(EmbeddingCacheTest, InvalidateMatchesScanningReference) {
+  const int64_t budget = 3 * (8 + 64);
+  const std::string path = ::testing::TempDir() + "/cache_invalidate_" +
+                           std::to_string(::getpid()) + ".records";
+  auto value_of = [](const CacheKey& k) {
+    std::vector<float> v(1 + (k.node + k.round + k.version) % 3);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = static_cast<float>(k.node * 100 + k.round * 10 + k.version + i);
+    }
+    return v;
+  };
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    std::mt19937 rng(seed);
+    auto cache = std::make_unique<EmbeddingCache>(budget);
+    ASSERT_TRUE(cache->EnableSpill(path).ok());
+    ReferenceCache reference(budget);
+    std::optional<SpillSnapshot> snapshot;
+    KeyMap published;
+    for (int step = 0; step < 400; ++step) {
+      const CacheKey key{rng() % 6, static_cast<int32_t>(1 + rng() % 3),
+                         7 + rng() % 2};
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const uint32_t op = rng() % 100;
+      if (op < 40) {
+        cache->Insert(key, value_of(key));
+        reference.Insert(key, value_of(key));
+      } else if (op < 70) {
+        std::vector<float> got, want;
+        const bool hit = cache->Lookup(key, &got);
+        ASSERT_EQ(hit, reference.Lookup(key, &want)) << where;
+        if (hit) {
+          ASSERT_EQ(got, want) << where;
+        }
+      } else if (op < 85) {
+        const auto min_round = static_cast<int32_t>(rng() % 5);
+        cache->Invalidate(key.node, min_round);
+        reference.Invalidate(key.node, min_round);
+      } else if (op < 93) {
+        auto snap = cache->PublishSpill();
+        ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+        snapshot = *snap;
+        published = reference.Publish();
+      } else if (snapshot.has_value()) {
+        cache.reset();
+        cache = std::make_unique<EmbeddingCache>(budget);
+        ASSERT_TRUE(cache->RestoreSpill(path, *snapshot).ok()) << where;
+        reference.Restore(published);
+      }
+      const EmbeddingCacheStats got = cache->stats();
+      ASSERT_EQ(got.invalidations, reference.stats.invalidations) << where;
+      ASSERT_EQ(got.evictions, reference.stats.evictions) << where;
+      ASSERT_EQ(got.spill_hits, reference.stats.spill_hits) << where;
+      ASSERT_EQ(got.resident_bytes, reference.stats.resident_bytes) << where;
+      ASSERT_EQ(got.spill_failures, 0) << where;
+    }
+    // Every key, once more: resident or spilled exactly where the
+    // reference says.
+    for (uint64_t node = 0; node < 6; ++node) {
+      for (int32_t round = 1; round <= 3; ++round) {
+        for (uint64_t version : {7, 8}) {
+          std::vector<float> got, want;
+          const CacheKey key{node, round, version};
+          const bool hit = cache->Lookup(key, &got);
+          ASSERT_EQ(hit, reference.Lookup(key, &want));
+          if (hit) {
+            ASSERT_EQ(got, want);
+          }
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // Heavier nightly-style sweep, enabled via AGL_INFER_BATCH_HEAVY (the

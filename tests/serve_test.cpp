@@ -17,6 +17,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <random>
 #include <set>
@@ -217,6 +219,23 @@ TEST(MutationTest, DirtySeedsAreModelAware) {
                                   {2, 1}, {3, 1}, {4, 1}, {5, 1}}));
 }
 
+// Published store indexes carry GraphFingerprint values, so a changed
+// definition would silently start every restarted replica cold. Pinned to
+// the values the definition has always produced, and to the same value in
+// any row order.
+TEST(MutationTest, GraphFingerprintValuesArePinned) {
+  std::vector<flat::NodeRecord> nodes = {{1, {0.5f, -1.f}, 0, {}},
+                                         {2, {2.f, 3.f}, -1, {1.f, 0.f}},
+                                         {7, {0.f, 0.25f}, 1, {}}};
+  std::vector<flat::EdgeRecord> edges = {
+      {1, 2, 1.f, {}}, {2, 7, 0.5f, {0.75f}}, {7, 1, 2.f, {}}};
+  EXPECT_EQ(GraphFingerprint(nodes, edges), 0x209e390e190c0d1eULL);
+  EXPECT_EQ(GraphFingerprint({}, {}), 0x9ae16a3b2f90404fULL);
+  std::reverse(nodes.begin(), nodes.end());
+  std::rotate(edges.begin(), edges.begin() + 1, edges.end());
+  EXPECT_EQ(GraphFingerprint(nodes, edges), 0x209e390e190c0d1eULL);
+}
+
 TEST(MutationTest, PropagationFloorsFollowOutEdgeDistance) {
   // 1 -> 2 -> 3 -> 4, K = 2.
   const flat::TableGraph graph(
@@ -314,6 +333,7 @@ TEST(TableGraphTest, RandomMutationsKeepIndexAndLevelsExact) {
     for (const auto& e : edges) model_edges[{e.src, e.dst}] = e.weight;
     std::map<flat::NodeId, std::vector<float>> model_rows;
     for (const auto& n : nodes) model_rows[n.id] = n.features;
+    RunningFingerprint fingerprint(nodes, edges);
 
     for (int step = 0; step < 60; ++step) {
       // A batch of 1-4 mutations; some fail (absent edge, duplicate,
@@ -366,6 +386,9 @@ TEST(TableGraphTest, RandomMutationsKeepIndexAndLevelsExact) {
           UndoMutation(*it, &graph);
         }
       } else {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          fingerprint.Apply(batch[i], undo[i], graph);
+        }
         for (const Mutation& m : batch) {
           if (m.type == Mutation::Type::kAddEdge) {
             model_edges[{m.edge.src, m.edge.dst}] = m.edge.weight;
@@ -390,6 +413,11 @@ TEST(TableGraphTest, RandomMutationsKeepIndexAndLevelsExact) {
         ASSERT_EQ(graph.nodes()[id].features, model_rows[id]);
       }
       ExpectIndexMatchesRebuild(graph, kNodes + 2);
+      // The maintained fingerprint == the full recompute; a rolled-back
+      // batch left both the tables and it untouched.
+      ASSERT_EQ(fingerprint.value(),
+                GraphFingerprint(graph.nodes(), graph.edges()))
+          << "seed " << seed << " step " << step;
 
       // Levels == the brute-force oracle, both directions, mixed 0/1
       // bases.
@@ -673,6 +701,87 @@ TEST_F(ServeTest, PersistentStoreSurvivesReopenAndDegradesOnCorruption) {
   }
 }
 
+// The AGLESTORE2 index is input from disk: every truncation of the record
+// list, every truncation of each record and every single-bit flip of each
+// record (re-published with valid checksums, so the parser sees it) must
+// open OK, warm or cold, without growing the spill file. Every Lookup then
+// misses or returns the published bytes, and Invalidate — whose probes
+// come from the restored keys' versions and rounds — drops exactly what
+// it names and returns.
+TEST_F(ServeTest, HostileStoreIndexDegradesToMissNeverToWrongBytes) {
+  infer::PersistentEmbeddingStore::Options opts;
+  opts.model_version = 42;
+  opts.graph_version = 9;
+  const std::vector<std::pair<infer::CacheKey, std::vector<float>>>
+      published = {{{1, 1, 42}, {1.f, 2.f}},
+                   {{1, 2, 42}, {3.f}},
+                   {{2, 1, 42}, {4.f, 5.f, 6.f}}};
+  mr::LocalDfs dfs = OpenDfs();
+  {
+    auto store = infer::PersistentEmbeddingStore::Open(&dfs, "emb", opts);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (const auto& [key, value] : published) (*store)->Insert(key, value);
+    ASSERT_TRUE((*store)->Publish().ok());
+  }
+  const std::string spill_path = root_ + "/emb.spill";
+  std::string spill;
+  {
+    std::ifstream in(spill_path, std::ios::binary);
+    spill.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  auto index = dfs.ReadDataset("emb.index");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_EQ(index->size(), published.size() + 1);
+
+  std::vector<std::vector<std::string>> variants;
+  for (std::size_t n = 0; n < index->size(); ++n) {
+    variants.emplace_back(index->begin(), index->begin() + n);
+  }
+  for (std::size_t i = 0; i < index->size(); ++i) {
+    const std::string& record = (*index)[i];
+    for (std::size_t len = 0; len < record.size(); ++len) {
+      variants.push_back(*index);
+      variants.back()[i].resize(len);
+    }
+    for (std::size_t bit = 0; bit < record.size() * 8; ++bit) {
+      variants.push_back(*index);
+      variants.back()[i][bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    }
+  }
+  int warm = 0;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const std::string what = "variant " + std::to_string(v);
+    {
+      std::ofstream out(spill_path, std::ios::binary | std::ios::trunc);
+      out << spill;
+    }
+    ASSERT_TRUE(dfs.WriteDataset("emb.index", variants[v]).ok()) << what;
+    auto store = infer::PersistentEmbeddingStore::Open(&dfs, "emb", opts);
+    ASSERT_TRUE(store.ok()) << what << ": " << store.status().ToString();
+    warm += (*store)->opened_warm() ? 1 : 0;
+    EXPECT_LE(std::filesystem::file_size(spill_path), spill.size()) << what;
+    std::vector<bool> hit(published.size());
+    for (std::size_t k = 0; k < published.size(); ++k) {
+      std::vector<float> out;
+      hit[k] = (*store)->Lookup(published[k].first, &out);
+      if (hit[k]) {
+        EXPECT_EQ(out, published[k].second) << what;
+      }
+    }
+    // Drops (1, round >= 2) only.
+    (*store)->Invalidate(1, 2);
+    for (std::size_t k = 0; k < published.size(); ++k) {
+      const infer::CacheKey& key = published[k].first;
+      const bool dropped = key.node == 1 && key.round >= 2;
+      std::vector<float> out;
+      EXPECT_EQ((*store)->Lookup(key, &out), hit[k] && !dropped)
+          << what << " key " << key.node << "/" << key.round;
+    }
+  }
+  // The unflipped prefix-free fields leave some variants warm.
+  EXPECT_GT(warm, 0);
+}
+
 TEST_F(ServeTest, RestartedServiceServesWarmHitsWithSameBytes) {
   data::Dataset ds = SmallUug(50);
   gnn::ModelConfig mconfig =
@@ -769,6 +878,61 @@ TEST_F(ServeTest, StoreReopenAgainstDifferentGraphStartsCold) {
     ExpectScoresIdentical(
         *scores, ColdScores(config.infer, state, post_nodes, post_edges, all),
         "restart with post-mutation tables");
+    EXPECT_GT((*svc)->stats().store.hits, 0);
+  }
+
+  // The fingerprint the service maintains per mutation stamps the same
+  // value a full recompute over the mutated tables gives, also after a
+  // failed batch was rolled back: a restart against tables mutated
+  // offline opens warm.
+  std::set<std::pair<flat::NodeId, flat::NodeId>> present;
+  for (const auto& e : ds.edges) present.insert({e.src, e.dst});
+  Mutation add;
+  add.type = Mutation::Type::kAddEdge;
+  add.edge = {ds.nodes[1].id, ds.nodes[2].id, 0.75f, ds.edges[0].features};
+  for (const auto& n : ds.nodes) {
+    if (n.id != add.edge.src && !present.count({add.edge.src, n.id})) {
+      add.edge.dst = n.id;
+      break;
+    }
+  }
+  ASSERT_FALSE(present.count({add.edge.src, add.edge.dst}));
+  Mutation update;
+  update.type = Mutation::Type::kUpdateFeatures;
+  update.node = ds.nodes[3].id;
+  update.features.assign(ds.nodes[3].features.size(), 0.5f);
+  std::vector<flat::NodeRecord> mutated_nodes = ds.nodes;
+  std::vector<flat::EdgeRecord> mutated_edges = ds.edges;
+  ASSERT_TRUE(ApplyMutation(add, &mutated_nodes, &mutated_edges).ok());
+  ASSERT_TRUE(ApplyMutation(update, &mutated_nodes, &mutated_edges).ok());
+  {
+    mr::LocalDfs dfs = OpenDfs();
+    auto svc = agl::Run(config, state, ds.nodes, ds.edges, &dfs);
+    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+    ASSERT_TRUE((*svc)->Score(all).ok());
+    ASSERT_TRUE((*svc)->ApplyMutations({add, update}).ok());
+    const Mutation absent = *Mutation::Parse(
+        "remove-edge " + std::to_string(add.edge.dst) + " " +
+        std::to_string(add.edge.dst));
+    ASSERT_FALSE(present.count({add.edge.dst, add.edge.dst}));
+    EXPECT_EQ((*svc)->ApplyMutations({remove, absent}).code(),
+              StatusCode::kNotFound);
+    ASSERT_TRUE((*svc)->Score(all).ok());
+    ASSERT_TRUE((*svc)->Persist().ok());
+  }
+  {
+    mr::LocalDfs dfs = OpenDfs();
+    auto svc =
+        agl::Run(config, state, mutated_nodes, mutated_edges, &dfs);
+    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+    EXPECT_TRUE((*svc)->stats().opened_warm)
+        << "maintained fingerprint differs from the full recompute";
+    auto scores = (*svc)->Score(all);
+    ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+    ExpectScoresIdentical(
+        *scores,
+        ColdScores(config.infer, state, mutated_nodes, mutated_edges, all),
+        "restart with offline-mutated tables");
     EXPECT_GT((*svc)->stats().store.hits, 0);
   }
 }
