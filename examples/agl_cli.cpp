@@ -828,6 +828,15 @@ agl::Status RunServeCmd(const std::vector<std::string>& args) {
       static_cast<long long>(stats.store.misses),
       static_cast<long long>(stats.store.spill_hits),
       static_cast<long long>(stats.invalidated_nodes), output.c_str());
+  if (!features_dataset.empty()) {
+    std::printf(
+        "features[%s]: %lld re-flatten runs, %lld dirty targets, "
+        "%lld publishes\n",
+        features_dataset.c_str(),
+        static_cast<long long>(stats.reflatten_runs),
+        static_cast<long long>(stats.reflatten_dirty_targets),
+        static_cast<long long>(stats.reflatten_publishes));
+  }
   return agl::Status::OK();
 }
 

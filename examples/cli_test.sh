@@ -9,7 +9,8 @@
 #     one, also when a worker is killed mid-epoch and relaunched;
 #   * training off the DFS part files (--stream) writes the same model as
 #     training over the loaded dataset;
-#   * the served scores equal the offline inference scores;
+#   * the served scores equal the offline inference scores, and a
+#     --features dataset kept fresh by serve equals a cold graphflat;
 #   * bad inputs (a model artifact that does not fit the flags, a ragged
 #     node table, a malformed number in a serve script line, an unknown
 #     task) exit 1 with an `error:` line.
@@ -96,6 +97,27 @@ grep -E '^(0|1|2|5|7),' "$T/scores.csv" | sort >"$T/offline.sorted"
 rows=$(wc -l <"$T/served.sorted")
 [ "$rows" -eq 5 ] || fail "serve scored $rows rows, want 5"
 same_file "$T/served.sorted" "$T/offline.sorted" "served vs offline scores"
+
+# --features keeps a flattened dataset fresh: after a feature update it
+# equals a cold graphflat of the updated node table, and the summary counts
+# the one re-flatten that re-published it.
+"$CLI" graphflat -n "$N" -e "$E" -o "$T/dfs:serve_features"
+label3=$(grep '^3,' "$N" | cut -d, -f2)
+sed "s/^3,.*/3,$label3,1;1;1;1;1;1;1;1/" "$N" >"$T/nodes3.csv"
+"$CLI" graphflat -n "$T/nodes3.csv" -e "$E" -o "$T/dfs:cold_features"
+printf 'update-features 3 1,1,1,1,1,1,1,1\nscore 3\n' >"$T/mut_ops.txt"
+"$CLI" serve "${model[@]}" -n "$N" -e "$E" --script "$T/mut_ops.txt" \
+  --features serve_features --store features_store -o "$T/x.csv" \
+  >"$T/serve_features.out"
+grep -qE '^features\[serve_features\]: 1 re-flatten runs, [1-9][0-9]* dirty targets, 1 publishes$' \
+  "$T/serve_features.out" ||
+  fail "serve --features summary: $(tail -n1 "$T/serve_features.out")"
+same_dataset "$T/dfs/serve_features" "$T/dfs/cold_features" \
+  "serve --features vs cold graphflat"
+sed "s/^3,$label3,/3,-1,/" "$N" >"$T/unlabelled3.csv"
+expect_error "serve --features over tables with another target set" \
+  serve "${model[@]}" -n "$T/unlabelled3.csv" -e "$E" --script "$T/ops.txt" \
+  --features serve_features --store features_store -o "$T/x.csv"
 
 # Bad inputs are clean errors, never aborts.
 { head -n 2 "$N"; tail -n +3 "$N" | sed '1s/;[^;]*$//'; } >"$T/ragged.csv"

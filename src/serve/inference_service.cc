@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "flat/incremental.h"
 #include "infer/segmentation.h"
 
 namespace agl::serve {
@@ -59,12 +58,10 @@ void InferenceService::Pending::Complete(agl::Status status, Scores scores) {
 
 InferenceService::InferenceService(
     const ServeConfig& config, std::map<std::string, tensor::Tensor> state,
-    std::vector<flat::NodeRecord> nodes, std::vector<flat::EdgeRecord> edges,
-    mr::LocalDfs* dfs)
+    std::vector<flat::NodeRecord> nodes, std::vector<flat::EdgeRecord> edges)
     : config_(config),
       state_(std::move(state)),
       model_version_(infer::StateFingerprint(state_)),
-      dfs_(dfs),
       graph_(std::move(nodes), std::move(edges)),
       fingerprint_(graph_.nodes(), graph_.edges()) {
   node_ids_.reserve(graph_.nodes().size());
@@ -89,14 +86,14 @@ agl::Result<std::unique_ptr<InferenceService>> InferenceService::Start(
   AGL_RETURN_IF_ERROR(infer::SegmentModel(state, config.infer.model).status());
   AGL_RETURN_IF_ERROR(
       infer::CheckFeatureWidths(nodes, config.infer.model.in_dim));
-  if (!config.features_dataset.empty() &&
-      !dfs->DatasetExists(config.features_dataset)) {
-    return agl::Status::FailedPrecondition(
-        "InferenceService: features_dataset '" + config.features_dataset +
-        "' does not exist; run GraphFlat first");
-  }
   std::unique_ptr<InferenceService> svc(new InferenceService(
-      config, state, std::move(nodes), std::move(edges), dfs));
+      config, state, std::move(nodes), std::move(edges)));
+  if (!config.features_dataset.empty()) {
+    AGL_ASSIGN_OR_RETURN(
+        svc->features_,
+        flat::MaintainedDataset::Open(config.flat, svc->graph_, dfs,
+                                      config.features_dataset));
+  }
   infer::PersistentEmbeddingStore::Options opts;
   opts.budget_bytes = config.store_budget_bytes;
   opts.model_version = svc->model_version_;
@@ -200,7 +197,8 @@ agl::Status InferenceService::Shutdown() {
     joined_ = true;
   }
   work_cv_.SignalAll();
-  thread_.join();
+  // A Start that failed after construction never started the thread.
+  if (thread_.joinable()) thread_.join();
   return agl::Status::OK();
 }
 
@@ -344,18 +342,18 @@ void InferenceService::ProcessControlItem(Item item) {
   store_->set_graph_version(fingerprint_.value());
   agl::Status status = agl::Status::OK();
   flat::ReflattenStats rstats;
-  if (!config_.features_dataset.empty()) {
-    status = flat::ReflattenDirty(config_.flat, graph_, seeds.dataset_seeds,
-                                  dfs_, config_.features_dataset, &rstats);
+  if (features_) {
+    status = features_->Update(graph_, seeds.dataset_seeds, &rstats);
   }
   {
     common::MutexLock lock(&mu_);
     ++stats_.mutation_batches;
     stats_.mutations_applied += static_cast<int64_t>(item.mutations.size());
     stats_.invalidated_nodes += static_cast<int64_t>(floors.size());
-    if (!config_.features_dataset.empty()) {
+    if (features_) {
       ++stats_.reflatten_runs;
       stats_.reflatten_dirty_targets += rstats.dirty_targets;
+      stats_.reflatten_publishes += rstats.published ? 1 : 0;
     }
   }
   item.pending->Complete(std::move(status), {});

@@ -20,9 +20,9 @@
 // (2) invalidates the precisely-dirtied (node, round) store entries
 // (model-aware; see mutation.h) and restamps the store with the graph
 // fingerprint, maintained per mutation, and (3) incrementally re-flattens
-// the dirtied targets of the configured flattened dataset
-// (flat::ReflattenDirty). Steps (1) and (2) cost O(change); the
-// re-flatten still scans the tables and re-publishes the dataset.
+// the dirtied targets of the configured flattened dataset, which the
+// service keeps resident (flat::MaintainedDataset) and re-publishes only
+// when a stored target is dirty. All three cost O(change).
 // Consequence —
 // the freshness/consistency contract: every served score is byte-identical
 // to a cold offline RunGraphInferBatched over the tables as mutated by the
@@ -32,9 +32,10 @@
 // into it (kUnavailable and the underlying message); a mutation batch that
 // fails to apply is rolled back wholesale (by its inverses, in reverse);
 // a re-flatten failure after a successful apply is reported but leaves
-// serving correct (the store was already invalidated — only the on-DFS
-// dataset lags). Store corruption degrades to recompute, never to a wrong
-// score.
+// serving correct (the store was already invalidated): the on-DFS dataset
+// lags until the next successful batch, which re-flattens the targets of
+// the failed ones too. Store corruption degrades to recompute, never to a
+// wrong score.
 
 #pragma once
 
@@ -42,6 +43,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -51,6 +53,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "flat/graphflat.h"
+#include "flat/incremental.h"
 #include "flat/table_graph.h"
 #include "flat/tables.h"
 #include "infer/graphinfer.h"
@@ -79,8 +82,9 @@ struct ServeConfig {
   /// request still runs, alone).
   std::size_t max_batch_targets = 1024;
   /// When non-empty, the service keeps this flattened dataset fresh under
-  /// mutations via flat::ReflattenDirty (it must have been produced by
-  /// RunGraphFlat with `flat` over the same tables).
+  /// mutations via flat::MaintainedDataset (it must have been produced by
+  /// RunGraphFlat with `flat` over the same tables; Start checks its
+  /// target set).
   std::string features_dataset;
   /// GraphFlat configuration matching `features_dataset`. Must satisfy the
   /// incremental-path requirements (sampling none; hub pass dormant).
@@ -102,6 +106,7 @@ struct ServeStats {
   int64_t invalidated_nodes = 0;  // (node, min_round) floors issued
   int64_t reflatten_runs = 0;
   int64_t reflatten_dirty_targets = 0;
+  int64_t reflatten_publishes = 0;  // re-flattens that re-published
   double infer_seconds = 0;    // time inside RunGraphInferBatched
   /// Lifetime counters of the persistent store (hits/misses/spill/...).
   infer::EmbeddingCacheStats store;
@@ -131,9 +136,12 @@ class InferenceService {
     Scores scores_ GUARDED_BY(mu_);
   };
 
-  /// Validates the config, opens (or re-opens warm) the persistent store
-  /// under `dfs`, and starts the serving thread. The service takes its own
-  /// copies of the state dict and tables; `dfs` must outlive it.
+  /// Validates the config, loads the features dataset (kFailedPrecondition
+  /// when it is missing or does not fit the tables; see
+  /// flat::MaintainedDataset::Open), opens (or re-opens warm) the
+  /// persistent store under `dfs`, and starts the serving thread. The
+  /// service takes its own copies of the state dict and tables; `dfs` must
+  /// outlive it.
   static agl::Result<std::unique_ptr<InferenceService>> Start(
       const ServeConfig& config,
       const std::map<std::string, tensor::Tensor>& state,
@@ -188,7 +196,7 @@ class InferenceService {
   InferenceService(const ServeConfig& config,
                    std::map<std::string, tensor::Tensor> state,
                    std::vector<flat::NodeRecord> nodes,
-                   std::vector<flat::EdgeRecord> edges, mr::LocalDfs* dfs);
+                   std::vector<flat::EdgeRecord> edges);
 
   void ServeLoop();
   void ProcessScoreBatch(std::vector<Item> batch);
@@ -197,7 +205,6 @@ class InferenceService {
   const ServeConfig config_;
   const std::map<std::string, tensor::Tensor> state_;
   const uint64_t model_version_;
-  mr::LocalDfs* const dfs_;
   /// Immutable universe of node ids (the supported mutations never add or
   /// remove nodes), so admission-time validation needs no lock.
   std::unordered_set<flat::NodeId> node_ids_;
@@ -208,6 +215,8 @@ class InferenceService {
   /// GraphFingerprint of graph_, restamped on the store after every batch.
   RunningFingerprint fingerprint_;
   std::unique_ptr<infer::PersistentEmbeddingStore> store_;
+  /// Set when config_.features_dataset is.
+  std::optional<flat::MaintainedDataset> features_;
 
   mutable common::Mutex mu_;
   common::CondVar work_cv_;

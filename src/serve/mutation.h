@@ -3,7 +3,7 @@
 // The service accepts a stream of edge/feature mutations interleaved with
 // scoring requests. Each mutation dirties (a) the flattened-feature payloads
 // of every stored target whose K-hop in-neighborhood it touches — the
-// dataset side, handled by flat::ReflattenDirty — and (b) the cached
+// dataset side, handled by flat::MaintainedDataset — and (b) the cached
 // (node, round) segment embeddings that were derived from the pre-mutation
 // graph — the store side, handled by EmbeddingStore::Invalidate.
 //

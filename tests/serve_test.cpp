@@ -1305,5 +1305,359 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ServeMutationTest,
                            return gnn::ModelTypeName(info.param);
                          });
 
+// --- the maintained features dataset ---------------------------------------
+
+std::map<flat::NodeId, int> InDegrees(
+    const std::vector<flat::EdgeRecord>& edges) {
+  std::map<flat::NodeId, int> in;
+  for (const auto& e : edges) ++in[e.dst];
+  return in;
+}
+
+int MaxInDegree(const std::vector<flat::EdgeRecord>& edges) {
+  int best = 0;
+  for (const auto& [id, d] : InDegrees(edges)) best = std::max(best, d);
+  return best;
+}
+
+/// Every node within `hops` out-edge hops of a seed (the seeds included).
+std::set<flat::NodeId> OutReach(const std::vector<flat::EdgeRecord>& edges,
+                                const std::set<flat::NodeId>& seeds,
+                                int hops) {
+  std::set<flat::NodeId> reached = seeds;
+  std::set<flat::NodeId> frontier = seeds;
+  for (int h = 0; h < hops; ++h) {
+    std::set<flat::NodeId> next;
+    for (const auto& e : edges) {
+      if (frontier.count(e.src) > 0 && reached.insert(e.dst).second) {
+        next.insert(e.dst);
+      }
+    }
+    frontier = std::move(next);
+  }
+  return reached;
+}
+
+bool IsLabeled(const flat::NodeRecord& n) {
+  return n.label >= 0 || !n.multilabel.empty();
+}
+
+/// The published files of a dataset: name -> (bytes, mtime). A re-publish
+/// renames a fresh directory into place, so even identical bytes come back
+/// with new mtimes.
+using DatasetFiles =
+    std::map<std::string,
+             std::pair<std::string, std::filesystem::file_time_type>>;
+
+DatasetFiles SnapshotDataset(const std::string& dir) {
+  DatasetFiles files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] = {
+        std::string(std::istreambuf_iterator<char>(in), {}),
+        entry.last_write_time()};
+  }
+  return files;
+}
+
+/// The maintained dataset equals a cold GraphFlat of `nodes`/`edges`.
+void ExpectFeaturesMatchCold(const flat::GraphFlatConfig& fconfig,
+                             const std::vector<flat::NodeRecord>& nodes,
+                             const std::vector<flat::EdgeRecord>& edges,
+                             mr::LocalDfs* dfs, const std::string& dataset,
+                             const std::string& what) {
+  ASSERT_TRUE(agl::Run(fconfig, nodes, edges, dfs, "features_cold").ok());
+  auto maintained = dfs->ReadDataset(dataset);
+  auto cold = dfs->ReadDataset("features_cold");
+  ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_TRUE(*maintained == *cold) << what;
+}
+
+// A features dataset that does not fit the tables fails the start with
+// kFailedPrecondition, like a model that does not fit the config — not
+// the first mutation batch.
+TEST_F(ServeTest, StartRejectsFeaturesDatasetThatDoesNotFitTheTables) {
+  data::Dataset ds = SmallUug(40);
+  const gnn::ModelConfig mconfig =
+      SmallModel(gnn::ModelType::kGraphSage, 2, ds.feature_dim);
+  const auto state = gnn::GnnModel(mconfig).StateDict();
+  mr::LocalDfs dfs = OpenDfs();
+  flat::GraphFlatConfig fconfig;
+  fconfig.hops = 2;
+  ASSERT_TRUE(agl::Run(fconfig, ds.nodes, ds.edges, &dfs, "features").ok());
+  ServeConfig config;
+  config.infer.model = mconfig;
+  config.features_dataset = "features";
+  config.flat = fconfig;
+  {
+    auto svc = agl::Run(config, state, ds.nodes, ds.edges, &dfs);
+    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  }
+
+  // One target fewer in the tables than in the dataset.
+  std::vector<flat::NodeRecord> unlabeled = ds.nodes;
+  unlabeled[3].label = -1;
+  auto fewer = agl::Run(config, state, unlabeled, ds.edges, &dfs);
+  EXPECT_EQ(fewer.status().code(), StatusCode::kFailedPrecondition)
+      << fewer.status().ToString();
+  // One target more: the dataset was flattened without node 3.
+  ASSERT_TRUE(agl::Run(fconfig, unlabeled, ds.edges, &dfs, "fewer").ok());
+  ServeConfig more_config = config;
+  more_config.features_dataset = "fewer";
+  auto more = agl::Run(more_config, state, ds.nodes, ds.edges, &dfs);
+  EXPECT_EQ(more.status().code(), StatusCode::kFailedPrecondition)
+      << more.status().ToString();
+  // A hub above the threshold would make the re-flatten sample.
+  ServeConfig hub_config = config;
+  hub_config.flat.hub_threshold = MaxInDegree(ds.edges) - 1;
+  auto hub = agl::Run(hub_config, state, ds.nodes, ds.edges, &dfs);
+  EXPECT_EQ(hub.status().code(), StatusCode::kFailedPrecondition)
+      << hub.status().ToString();
+}
+
+// A batch whose re-flatten fails (here: it makes a hub) still changed the
+// tables. The next successful batch must re-flatten the targets of the
+// failed one too, or the dataset keeps a stale payload forever.
+TEST_F(ServeTest, FailedReflattenIsCaughtUpByTheNextBatch) {
+  data::Dataset ds = SmallUug(200, 1);
+  const gnn::ModelConfig mconfig =
+      SmallModel(gnn::ModelType::kGraphSage, 2, ds.feature_dim);
+  const auto state = gnn::GnnModel(mconfig).StateDict();
+  mr::LocalDfs dfs = OpenDfs();
+
+  const std::map<flat::NodeId, int> in = InDegrees(ds.edges);
+  flat::NodeId h = 0;
+  for (const auto& [id, d] : in) {
+    if (d > in.at(h)) h = id;
+  }
+  std::set<std::pair<flat::NodeId, flat::NodeId>> present;
+  for (const auto& e : ds.edges) present.insert({e.src, e.dst});
+  flat::NodeId a = h;
+  for (const auto& n : ds.nodes) {
+    if (n.id != h && present.count({n.id, h}) == 0) {
+      a = n.id;
+      break;
+    }
+  }
+  ASSERT_NE(a, h);
+  const std::set<flat::NodeId> near = OutReach(ds.edges, {a, h}, 2);
+  flat::NodeId w = h;
+  for (const auto& n : ds.nodes) {
+    if (IsLabeled(n) && near.count(n.id) == 0) {
+      w = n.id;
+      break;
+    }
+  }
+  ASSERT_NE(w, h) << "no labelled node outside the 2-hop out-reach";
+
+  flat::GraphFlatConfig fconfig;
+  fconfig.hops = 2;
+  fconfig.hub_threshold = in.at(h);
+  ASSERT_TRUE(agl::Run(fconfig, ds.nodes, ds.edges, &dfs, "features").ok());
+  ServeConfig config;
+  config.infer.model = mconfig;
+  config.features_dataset = "features";
+  config.flat = fconfig;
+  auto svc = agl::Run(config, state, ds.nodes, ds.edges, &dfs);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  InferenceService& service = **svc;
+
+  const std::vector<Mutation> first = {
+      *Mutation::Parse("add-edge " + std::to_string(a) + " " +
+                       std::to_string(h) + " 1"),
+      *Mutation::Parse("update-features " + std::to_string(w) +
+                       " 9,8,7,6,5,4")};
+  EXPECT_EQ(service.ApplyMutations(first).code(),
+            StatusCode::kFailedPrecondition);
+  const std::vector<Mutation> second = {*Mutation::Parse(
+      "remove-edge " + std::to_string(a) + " " + std::to_string(h))};
+  ASSERT_TRUE(service.ApplyMutations(second).ok());
+
+  std::vector<flat::NodeRecord> nodes = ds.nodes;
+  std::vector<flat::EdgeRecord> edges = ds.edges;
+  for (const auto* batch : {&first, &second}) {
+    for (const Mutation& m : *batch) {
+      ASSERT_TRUE(ApplyMutation(m, &nodes, &edges).ok());
+    }
+  }
+  ExpectFeaturesMatchCold(fconfig, nodes, edges, &dfs, "features",
+                          "after a failed batch and a successful one");
+  const std::vector<flat::NodeId> all = AllIds(ds);
+  auto served = service.Score(all);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ExpectScoresIdentical(*served,
+                        ColdScores(config.infer, state, nodes, edges, all),
+                        "served after the failed re-flatten");
+}
+
+// Differential property: random mutation batches (applied, rolled back,
+// and failing the hub check) against a service keeping a features dataset
+// fresh. After every applied batch the service reports kFailedPrecondition
+// exactly when the tables hold a hub; after every OK batch the dataset
+// equals a cold GraphFlat, the re-flatten covered the targets within K
+// out-hops of every node changed since the last OK batch, and a batch
+// that dirtied no stored target published nothing.
+TEST_F(ServeTest, MaintainedFeaturesMatchColdGraphFlatUnderRandomBatches) {
+  constexpr int kHops = 2;
+  for (uint32_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::filesystem::remove_all(root_);
+    mr::LocalDfs dfs = OpenDfs();
+    data::Dataset ds = SmallUug(200, 1);
+    // Few stored targets, so that many batches dirty none of them.
+    for (auto& n : ds.nodes) {
+      if (n.id % 16 != seed % 16) n.label = -1;
+    }
+    const gnn::ModelConfig mconfig =
+        SmallModel(gnn::ModelType::kGraphSage, 2, ds.feature_dim);
+    const auto state = gnn::GnnModel(mconfig).StateDict();
+    flat::GraphFlatConfig fconfig;
+    fconfig.hops = kHops;
+    fconfig.output_parts = 2;
+    const int threshold = MaxInDegree(ds.edges);
+    fconfig.hub_threshold = threshold;
+    ASSERT_TRUE(
+        agl::Run(fconfig, ds.nodes, ds.edges, &dfs, "features").ok());
+    ServeConfig config;
+    config.infer.model = mconfig;
+    config.features_dataset = "features";
+    config.flat = fconfig;
+    auto svc = agl::Run(config, state, ds.nodes, ds.edges, &dfs);
+    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+    InferenceService& service = **svc;
+
+    std::vector<flat::NodeRecord> nodes = ds.nodes;
+    std::vector<flat::EdgeRecord> edges = ds.edges;
+    std::set<flat::NodeId> labeled;
+    for (const auto& n : nodes) {
+      if (IsLabeled(n)) labeled.insert(n.id);
+    }
+    std::mt19937 rng(seed);
+    auto pick = [&](std::size_t n) {
+      return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+    };
+    // Nodes changed since the last OK batch (the test's own model).
+    std::set<flat::NodeId> pending;
+    std::vector<Mutation> undo_hub;
+    int hub_failures = 0, rollbacks = 0, quiet = 0, publishing = 0;
+    for (int step = 0; step < 40; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      std::vector<Mutation> batch = std::move(undo_hub);
+      undo_hub.clear();
+      std::set<std::pair<flat::NodeId, flat::NodeId>> present;
+      for (const auto& e : edges) present.insert({e.src, e.dst});
+      for (const Mutation& m : batch) present.erase({m.edge.src, m.edge.dst});
+      const int extra = 1 + static_cast<int>(pick(3));
+      for (int i = 0; i < extra; ++i) {
+        switch (pick(4)) {
+          case 0: {  // add-edge, into a node at the threshold now and then
+            const std::map<flat::NodeId, int> in = InDegrees(edges);
+            flat::NodeId dst = nodes[pick(nodes.size())].id;
+            if (pick(3) == 0) {
+              for (const auto& [id, d] : in) {
+                if (d == threshold) dst = id;
+              }
+            }
+            const flat::NodeId src = nodes[pick(nodes.size())].id;
+            if (src == dst || present.count({src, dst}) > 0) break;
+            present.insert({src, dst});
+            batch.push_back(*Mutation::Parse(
+                "add-edge " + std::to_string(src) + " " +
+                std::to_string(dst) + " 1"));
+            break;
+          }
+          case 1: {
+            const flat::EdgeRecord& e = edges[pick(edges.size())];
+            if (present.count({e.src, e.dst}) == 0) break;
+            present.erase({e.src, e.dst});
+            batch.push_back(*Mutation::Parse(
+                "remove-edge " + std::to_string(e.src) + " " +
+                std::to_string(e.dst)));
+            break;
+          }
+          default: {
+            std::vector<float> features;
+            for (int f = 0; f < ds.feature_dim; ++f) {
+              features.push_back(static_cast<float>(pick(9)));
+            }
+            Mutation m;
+            m.type = Mutation::Type::kUpdateFeatures;
+            m.node = nodes[pick(nodes.size())].id;
+            m.features = std::move(features);
+            batch.push_back(std::move(m));
+            break;
+          }
+        }
+      }
+      const bool doomed = pick(8) == 0;
+      if (doomed) batch.push_back(*Mutation::Parse("remove-edge 0 0"));
+      if (batch.empty()) continue;
+
+      const ServeStats before = service.stats();
+      const DatasetFiles files_before = SnapshotDataset(root_ + "/features");
+      const agl::Status status = service.ApplyMutations(batch);
+      const ServeStats after = service.stats();
+      const int64_t publishes =
+          after.reflatten_publishes - before.reflatten_publishes;
+      if (doomed) {
+        EXPECT_EQ(status.code(), StatusCode::kNotFound) << status.ToString();
+        EXPECT_EQ(publishes, 0);
+        EXPECT_TRUE(SnapshotDataset(root_ + "/features") == files_before);
+        ++rollbacks;
+        continue;
+      }
+      for (const Mutation& m : batch) {
+        ASSERT_TRUE(ApplyMutation(m, &nodes, &edges).ok()) << m.ToString();
+        pending.insert(m.type == Mutation::Type::kUpdateFeatures ? m.node
+                                                                 : m.edge.dst);
+      }
+      if (MaxInDegree(edges) > threshold) {
+        EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+            << status.ToString();
+        EXPECT_EQ(publishes, 0);
+        // The next batch removes in-edges of every hub down to the
+        // threshold, so that most batches succeed.
+        for (const auto& [id, d] : InDegrees(edges)) {
+          int excess = d - threshold;
+          for (const auto& e : edges) {
+            if (excess <= 0) break;
+            if (e.dst != id) continue;
+            undo_hub.push_back(*Mutation::Parse(
+                "remove-edge " + std::to_string(e.src) + " " +
+                std::to_string(e.dst)));
+            --excess;
+          }
+        }
+        ++hub_failures;
+        continue;
+      }
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      std::set<flat::NodeId> dirty;
+      for (flat::NodeId id : OutReach(edges, pending, kHops)) {
+        if (labeled.count(id) > 0) dirty.insert(id);
+      }
+      pending.clear();
+      EXPECT_EQ(after.reflatten_dirty_targets - before.reflatten_dirty_targets,
+                static_cast<int64_t>(dirty.size()));
+      EXPECT_EQ(publishes, dirty.empty() ? 0 : 1);
+      if (dirty.empty()) {
+        EXPECT_TRUE(SnapshotDataset(root_ + "/features") == files_before)
+            << "a batch that dirtied no stored target re-published";
+        ++quiet;
+      } else {
+        ++publishing;
+      }
+      ExpectFeaturesMatchCold(fconfig, nodes, edges, &dfs, "features",
+                              "after an OK batch");
+    }
+    // The schedule is not vacuous: every path ran.
+    EXPECT_GT(hub_failures, 0);
+    EXPECT_GT(rollbacks, 0);
+    EXPECT_GT(quiet, 0);
+    EXPECT_GT(publishing, 0);
+  }
+}
+
 }  // namespace
 }  // namespace agl::serve
