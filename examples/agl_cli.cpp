@@ -699,7 +699,8 @@ agl::Status RunServeCmd(const std::vector<std::string>& args) {
   std::string model_spec, node_csv, edge_csv, script_path, output,
       store_name = "embedding_store", features_dataset, failpoints;
   int64_t workers = 4, shards = 1, batch_slices = 2, store_budget_mb = -1,
-          max_pending = 256, max_batch_targets = 1024, hops = 2;
+          max_pending = 256, max_batch_targets = 1024, hops = 2,
+          flat_shards = 1, hub_threshold = 10000;
   bool no_persist = false;
   ModelFlags model;
   FlagParser parser;
@@ -725,6 +726,10 @@ agl::Status RunServeCmd(const std::vector<std::string>& args) {
                  "flattened dataset (on the model DFS root) to keep fresh "
                  "via incremental re-flatten")
       .AddInt("hops", &hops, "GraphFlat hops of --features")
+      .AddInt("flat-shards", &flat_shards,
+              "GraphFlat shards of --features (its part layout)")
+      .AddInt("hub-threshold", &hub_threshold,
+              "GraphFlat re-indexing threshold of --features")
       .AddBool("no-persist", &no_persist,
                "skip the final store publish on exit")
       .AddString("failpoints", &failpoints,
@@ -756,6 +761,8 @@ agl::Status RunServeCmd(const std::vector<std::string>& args) {
   if (!features_dataset.empty()) {
     config.features_dataset = features_dataset;
     config.flat.hops = static_cast<int>(hops);
+    config.flat.num_shards = static_cast<int>(flat_shards);
+    config.flat.hub_threshold = hub_threshold;
     config.flat.job.num_workers = static_cast<int>(workers);
   }
 

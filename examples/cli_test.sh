@@ -10,7 +10,8 @@
 #   * training off the DFS part files (--stream) writes the same model as
 #     training over the loaded dataset;
 #   * the served scores equal the offline inference scores, and a
-#     --features dataset kept fresh by serve equals a cold graphflat;
+#     --features dataset kept fresh by serve equals a cold graphflat, also
+#     in a 2-shard layout (and a layout mismatch is an error);
 #   * bad inputs (a model artifact that does not fit the flags, a ragged
 #     node table, a malformed number in a serve script line, an unknown
 #     task) exit 1 with an `error:` line.
@@ -118,6 +119,22 @@ sed "s/^3,$label3,/3,-1,/" "$N" >"$T/unlabelled3.csv"
 expect_error "serve --features over tables with another target set" \
   serve "${model[@]}" -n "$T/unlabelled3.csv" -e "$E" --script "$T/ops.txt" \
   --features serve_features --store features_store -o "$T/x.csv"
+
+# A sharded --features dataset: serve must be given its layout
+# (--flat-shards, --hub-threshold). Without it the start fails instead of
+# re-publishing the dataset in the 1-shard layout; with it the maintained
+# dataset equals a cold sharded graphflat of the updated node table.
+"$CLI" graphflat "${flat[@]}" -o "$T/dfs:serve_sharded"
+"$CLI" graphflat -n "$T/nodes3.csv" -e "$E" --shards 2 --workers 2 \
+  -o "$T/dfs:cold_sharded"
+expect_error "serve --features over a 2-shard dataset in the 1-shard layout" \
+  serve "${model[@]}" -n "$N" -e "$E" --script "$T/mut_ops.txt" \
+  --features serve_sharded --store sharded_store -o "$T/x.csv"
+"$CLI" serve "${model[@]}" -n "$N" -e "$E" --script "$T/mut_ops.txt" \
+  --features serve_sharded --flat-shards 2 --hub-threshold 10000 \
+  --store sharded_store -o "$T/x.csv" >/dev/null
+same_dataset "$T/dfs/serve_sharded" "$T/dfs/cold_sharded" \
+  "serve --features --flat-shards 2 vs cold graphflat --shards 2"
 
 # Bad inputs are clean errors, never aborts.
 { head -n 2 "$N"; tail -n +3 "$N" | sed '1s/;[^;]*$//'; } >"$T/ragged.csv"

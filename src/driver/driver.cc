@@ -130,12 +130,18 @@ agl::Status RunShardWorker(const std::string& role, const std::string& root,
   if (role == kRoleFlat) {
     AGL_ASSIGN_OR_RETURN(const flat::FlatShardJob job,
                          DecodeFlatShardJob(meta));
+    // The shard stores its slice of the output dataset itself.
+    std::optional<mr::LocalDfs> out_dfs;
+    if (!job.dataset.empty()) {
+      AGL_ASSIGN_OR_RETURN(out_dfs, mr::LocalDfs::Open(job.output_root));
+    }
     flat::DfsExchange exchange(&dfs, ExchangePrefix(prefix),
                                flat::ShardPlan(job.config.num_shards), xopts);
     AGL_ASSIGN_OR_RETURN(
         flat::FlatShardOutput out,
-        flat::RunFlatShard(job, shard, nodes, edges, &exchange));
-    out.exchange = exchange.stats();
+        flat::RunFlatShard(job, shard, nodes, edges, &exchange,
+                           out_dfs ? &*out_dfs : nullptr));
+    out.stats.exchange = exchange.stats();
     output = EncodeFlatShardOutput(out);
   } else {
     AGL_ASSIGN_OR_RETURN(const AnalyticsJob job, DecodeAnalyticsJob(meta));

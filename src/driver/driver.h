@@ -17,8 +17,9 @@
 // marks the process as a worker it runs its role and exits instead of
 // parsing user flags. All bulk data crosses the boundary through the
 // crash-consistent LocalDfs (job metas, table slices, the DfsExchange's
-// boundary buckets, worker outputs); the trainer's hot path speaks the ps/
-// wire protocol to a PsServer the driver hosts.
+// boundary buckets, worker outputs, and the slices GraphFlat shards store
+// on the output DFS); the trainer's hot path speaks the ps/ wire protocol
+// to a PsServer the driver hosts.
 //
 // Failure semantics. Worker exits feed common::ClassifyExit into the same
 // classified-retry policy the in-process layers use: a signal death (the
@@ -94,7 +95,9 @@ struct DriverStats {
 /// GraphFlat with S shard processes over a DfsExchange; byte-identical to
 /// RunGraphFlat with the same config (the sharding suite's oracle).
 /// `out_dfs`/`dataset` receive the flattened features exactly as
-/// RunGraphFlat writes them; `options.dfs` carries the coordination state.
+/// RunGraphFlat writes them: each shard process opens `out_dfs`'s root
+/// (which the workers must reach) and stores its slice there, and the
+/// driver unifies the slices. `options.dfs` carries the coordination state.
 agl::Result<flat::GraphFlatStats> RunGraphFlatProcesses(
     const DriverOptions& options, const flat::GraphFlatConfig& config,
     const std::vector<flat::NodeRecord>& nodes,

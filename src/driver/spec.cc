@@ -192,6 +192,8 @@ std::string EncodeFlatShardJob(const flat::FlatShardJob& job) {
   PutJobConfig(&w, c.job);
   PutInt(&w, job.node_feature_dim);
   PutInt(&w, job.edge_feature_dim);
+  w.PutString(job.output_root);
+  w.PutString(job.dataset);
   return w.Release();
 }
 
@@ -213,6 +215,8 @@ agl::Result<flat::FlatShardJob> DecodeFlatShardJob(const std::string& bytes) {
   AGL_RETURN_IF_ERROR(GetJobConfig(&r, &c.job));
   AGL_RETURN_IF_ERROR(GetInt(&r, &job.node_feature_dim));
   AGL_RETURN_IF_ERROR(GetInt(&r, &job.edge_feature_dim));
+  AGL_RETURN_IF_ERROR(r.GetString(&job.output_root));
+  AGL_RETURN_IF_ERROR(r.GetString(&job.dataset));
   if (!r.AtEnd()) {
     return agl::Status::Corruption("flat shard job has trailing bytes");
   }
@@ -360,9 +364,18 @@ agl::Result<trainer::internal::WorkerResult> DecodeWorkerResult(
 
 std::string EncodeFlatShardOutput(const flat::FlatShardOutput& out) {
   io::BufferWriter w;
-  w.PutString(flat::SerializeExchangeRecords(out.records));
-  PutJobStats(&w, out.job_stats);
-  PutExchangeStats(&w, out.exchange);
+  w.PutVarint64(out.features.size());
+  for (const auto& [id, bytes] : out.features) {
+    w.PutVarint64(id);
+    w.PutString(bytes);
+  }
+  const flat::GraphFlatStats& stats = out.stats;
+  PutInt(&w, stats.num_features);
+  PutInt(&w, stats.total_nodes);
+  PutInt(&w, stats.total_edges);
+  PutInt(&w, stats.max_nodes);
+  PutJobStats(&w, stats.job_stats);
+  PutExchangeStats(&w, stats.exchange);
   return w.Release();
 }
 
@@ -370,11 +383,23 @@ agl::Result<flat::FlatShardOutput> DecodeFlatShardOutput(
     const std::string& bytes) {
   io::BufferReader r(bytes);
   flat::FlatShardOutput out;
-  std::string records;
-  AGL_RETURN_IF_ERROR(r.GetString(&records));
-  AGL_ASSIGN_OR_RETURN(out.records, flat::ParseExchangeRecords(records));
-  AGL_RETURN_IF_ERROR(GetJobStats(&r, &out.job_stats));
-  AGL_RETURN_IF_ERROR(GetExchangeStats(&r, &out.exchange));
+  uint64_t n = 0;
+  AGL_RETURN_IF_ERROR(r.GetVarint64(&n));
+  if (n > r.remaining()) {
+    return agl::Status::Corruption("feature count overflows its record");
+  }
+  out.features.resize(n);
+  for (auto& [id, feature] : out.features) {
+    AGL_RETURN_IF_ERROR(r.GetVarint64(&id));
+    AGL_RETURN_IF_ERROR(r.GetString(&feature));
+  }
+  flat::GraphFlatStats& stats = out.stats;
+  AGL_RETURN_IF_ERROR(GetInt(&r, &stats.num_features));
+  AGL_RETURN_IF_ERROR(GetInt(&r, &stats.total_nodes));
+  AGL_RETURN_IF_ERROR(GetInt(&r, &stats.total_edges));
+  AGL_RETURN_IF_ERROR(GetInt(&r, &stats.max_nodes));
+  AGL_RETURN_IF_ERROR(GetJobStats(&r, &stats.job_stats));
+  AGL_RETURN_IF_ERROR(GetExchangeStats(&r, &stats.exchange));
   if (!r.AtEnd()) {
     return agl::Status::Corruption("flat shard output has trailing bytes");
   }

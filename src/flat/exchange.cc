@@ -176,23 +176,26 @@ agl::Status DfsExchange::Publish(int round, int src_shard,
     AGL_RETURN_IF_ERROR(aborted_);
   }
   const int s = plan_.num_shards();
+  const int64_t num_records = static_cast<int64_t>(records.size());
   std::vector<std::vector<mr::KeyValue>> by_dst(s);
   for (mr::KeyValue& kv : records) {
     by_dst[plan_.HomeShard(kv.key)].push_back(std::move(kv));
   }
   int64_t bytes = 0;
-  // Every (src, dst) bucket is written — an empty one included — so a
-  // collector can distinguish "src published nothing for me" from "src
-  // has not published yet".
+  // Every peer bucket is written — an empty one included — so a collector
+  // can distinguish "src published nothing for me" from "src has not
+  // published yet". The own bucket stays in memory.
   for (int dst = 0; dst < s; ++dst) {
+    if (dst == src_shard) continue;
     const std::string payload = SerializeExchangeRecords(by_dst[dst]);
     bytes += static_cast<int64_t>(payload.size());
     AGL_RETURN_IF_ERROR(dfs_->WriteDataset(
         BucketName(prefix_, round, src_shard, dst), {payload}, 1));
   }
   common::MutexLock lock(&mu_);
+  own_[{round, src_shard}] = std::move(by_dst[src_shard]);
   stats_.publishes++;
-  stats_.records_published += static_cast<int64_t>(records.size());
+  stats_.records_published += num_records;
   stats_.bytes_published += bytes;
   return agl::Status::OK();
 }
@@ -226,15 +229,34 @@ agl::Result<std::vector<mr::KeyValue>> DfsExchange::Collect(int round,
                                                             int dst_shard) {
   Stopwatch watch;
   const int s = plan_.num_shards();
-  std::vector<mr::KeyValue> out;
+  std::vector<std::vector<mr::KeyValue>> by_src(s);
+  {
+    common::MutexLock lock(&mu_);
+    AGL_RETURN_IF_ERROR(aborted_);
+    auto own = own_.find({round, dst_shard});
+    if (own == own_.end()) {
+      return agl::Status::FailedPrecondition(
+          "DfsExchange: shard " + std::to_string(dst_shard) +
+          " collects round " + std::to_string(round) +
+          " without having published it");
+    }
+    by_src[dst_shard] = std::move(own->second);
+    own_.erase(own);
+  }
   int64_t bytes = 0;
   for (int src = 0; src < s; ++src) {
+    if (src == dst_shard) continue;
     AGL_ASSIGN_OR_RETURN(
         std::string payload,
         AwaitAndRead(BucketName(prefix_, round, src, dst_shard)));
     bytes += static_cast<int64_t>(payload.size());
-    AGL_ASSIGN_OR_RETURN(std::vector<mr::KeyValue> recs,
-                         ParseExchangeRecords(payload));
+    AGL_ASSIGN_OR_RETURN(by_src[src], ParseExchangeRecords(payload));
+  }
+  std::vector<mr::KeyValue> out;
+  std::size_t total = 0;
+  for (const auto& recs : by_src) total += recs.size();
+  out.reserve(total);
+  for (auto& recs : by_src) {
     for (mr::KeyValue& kv : recs) out.push_back(std::move(kv));
   }
   common::MutexLock lock(&mu_);

@@ -8,8 +8,9 @@
 // Publish(round, src, records) exactly once-logically (a restarted shard
 // may re-publish — publishes are idempotent because the per-shard record
 // stream is deterministic and DFS publishes are atomic), and
-// Collect(round, dst) blocks until all S publishes for `round` landed,
-// returning exactly the records whose shuffle key is homed on `dst`,
+// Collect(round, dst), called by shard dst after its own Publish of
+// `round`, blocks until all S publishes for `round` landed, returning
+// exactly the records whose shuffle key is homed on `dst`,
 // ordered source-shard-major with the original emit order preserved
 // within each source. That ordering plus the reduce engine's canonical
 // value ordering is what keeps output byte-identical across
@@ -23,9 +24,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -44,7 +47,8 @@ struct ExchangeStats {
   int64_t allgathers = 0;
   int64_t records_published = 0;
   int64_t records_collected = 0;
-  /// Serialized bytes moved through the DFS (0 for the in-memory path).
+  /// Serialized bytes moved through the DFS: 0 for the in-memory path,
+  /// and a DfsExchange shard's own bucket never counts.
   int64_t bytes_published = 0;
   int64_t bytes_collected = 0;
   /// Time shards spent blocked waiting for peers' publishes.
@@ -120,14 +124,19 @@ class InMemoryExchange : public Exchange {
   ExchangeStats stats_ GUARDED_BY(mu_);
 };
 
-/// DFS-backed exchange: each (round, src, dst) bucket is one atomically
-/// published dataset "<prefix>.x.r<round>.f<src>.t<dst>"; collectors poll
-/// for the S source datasets of their round. Because every dataset is
-/// written with the crash-consistent scratch+rename publish, a shard
-/// process that dies mid-publish leaves no readable partial, and its
-/// restarted attempt re-publishes byte-identical data. Datasets are
-/// retained for the life of the job (restart safety) and removed with
-/// CleanupPrefix afterwards.
+/// DFS-backed exchange: each (round, src, dst) bucket with src != dst is
+/// one atomically published dataset "<prefix>.x.r<round>.f<src>.t<dst>";
+/// collectors poll for the S - 1 peer datasets of their round. A shard's
+/// own bucket (src == dst) is never written: Publish keeps it in memory
+/// and Collect takes it from there, so each Collect must follow this
+/// instance's Publish of the same round (kFailedPrecondition otherwise,
+/// never a wait). Because every dataset is written with the
+/// crash-consistent scratch+rename publish, a shard process that dies
+/// mid-publish leaves no readable partial, and its restarted attempt
+/// recomputes its own bucket and re-publishes byte-identical peer buckets.
+/// Datasets are retained for the life of the job (restart safety) and
+/// removed with CleanupPrefix afterwards. `bytes_published` and
+/// `bytes_collected` count only the buckets that cross the DFS.
 class DfsExchange : public Exchange {
  public:
   struct Options {
@@ -165,6 +174,9 @@ class DfsExchange : public Exchange {
   mutable common::Mutex mu_;
   agl::Status aborted_ GUARDED_BY(mu_);
   ExchangeStats stats_ GUARDED_BY(mu_);
+  /// Own buckets published and not yet collected, by (round, shard).
+  std::map<std::pair<int, int>, std::vector<mr::KeyValue>> own_
+      GUARDED_BY(mu_);
 };
 
 /// The in-process shard fan-out of both sharded pipelines: runs

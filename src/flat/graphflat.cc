@@ -7,6 +7,7 @@
 #include "common/timer.h"
 #include "flat/shard.h"
 #include "flat/state.h"
+#include "io/codec.h"
 
 namespace agl::flat {
 namespace {
@@ -64,9 +65,6 @@ struct RoundContext {
   GraphFlatConfig::Targets targets = GraphFlatConfig::Targets::kLabeledNodes;
   int64_t node_feature_dim = 0;
   int64_t edge_feature_dim = 0;
-  /// Sharded mode: the last round emits the merged SubgraphState instead of
-  /// flattening, deferring the Storing step to the shard-merge stage.
-  bool emit_state_at_last = false;
 };
 
 /// Does `self` receive a GraphFeature under the configured target policy?
@@ -75,9 +73,10 @@ bool IsTarget(const RoundContext& ctx, const NodeRecord& self) {
          self.label >= 0 || !self.multilabel.empty();
 }
 
-/// The Storing step (§3.2.1): flattens `state` to a GraphFeature record iff
-/// the node is a requested target. Shared by the single-shard last round
-/// and the shard-merge reducer so both paths emit identical bytes.
+/// The Storing step (§3.2.1): flattens `state` to a final record iff the
+/// node is a requested target. The record carries the feature's node and
+/// edge counts ahead of its bytes, so counting never re-parses it:
+///   'F' varint(num_nodes) varint(num_edges) GraphFeature bytes
 agl::Status EmitFinalIfTarget(const RoundContext& ctx, const std::string& key,
                               NodeId self_id, const SubgraphState& state,
                               mr::Emitter* out) {
@@ -86,7 +85,13 @@ agl::Status EmitFinalIfTarget(const RoundContext& ctx, const std::string& key,
     AGL_ASSIGN_OR_RETURN(
         subgraph::GraphFeature gf,
         state.ToGraphFeature(ctx.node_feature_dim, ctx.edge_feature_dim));
-    out->Emit(key, Tagged(kTagFinal, gf.Serialize()));
+    io::BufferWriter w;
+    w.PutBytes(&kTagFinal, 1);
+    w.PutVarint64(static_cast<uint64_t>(gf.num_nodes()));
+    w.PutVarint64(static_cast<uint64_t>(gf.num_edges()));
+    const std::string bytes = gf.Serialize();
+    w.PutBytes(bytes.data(), bytes.size());
+    out->Emit(key, w.Release());
   }
   return agl::Status::OK();
 }
@@ -190,17 +195,6 @@ class FlatReducer : public mr::Reducer {
     }
 
     if (ctx_.round == ctx_.last_round) {
-      if (ctx_.emit_state_at_last) {
-        // Sharded mode: hand the merged state to the merge stage, which
-        // reconciles per-node states (see MergeReducer) and then performs
-        // the Storing step. Non-targets can never produce a final record,
-        // so their (large) states are not worth serializing and shuffling.
-        if (state.HasNode(self_id) &&
-            IsTarget(ctx_, state.nodes().at(self_id))) {
-          out->Emit(key, Tagged(kTagState, state.Serialize()));
-        }
-        return agl::Status::OK();
-      }
       return EmitFinalIfTarget(ctx_, key, self_id, state, out);
     }
 
@@ -337,43 +331,6 @@ agl::Result<std::vector<mr::KeyValue>> ReindexAndSampleHubKeys(
 
 namespace {
 
-/// Shard-merge stage: reconciles per-node states before Store. With the
-/// exact home-shard routing above, each node normally arrives with exactly
-/// one state; the set-union here (sound and order-free because
-/// SubgraphState::Merge is a set union over nodes and edges) is the
-/// reconcile-before-Store contract that keeps the Storing step correct
-/// under looser routing — e.g. the planned multi-process exchange through
-/// the DFS, where at-least-once delivery can duplicate a node's state.
-class MergeReducer : public mr::Reducer {
- public:
-  explicit MergeReducer(const RoundContext& ctx) : ctx_(ctx) {}
-
-  agl::Status Reduce(const std::string& key,
-                     const std::vector<std::string>& values,
-                     mr::Emitter* out) override {
-    SubgraphState merged;
-    bool have = false;
-    for (const std::string& v : values) {
-      if (v.empty() || v[0] != kTagState) {
-        return agl::Status::Corruption("non-state record in shard merge");
-      }
-      AGL_ASSIGN_OR_RETURN(SubgraphState s, SubgraphState::Parse(v.substr(1)));
-      if (have) {
-        merged.Merge(s);
-      } else {
-        merged = std::move(s);
-        have = true;
-      }
-    }
-    if (!have) return agl::Status::OK();
-    const NodeId self_id = static_cast<NodeId>(std::stoull(key));
-    return EmitFinalIfTarget(ctx_, key, self_id, merged, out);
-  }
-
- private:
-  RoundContext ctx_;
-};
-
 /// Raw-table rows tagged as map input, shared by both pipelines.
 std::vector<mr::KeyValue> BuildMapInput(const std::vector<NodeRecord>& nodes,
                                         const std::vector<EdgeRecord>& edges) {
@@ -388,76 +345,45 @@ std::vector<mr::KeyValue> BuildMapInput(const std::vector<NodeRecord>& nodes,
   return input;
 }
 
-RoundContext MakeContext(const GraphFlatConfig& config,
-                         const std::vector<NodeRecord>& nodes,
-                         const std::vector<EdgeRecord>& edges) {
-  RoundContext ctx;
-  ctx.last_round = config.hops;
-  ctx.sampler_config = config.sampler;
-  ctx.seed = config.job.seed;
-  ctx.targets = config.targets;
-  ctx.node_feature_dim = static_cast<int64_t>(nodes[0].features.size());
-  ctx.edge_feature_dim =
+/// The job over the full tables, with the feature dims inferred from their
+/// first rows.
+FlatShardJob MakeJob(const GraphFlatConfig& config,
+                     const std::vector<NodeRecord>& nodes,
+                     const std::vector<EdgeRecord>& edges) {
+  FlatShardJob job;
+  job.config = config;
+  job.config.num_shards = std::max(1, config.num_shards);
+  job.node_feature_dim = static_cast<int64_t>(nodes[0].features.size());
+  job.edge_feature_dim =
       edges.empty() ? 0 : static_cast<int64_t>(edges[0].features.size());
+  return job;
+}
+
+RoundContext MakeContext(const FlatShardJob& job) {
+  RoundContext ctx;
+  ctx.last_round = job.config.hops;
+  ctx.sampler_config = job.config.sampler;
+  ctx.seed = job.config.job.seed;
+  ctx.targets = job.config.targets;
+  ctx.node_feature_dim = job.node_feature_dim;
+  ctx.edge_feature_dim = job.edge_feature_dim;
   return ctx;
 }
 
-agl::Result<std::vector<FlatShardOutput>> RunFlatShardThreads(
-    const FlatShardJob& job, const ShardedTables& tables);
-
-/// The front half of the sharded job shell: partitions the tables, runs
-/// the shards through `run_shards`, and concatenates their records and
-/// counters. Produces the same final records as the single-shard pipeline
-/// (tests/sharding_test.cpp holds the byte-identity property over shard
-/// counts) whether the shards run as threads or as processes.
-agl::Result<std::vector<mr::KeyValue>> RunShardedPipeline(
-    const GraphFlatConfig& config, const std::vector<NodeRecord>& nodes,
-    const std::vector<EdgeRecord>& edges, const FlatShardRunner& run_shards,
-    GraphFlatStats* stats) {
-  Stopwatch watch;
-  if (nodes.empty()) {
-    return agl::Status::InvalidArgument("GraphFlat: empty node table");
-  }
-  const RoundContext ctx = MakeContext(config, nodes, edges);
-  FlatShardJob job{config, ctx.node_feature_dim, ctx.edge_feature_dim};
-  job.config.num_shards = std::max(1, config.num_shards);
-  ShardRouter router{ShardPlan(job.config.num_shards)};
-  const ShardedTables tables = router.PartitionTables(nodes, edges);
-
-  AGL_ASSIGN_OR_RETURN(std::vector<FlatShardOutput> shards,
-                       run_shards(job, tables));
-  std::vector<mr::KeyValue> records;
-  std::size_t total = 0;
-  for (const FlatShardOutput& shard : shards) total += shard.records.size();
-  records.reserve(total);
-  for (FlatShardOutput& shard : shards) {
-    for (mr::KeyValue& kv : shard.records) records.push_back(std::move(kv));
-    stats->job_stats.Accumulate(shard.job_stats);
-    stats->exchange.Accumulate(shard.exchange);
-  }
-  stats->elapsed_seconds = watch.Seconds();
-  return records;
-}
-
+/// The single-shard pipeline: the map phase and the k+1 reduce rounds over
+/// the full tables, returning the last round's final records.
 agl::Result<std::vector<mr::KeyValue>> RunPipeline(
     const GraphFlatConfig& config, const std::vector<NodeRecord>& nodes,
     const std::vector<EdgeRecord>& edges, GraphFlatStats* stats) {
-  if (config.num_shards > 1) {
-    return RunShardedPipeline(config, nodes, edges, RunFlatShardThreads,
-                              stats);
-  }
-  Stopwatch watch;
   if (nodes.empty()) {
     return agl::Status::InvalidArgument("GraphFlat: empty node table");
   }
-  RoundContext ctx = MakeContext(config, nodes, edges);
-
-  mr::JobStats job_stats;
+  RoundContext ctx = MakeContext(MakeJob(config, nodes, edges));
   AGL_ASSIGN_OR_RETURN(
       std::vector<mr::KeyValue> records,
       mr::RunMapPhase(config.job, BuildMapInput(nodes, edges),
                       [] { return std::make_unique<FlatMapper>(); },
-                      &job_stats));
+                      &stats->job_stats));
 
   for (int round = 0; round <= config.hops; ++round) {
     AGL_ASSIGN_OR_RETURN(records,
@@ -471,57 +397,118 @@ agl::Result<std::vector<mr::KeyValue>> RunPipeline(
                            [round_ctx] {
                              return std::make_unique<FlatReducer>(round_ctx);
                            },
-                           &job_stats));
+                           &stats->job_stats));
   }
-  stats->job_stats = job_stats;
-  stats->elapsed_seconds = watch.Seconds();
   return records;
 }
 
-void CountFeature(const subgraph::GraphFeature& gf, GraphFlatStats* stats) {
-  stats->num_features++;
-  stats->total_nodes += gf.num_nodes();
-  stats->total_edges += gf.num_edges();
-  stats->max_nodes = std::max(stats->max_nodes, gf.num_nodes());
+/// Strips the final records of a job's last round down to `(target id,
+/// GraphFeature bytes)` and counts them into `stats` from the counts each
+/// record carries (see EmitFinalIfTarget).
+agl::Result<std::vector<std::pair<NodeId, std::string>>> TakeFinals(
+    std::vector<mr::KeyValue> records, GraphFlatStats* stats) {
+  std::vector<std::pair<NodeId, std::string>> finals;
+  finals.reserve(records.size());
+  for (mr::KeyValue& kv : records) {
+    if (kv.value.empty() || kv.value[0] != kTagFinal) {
+      return agl::Status::Corruption("non-final record after the last round");
+    }
+    io::BufferReader r(kv.value.data() + 1, kv.value.size() - 1);
+    uint64_t num_nodes = 0, num_edges = 0;
+    AGL_RETURN_IF_ERROR(r.GetVarint64(&num_nodes));
+    AGL_RETURN_IF_ERROR(r.GetVarint64(&num_edges));
+    kv.value.erase(0, 1 + r.position());
+    stats->num_features++;
+    stats->total_nodes += static_cast<int64_t>(num_nodes);
+    stats->total_edges += static_cast<int64_t>(num_edges);
+    stats->max_nodes =
+        std::max(stats->max_nodes, static_cast<int64_t>(num_nodes));
+    finals.emplace_back(static_cast<NodeId>(std::stoull(kv.key)),
+                        std::move(kv.value));
+  }
+  return finals;
 }
 
-/// The back half of every stored GraphFlat job: picks the final
-/// GraphFeature records out of the job's output, counts them into `stats`,
-/// and publishes them as `dataset`.
-agl::Status StoreFinalRecords(const GraphFlatConfig& config,
-                              std::vector<mr::KeyValue> records,
-                              mr::LocalDfs* dfs, const std::string& dataset,
-                              GraphFlatStats* stats) {
-  std::vector<std::pair<NodeId, std::string>> finals;
-  for (mr::KeyValue& kv : records) {
-    if (kv.value.empty() || kv.value[0] != kTagFinal) continue;
-    finals.emplace_back(static_cast<NodeId>(std::stoull(kv.key)),
-                        kv.value.substr(1));
+/// Writes `finals` id-sorted as `name`, round-robin over `output_parts`
+/// part files: the writer of the single-shard dataset and of every shard's
+/// slice.
+agl::Status WriteSorted(int output_parts,
+                        std::vector<std::pair<NodeId, std::string>> finals,
+                        mr::LocalDfs* dfs, const std::string& name) {
+  std::sort(finals.begin(), finals.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::string> payloads;
+  payloads.reserve(finals.size());
+  for (auto& [id, bytes] : finals) payloads.push_back(std::move(bytes));
+  return dfs->WriteDataset(name, payloads, output_parts);
+}
+
+/// Runs the S shards of a sharded job on threads over one InMemoryExchange.
+/// Shards that store do so through the caller's `dfs`.
+agl::Result<std::vector<FlatShardOutput>> RunFlatShardThreads(
+    const FlatShardJob& job, const ShardedTables& tables, mr::LocalDfs* dfs) {
+  std::vector<FlatShardOutput> shards(tables.nodes.size());
+  AGL_ASSIGN_OR_RETURN(
+      const ExchangeStats exchange,
+      RunShardsInProcess(
+          static_cast<int>(shards.size()),
+          [&](int s, Exchange* ex) -> agl::Status {
+            AGL_ASSIGN_OR_RETURN(shards[s],
+                                 RunFlatShard(job, s, tables.nodes[s],
+                                              tables.edges[s], ex, dfs));
+            return agl::Status::OK();
+          }));
+  // One exchange carried every shard's traffic; sums over shards stay
+  // exact when it is booked on shard 0.
+  shards[0].stats.exchange = exchange;
+  return shards;
+}
+
+/// The front half of the sharded job shell: partitions the tables, runs
+/// the shards through `run_shards`, and sums their counters into `stats`.
+/// Produces the same features as the single-shard pipeline
+/// (tests/sharding_test.cpp holds the byte-identity property over shard
+/// counts) whether the shards run as threads or as processes.
+agl::Result<std::vector<FlatShardOutput>> RunShards(
+    const GraphFlatConfig& config, const std::vector<NodeRecord>& nodes,
+    const std::vector<EdgeRecord>& edges, std::string output_root,
+    std::string dataset, const FlatShardRunner& run_shards,
+    GraphFlatStats* stats) {
+  if (nodes.empty()) {
+    return agl::Status::InvalidArgument("GraphFlat: empty node table");
   }
-  for (const auto& [id, bytes] : finals) {
-    AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
-                         subgraph::GraphFeature::Parse(bytes));
-    CountFeature(gf, stats);
-  }
-  return StoreFeaturePayloads(config, std::move(finals), dfs, dataset);
+  FlatShardJob job = MakeJob(config, nodes, edges);
+  job.output_root = std::move(output_root);
+  job.dataset = std::move(dataset);
+  ShardRouter router{ShardPlan(job.config.num_shards)};
+  AGL_ASSIGN_OR_RETURN(std::vector<FlatShardOutput> shards,
+                       run_shards(job, router.PartitionTables(nodes, edges)));
+  for (const FlatShardOutput& shard : shards) stats->Accumulate(shard.stats);
+  return shards;
 }
 
 }  // namespace
 
+void GraphFlatStats::Accumulate(const GraphFlatStats& other) {
+  num_features += other.num_features;
+  total_nodes += other.total_nodes;
+  total_edges += other.total_edges;
+  max_nodes = std::max(max_nodes, other.max_nodes);
+  job_stats.Accumulate(other.job_stats);
+  exchange.Accumulate(other.exchange);
+}
+
 agl::Result<FlatShardOutput> RunFlatShard(
     const FlatShardJob& job, int shard,
     const std::vector<NodeRecord>& shard_nodes,
-    const std::vector<EdgeRecord>& shard_edges, Exchange* exchange) {
+    const std::vector<EdgeRecord>& shard_edges, Exchange* exchange,
+    mr::LocalDfs* out_dfs) {
+  if (!job.dataset.empty() && out_dfs == nullptr) {
+    return agl::Status::InvalidArgument(
+        "RunFlatShard: a job that names a dataset needs an output DFS");
+  }
   const GraphFlatConfig& config = job.config;
-  RoundContext ctx;
-  ctx.last_round = config.hops;
-  ctx.sampler_config = config.sampler;
-  ctx.seed = config.job.seed;
-  ctx.targets = config.targets;
-  ctx.node_feature_dim = job.node_feature_dim;
-  ctx.edge_feature_dim = job.edge_feature_dim;
-  ctx.emit_state_at_last = true;
-
+  RoundContext ctx = MakeContext(job);
   ShardRouter router{ShardPlan(std::max(1, config.num_shards))};
   FlatShardOutput out;
 
@@ -531,7 +518,7 @@ agl::Result<FlatShardOutput> RunFlatShard(
       std::vector<mr::KeyValue> records,
       mr::RunMapPhase(config.job, BuildMapInput(shard_nodes, shard_edges),
                       [] { return std::make_unique<FlatMapper>(); },
-                      &out.job_stats));
+                      &out.stats.job_stats));
   router.FilterToShard(shard, &records);
 
   for (int round = 0; round <= config.hops; ++round) {
@@ -547,7 +534,7 @@ agl::Result<FlatShardOutput> RunFlatShard(
                            [round_ctx] {
                              return std::make_unique<FlatReducer>(round_ctx);
                            },
-                           &out.job_stats));
+                           &out.stats.job_stats));
     if (round < config.hops) {
       // Boundary exchange: neighbor states propagated along cross-shard
       // edges move to their destination's home shard.
@@ -556,63 +543,46 @@ agl::Result<FlatShardOutput> RunFlatShard(
     }
   }
 
-  // Merge stage (its own fault-tolerant job per shard): set-union the
-  // states per node, then Store. See MergeReducer for why this stays a
-  // separate stage even though exact routing leaves one state per node.
-  AGL_ASSIGN_OR_RETURN(out.records,
-                       MergeShardStates(config, job.node_feature_dim,
-                                        job.edge_feature_dim,
-                                        std::move(records), &out.job_stats));
+  // No exchange follows the last round, so it reduced each key homed here
+  // exactly once: its final records are this shard's features.
+  AGL_ASSIGN_OR_RETURN(out.features,
+                       TakeFinals(std::move(records), &out.stats));
+  if (job.dataset.empty()) return out;
+  AGL_RETURN_IF_ERROR(WriteSorted(config.output_parts,
+                                  std::move(out.features), out_dfs,
+                                  mr::ShardDatasetName(job.dataset, shard)));
+  out.features.clear();
   return out;
 }
-
-agl::Result<std::vector<mr::KeyValue>> MergeShardStates(
-    const GraphFlatConfig& config, int64_t node_feature_dim,
-    int64_t edge_feature_dim, std::vector<mr::KeyValue> records,
-    mr::JobStats* stats) {
-  RoundContext ctx;
-  ctx.targets = config.targets;
-  ctx.node_feature_dim = node_feature_dim;
-  ctx.edge_feature_dim = edge_feature_dim;
-  return mr::RunReducePhase(
-      config.job, std::move(records),
-      [ctx] { return std::make_unique<MergeReducer>(ctx); }, stats);
-}
-
-namespace {
-
-agl::Result<std::vector<FlatShardOutput>> RunFlatShardThreads(
-    const FlatShardJob& job, const ShardedTables& tables) {
-  std::vector<FlatShardOutput> shards(tables.nodes.size());
-  AGL_ASSIGN_OR_RETURN(
-      const ExchangeStats exchange,
-      RunShardsInProcess(
-          static_cast<int>(shards.size()),
-          [&](int s, Exchange* ex) -> agl::Status {
-            AGL_ASSIGN_OR_RETURN(shards[s], RunFlatShard(job, s, tables.nodes[s],
-                                                         tables.edges[s], ex));
-            return agl::Status::OK();
-          }));
-  // One exchange carried every shard's traffic; sums over shards stay
-  // exact when it is booked on shard 0.
-  shards[0].exchange = exchange;
-  return shards;
-}
-
-}  // namespace
 
 agl::Result<std::vector<subgraph::GraphFeature>> RunGraphFlatInMemory(
     const GraphFlatConfig& config, const std::vector<NodeRecord>& nodes,
     const std::vector<EdgeRecord>& edges, GraphFlatStats* stats) {
+  Stopwatch watch;
   GraphFlatStats local_stats;
-  AGL_ASSIGN_OR_RETURN(std::vector<mr::KeyValue> records,
-                       RunPipeline(config, nodes, edges, &local_stats));
+  std::vector<std::pair<NodeId, std::string>> finals;
+  if (config.num_shards > 1) {
+    AGL_ASSIGN_OR_RETURN(
+        std::vector<FlatShardOutput> shards,
+        RunShards(config, nodes, edges, "", "",
+                  [](const FlatShardJob& job, const ShardedTables& tables) {
+                    return RunFlatShardThreads(job, tables, nullptr);
+                  },
+                  &local_stats));
+    for (FlatShardOutput& shard : shards) {
+      for (auto& f : shard.features) finals.push_back(std::move(f));
+    }
+  } else {
+    AGL_ASSIGN_OR_RETURN(std::vector<mr::KeyValue> records,
+                         RunPipeline(config, nodes, edges, &local_stats));
+    AGL_ASSIGN_OR_RETURN(finals,
+                         TakeFinals(std::move(records), &local_stats));
+  }
   std::vector<subgraph::GraphFeature> features;
-  for (const mr::KeyValue& kv : records) {
-    if (kv.value.empty() || kv.value[0] != kTagFinal) continue;
+  features.reserve(finals.size());
+  for (const auto& [id, bytes] : finals) {
     AGL_ASSIGN_OR_RETURN(subgraph::GraphFeature gf,
-                         subgraph::GraphFeature::Parse(kv.value.substr(1)));
-    CountFeature(gf, &local_stats);
+                         subgraph::GraphFeature::Parse(bytes));
     features.push_back(std::move(gf));
   }
   // Deterministic output order regardless of reduce-task interleaving.
@@ -621,6 +591,7 @@ agl::Result<std::vector<subgraph::GraphFeature>> RunGraphFlatInMemory(
                const subgraph::GraphFeature& b) {
               return a.target_id < b.target_id;
             });
+  local_stats.elapsed_seconds = watch.Seconds();
   if (stats != nullptr) *stats = local_stats;
   return features;
 }
@@ -653,31 +624,25 @@ agl::Status StoreFeaturePayloads(
     const GraphFlatConfig& config,
     std::vector<std::pair<NodeId, std::string>> finals, mr::LocalDfs* dfs,
     const std::string& dataset) {
-  std::sort(finals.begin(), finals.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::string> payloads;
-  payloads.reserve(finals.size());
-  for (auto& [id, bytes] : finals) payloads.push_back(std::move(bytes));
-  if (config.num_shards > 1) {
-    // Each shard stores its own slice (id-sorted within the shard), then
-    // the part files of every shard are unified under the one logical
-    // dataset with stable part numbering: shard s's local part j becomes
-    // global part s * output_parts + j.
-    ShardPlan plan(config.num_shards);
-    std::vector<std::vector<std::string>> by_shard(plan.num_shards());
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      by_shard[plan.HomeShardOf(finals[i].first)].push_back(
-          std::move(payloads[i]));
-    }
-    std::vector<std::string> staging;
-    for (int s = 0; s < plan.num_shards(); ++s) {
-      staging.push_back(mr::ShardDatasetName(dataset, s));
-      AGL_RETURN_IF_ERROR(
-          dfs->WriteDataset(staging.back(), by_shard[s], config.output_parts));
-    }
-    return dfs->UnifyDatasets(dataset, staging);
+  if (config.num_shards <= 1) {
+    return WriteSorted(config.output_parts, std::move(finals), dfs, dataset);
   }
-  return dfs->WriteDataset(dataset, payloads, config.output_parts);
+  // Each shard's slice is stored on its own, then the part files of every
+  // shard are unified under the one logical dataset with stable part
+  // numbering: shard s's local part j becomes global part
+  // s * output_parts + j.
+  ShardPlan plan(config.num_shards);
+  std::vector<std::vector<std::pair<NodeId, std::string>>> by_shard(
+      plan.num_shards());
+  for (auto& f : finals) by_shard[plan.HomeShardOf(f.first)].push_back(std::move(f));
+  std::vector<std::string> staging;
+  for (int s = 0; s < plan.num_shards(); ++s) {
+    staging.push_back(mr::ShardDatasetName(dataset, s));
+    AGL_RETURN_IF_ERROR(WriteSorted(config.output_parts,
+                                    std::move(by_shard[s]), dfs,
+                                    staging.back()));
+  }
+  return dfs->UnifyDatasets(dataset, staging);
 }
 
 agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
@@ -685,11 +650,21 @@ agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
                                          const std::vector<EdgeRecord>& edges,
                                          mr::LocalDfs* dfs,
                                          const std::string& dataset) {
+  if (config.num_shards > 1) {
+    return RunGraphFlat(
+        config, nodes, edges, dfs, dataset,
+        [dfs](const FlatShardJob& job, const ShardedTables& tables) {
+          return RunFlatShardThreads(job, tables, dfs);
+        });
+  }
+  Stopwatch watch;
   GraphFlatStats stats;
   AGL_ASSIGN_OR_RETURN(std::vector<mr::KeyValue> records,
                        RunPipeline(config, nodes, edges, &stats));
+  AGL_ASSIGN_OR_RETURN(auto finals, TakeFinals(std::move(records), &stats));
   AGL_RETURN_IF_ERROR(
-      StoreFinalRecords(config, std::move(records), dfs, dataset, &stats));
+      WriteSorted(config.output_parts, std::move(finals), dfs, dataset));
+  stats.elapsed_seconds = watch.Seconds();
   return stats;
 }
 
@@ -699,12 +674,22 @@ agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
                                          mr::LocalDfs* dfs,
                                          const std::string& dataset,
                                          const FlatShardRunner& run_shards) {
+  Stopwatch watch;
   GraphFlatStats stats;
-  AGL_ASSIGN_OR_RETURN(
-      std::vector<mr::KeyValue> records,
-      RunShardedPipeline(config, nodes, edges, run_shards, &stats));
-  AGL_RETURN_IF_ERROR(
-      StoreFinalRecords(config, std::move(records), dfs, dataset, &stats));
+  auto shards =
+      RunShards(config, nodes, edges, dfs->root(), dataset, run_shards, &stats);
+  std::vector<std::string> staging;
+  for (int s = 0; s < std::max(1, config.num_shards); ++s) {
+    staging.push_back(mr::ShardDatasetName(dataset, s));
+  }
+  if (!shards.ok()) {
+    // Every shard has stopped; drop the slices the finished ones stored
+    // (DropDataset also sweeps a killed writer's scratch).
+    for (const std::string& name : staging) (void)dfs->DropDataset(name);
+    return shards.status();
+  }
+  AGL_RETURN_IF_ERROR(dfs->UnifyDatasets(dataset, staging));
+  stats.elapsed_seconds = watch.Seconds();
   return stats;
 }
 

@@ -22,9 +22,12 @@
 // union), and inverted back to the original key.
 //
 // Sharding (`num_shards` > 1): the tables are hash-partitioned across S
-// logical shards, one job runs per shard with boundary states exchanged
-// between rounds, and a merge stage set-unions per-node states before
-// Store. Output is byte-identical for every shard count; see shard.h.
+// logical shards and one job runs per shard, with boundary states
+// exchanged between rounds. After the last exchange every record of a key
+// sits on its home shard, so the last round flattens each key exactly as
+// the single-shard run does, and each shard stores its own id-sorted
+// slice, which the coordinator unifies under the one dataset name. Output
+// is byte-identical for every shard count; see shard.h.
 
 #pragma once
 
@@ -32,6 +35,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -63,9 +67,9 @@ struct GraphFlatConfig {
   /// Logical MapReduce shards. The tables are hash-partitioned (nodes to
   /// their home shard, edges to both endpoint shards so the round-0 join
   /// stays local), one GraphFlat job runs per shard with boundary states
-  /// exchanged between rounds, and a merge stage set-unions the states of
-  /// nodes touched by multiple shards before the Storing step. Output is
-  /// invariant to this value; see src/flat/shard.h.
+  /// exchanged between rounds, and each shard stores the features of the
+  /// targets homed on it. Output is invariant to this value; see
+  /// src/flat/shard.h.
   int num_shards = 1;
   mr::JobConfig job;
 
@@ -83,23 +87,33 @@ struct GraphFlatStats {
   mr::JobStats job_stats;
   /// Boundary-exchange traffic (sharded runs only; zeros otherwise).
   ExchangeStats exchange;
+
+  /// Adds one shard's counters: sums, except `max_nodes` (the max);
+  /// `elapsed_seconds` is left alone.
+  void Accumulate(const GraphFlatStats& other);
 };
 
 /// A sharded GraphFlat job as each shard sees it: the config with
-/// `num_shards` >= 1, plus the feature dims inferred from the full tables
-/// (a shard's slice may be edgeless).
+/// `num_shards` >= 1, the feature dims inferred from the full tables (a
+/// shard's slice may be edgeless), and where the features go. With a
+/// `dataset`, shard s stores its slice as mr::ShardDatasetName(dataset, s)
+/// on the DFS at `output_root`; with none, it returns its features.
 struct FlatShardJob {
   GraphFlatConfig config;
   int64_t node_feature_dim = 0;
   int64_t edge_feature_dim = 0;
+  std::string output_root;
+  std::string dataset;
 };
 
-/// One shard's output: its final 'F'-tagged GraphFeature records and its
-/// counters.
+/// One shard's output.
 struct FlatShardOutput {
-  std::vector<mr::KeyValue> records;
-  mr::JobStats job_stats;
-  ExchangeStats exchange;
+  /// (target id, serialized GraphFeature) of the targets homed on the
+  /// shard; empty when the job names a dataset (the shard stored them).
+  std::vector<std::pair<NodeId, std::string>> features;
+  /// Counts of the features the shard built, its job counters, and its
+  /// exchange traffic (booked by the runner); `elapsed_seconds` unset.
+  GraphFlatStats stats;
 };
 
 /// How a sharded job's S shards run: shard s runs RunFlatShard over
@@ -120,8 +134,9 @@ agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
 
 /// The sharded job shell every substrate shares: infers the feature dims,
 /// partitions the tables over `config.num_shards`, runs the shards through
-/// `run_shards`, and stores their final records exactly as RunGraphFlat
-/// does, with the same stats.
+/// `run_shards` (each stores its slice of `dataset` on `dfs`), and unifies
+/// the slices into the dataset RunGraphFlat writes, with the same stats.
+/// A failed job drops every slice, so it leaves no staging dataset.
 agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
                                          const std::vector<NodeRecord>& nodes,
                                          const std::vector<EdgeRecord>& edges,
@@ -143,38 +158,33 @@ agl::Result<std::vector<mr::KeyValue>> ReindexAndSampleHubKeys(
     const GraphFlatConfig& config, std::vector<mr::KeyValue> records,
     int round);
 
-/// Publishes id-sorted `(target id, serialized GraphFeature)` payloads as
-/// `dataset` exactly the way RunGraphFlat's Storing step does — round-robin
-/// over `output_parts` part files, or per-home-shard staging datasets
-/// unified under one name when `num_shards` > 1. Shared by RunGraphFlat and
-/// the incremental re-flatten path so both publish byte-identical datasets
-/// for the same payload set.
+/// Publishes `(target id, serialized GraphFeature)` payloads as `dataset`
+/// exactly the way RunGraphFlat's Storing step does: id-sorted round-robin
+/// over `output_parts` part files, or, when `num_shards` > 1, one such
+/// slice per home shard unified under one name. The incremental re-flatten
+/// path publishes through it, so both write byte-identical datasets for
+/// the same payload set.
 agl::Status StoreFeaturePayloads(
     const GraphFlatConfig& config,
     std::vector<std::pair<NodeId, std::string>> finals, mr::LocalDfs* dfs,
     const std::string& dataset);
 
 /// One shard's complete sharded-pipeline run against an Exchange: map over
-/// the shard's table slice, the k+1 reduce rounds with Publish/Collect of
-/// boundary states between them, then the shard-local merge + Storing
-/// step. Returns the shard's final 'F'-tagged GraphFeature records and its
-/// job counters (`exchange` stays zero; the runner books the traffic).
-/// This is the unit every FlatShardRunner runs, on a thread or in a shard
-/// process — byte-identical either way, because each reduce group sees the
-/// same value multiset and the engine delivers values in canonical order.
+/// the shard's table slice, then the k+1 reduce rounds with Publish/Collect
+/// of boundary states between them; the last round flattens the targets
+/// homed on the shard. With `job.dataset` set, the shard stores them
+/// through `out_dfs` (required then) and returns only their counts;
+/// otherwise it returns them. `stats.exchange` stays zero; the runner
+/// books the traffic. This is the unit every FlatShardRunner runs, on a
+/// thread or in a shard process — byte-identical either way, because each
+/// reduce group sees the same value multiset and the engine delivers
+/// values in canonical order. Shard threads must share the caller's
+/// LocalDfs: LocalDfs::Open sweeps its own process's scratch directories,
+/// which would include a sibling thread's in-flight publish.
 agl::Result<FlatShardOutput> RunFlatShard(
     const FlatShardJob& job, int shard,
     const std::vector<NodeRecord>& shard_nodes,
-    const std::vector<EdgeRecord>& shard_edges, Exchange* exchange);
-
-/// Exposed for tests: the shard-merge stage over one shard's last-round
-/// state records ('S'-tagged SubgraphState bytes keyed by node id). States
-/// sharing a key are set-unioned — the reconcile-before-Store contract
-/// that looser routing (e.g. at-least-once delivery) relies on — and the
-/// Storing step emits the 'F'-tagged GraphFeature records for targets.
-agl::Result<std::vector<mr::KeyValue>> MergeShardStates(
-    const GraphFlatConfig& config, int64_t node_feature_dim,
-    int64_t edge_feature_dim, std::vector<mr::KeyValue> records,
-    mr::JobStats* stats = nullptr);
+    const std::vector<EdgeRecord>& shard_edges, Exchange* exchange,
+    mr::LocalDfs* out_dfs);
 
 }  // namespace agl::flat

@@ -61,6 +61,20 @@ agl::Status MaintainedDataset::Load(const TableGraph& graph) {
         "MaintainedDataset: dataset " + dataset_ +
         " does not exist; run full GraphFlat first");
   }
+  // A re-publish writes the config's part layout; a dataset stored in
+  // another one would silently change shape on the first dirty batch.
+  AGL_ASSIGN_OR_RETURN(const std::vector<std::string> parts,
+                       dfs_->ListParts(dataset_));
+  const std::size_t want_parts =
+      static_cast<std::size_t>(std::max(1, config_.num_shards)) *
+      static_cast<std::size_t>(config_.output_parts);
+  if (parts.size() != want_parts) {
+    return agl::Status::FailedPrecondition(
+        "MaintainedDataset: dataset " + dataset_ + " has " +
+        std::to_string(parts.size()) + " parts but the GraphFlat config " +
+        "writes " + std::to_string(want_parts) +
+        " (num_shards x output_parts); match its layout");
+  }
   for (const EdgeRecord& e : graph.edges()) {
     AGL_RETURN_IF_ERROR(CheckNotHub(config_, graph, e.dst));
   }

@@ -62,7 +62,9 @@ struct ReflattenStats {
 class MaintainedDataset {
  public:
   /// Loads `dataset` for `graph`. kFailedPrecondition unless `dataset`
-  /// exists and stores exactly the graph's target set, `config.sampler` is
+  /// exists, has the part layout `config` writes (max(1, num_shards) x
+  /// output_parts parts), stores exactly the graph's target set,
+  /// `config.sampler` is
   /// Strategy::kNone, and no node's in-degree exceeds `hub_threshold`
   /// (when hub handling is enabled) — sampling and hub re-indexing would
   /// make the pruned re-run diverge from the cold reference. `dfs` must

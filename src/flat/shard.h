@@ -8,6 +8,12 @@
 // output invariant to the shard count (the property tests/sharding_test.cpp
 // proves byte-for-byte).
 //
+// The shard jobs move boundary records through a flat::Exchange
+// (exchange.h). Across processes that is a DfsExchange, where a shard
+// keeps its own bucket (the records homed on itself) in memory: only
+// records bound for another shard cross the DFS, and only those count in
+// `exchange.bytes`.
+//
 // GraphInfer reuses the same plan/router to shard its message-passing
 // rounds.
 

@@ -56,6 +56,12 @@ constexpr const char* kDfsWriterArgv1 = "__dfs_writer";
 /// arms a non-retryable map error in the worker process of shard 1.
 constexpr const char* kFatalShardPrefix = "fatal_shard";
 
+/// Jobs whose prefix starts with this fail in shard 1 after it stored its
+/// output slice: main() fails that process's 6th DFS publish, which for a
+/// 3-shard 2-hop GraphFlat job follows 2 rounds x 2 peer exchange buckets
+/// and the slice, and is the shard's output record.
+constexpr const char* kFatalStorePrefix = "fatal_store";
+
 std::vector<std::string> WriterPayload(int id) {
   std::vector<std::string> records;
   records.reserve(300);
@@ -93,6 +99,14 @@ std::vector<int> ShardCounts() {
 }
 
 class DistributedTest : public ::testing::Test {
+ public:
+  DriverOptions Options(const std::string& prefix) {
+    DriverOptions options;
+    options.dfs = coord_.get();
+    options.job_prefix = prefix;
+    return options;
+  }
+
  protected:
   void SetUp() override {
     root_ = (std::filesystem::temp_directory_path() /
@@ -103,13 +117,6 @@ class DistributedTest : public ::testing::Test {
     coord_ = std::make_unique<mr::LocalDfs>(std::move(*dfs));
   }
   void TearDown() override { std::filesystem::remove_all(root_); }
-
-  DriverOptions Options(const std::string& prefix) {
-    DriverOptions options;
-    options.dfs = coord_.get();
-    options.job_prefix = prefix;
-    return options;
-  }
 
   agl::Result<mr::LocalDfs> OutDfs() {
     return mr::LocalDfs::Open(root_ + "/out");
@@ -127,6 +134,18 @@ GraphGenOptions TestGraph(uint64_t seed) {
   opts.node_feature_dim = 5;
   opts.seed = seed;
   return opts;
+}
+
+/// A finished flat job left no per-shard staging slice of `dataset` and no
+/// scratch directory on `dfs`.
+void ExpectNoStagingLeft(const mr::LocalDfs& dfs, const std::string& dataset,
+                         int num_shards) {
+  for (int s = 0; s < num_shards; ++s) {
+    EXPECT_FALSE(dfs.DatasetExists(mr::ShardDatasetName(dataset, s)))
+        << mr::ShardDatasetName(dataset, s);
+  }
+  const agl::Status valid = dfs.ValidateAllDatasets();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
 }
 
 // --- GraphFlat --------------------------------------------------------------
@@ -151,6 +170,9 @@ TEST_F(DistributedTest, FlatProcessesMatchInProcessAcrossShardCounts) {
                            << proc.status().ToString();
 
     EXPECT_EQ(in_proc->num_features, proc->num_features) << "S=" << shards;
+    EXPECT_EQ(in_proc->total_nodes, proc->total_nodes) << "S=" << shards;
+    EXPECT_EQ(in_proc->total_edges, proc->total_edges) << "S=" << shards;
+    EXPECT_EQ(in_proc->max_nodes, proc->max_nodes) << "S=" << shards;
     auto a = out->ReadDataset("flat_thread");
     auto b = out->ReadDataset("flat_proc");
     ASSERT_TRUE(a.ok() && b.ok());
@@ -158,7 +180,180 @@ TEST_F(DistributedTest, FlatProcessesMatchInProcessAcrossShardCounts) {
     EXPECT_EQ(stats.spawns, shards);
     EXPECT_EQ(stats.clean_exits, shards);
     EXPECT_EQ(stats.restarts, 0);
+    ExpectNoStagingLeft(*out, "flat_proc", shards);
   }
+}
+
+/// Shards run with a first-attempt crash failpoint recover to the clean
+/// run's bytes, and the output DFS is left holding only whole datasets.
+void ExpectCrashRecoversBitExact(DistributedTest* test, mr::LocalDfs* out,
+                                 const flat::GraphFlatConfig& config,
+                                 const GeneratedGraph& g,
+                                 const std::string& failpoints,
+                                 const std::string& name) {
+  SCOPED_TRACE(name + ": " + failpoints);
+  auto clean = RunGraphFlatProcesses(test->Options(name + "_clean"), config,
+                                     g.nodes, g.edges, out, name + "_clean");
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  DriverOptions chaos = test->Options(name + "_chaos");
+  chaos.first_attempt_env = {"AGL_FAILPOINTS=" + failpoints};
+  DriverStats stats;
+  auto result = RunGraphFlatProcesses(chaos, config, g.nodes, g.edges, out,
+                                      name + "_chaos", &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(stats.signal_exits, config.num_shards);
+  EXPECT_EQ(stats.restarts, config.num_shards);
+  EXPECT_EQ(result->num_features, clean->num_features);
+  auto a = out->ReadDataset(name + "_clean");
+  auto b = out->ReadDataset(name + "_chaos");
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_TRUE(*a == *b);
+  ExpectNoStagingLeft(*out, name + "_chaos", config.num_shards);
+}
+
+// A shard dies after its round-0 publish, when its own bucket lived only
+// in its memory: the restart recomputes the bucket, re-publishes the peer
+// buckets byte-identically, and collects from the peers' retained ones.
+TEST_F(DistributedTest, FlatShardCrashAfterRoundZeroPublishRecoversBitExact) {
+  GeneratedGraph g = MakeGraph(TestGraph(16));
+  auto out = OutDfs();
+  ASSERT_TRUE(out.ok());
+  flat::GraphFlatConfig config;
+  config.hops = 2;
+  config.num_shards = 3;
+  config.job.num_workers = 2;
+  config.job.num_reduce_tasks = 2;
+  // Reduce hits 1-2 are round 0; hit 3 is round 1's first task.
+  ExpectCrashRecoversBitExact(this, &*out, config, g, "mr.reduce=crash@3x1",
+                              "reduce_crash");
+}
+
+// A shard dies inside the publish of its output slice. The killed attempt
+// leaves a scratch directory on the output DFS; the restart's publish of
+// the same slice sweeps it.
+TEST_F(DistributedTest, FlatShardCrashAtSlicePublishRecoversBitExact) {
+  GeneratedGraph g = MakeGraph(TestGraph(17));
+  auto out = OutDfs();
+  ASSERT_TRUE(out.ok());
+  flat::GraphFlatConfig config;
+  config.hops = 2;
+  config.job.num_workers = 2;
+  // One shard publishes no exchange bucket, so its first DFS publish is
+  // the slice; three shards publish 2 rounds x 2 peer buckets before it.
+  config.num_shards = 1;
+  ExpectCrashRecoversBitExact(this, &*out, config, g, "dfs.rename=crash@1x1",
+                              "slice_crash1");
+  config.num_shards = 3;
+  ExpectCrashRecoversBitExact(this, &*out, config, g, "dfs.rename=crash@5x1",
+                              "slice_crash3");
+}
+
+// A shard that fails for good after it stored its slice: the job returns
+// its error, and no staging slice (nor the output dataset) is left behind.
+TEST_F(DistributedTest, FailedFlatJobLeavesNoStagingSlices) {
+  GeneratedGraph g = MakeGraph(TestGraph(18));
+  auto out = OutDfs();
+  ASSERT_TRUE(out.ok());
+  flat::GraphFlatConfig config;
+  config.hops = 2;
+  config.num_shards = 3;
+  config.job.num_workers = 2;
+  DriverStats stats;
+  auto result = RunGraphFlatProcesses(
+      Options(std::string(kFatalStorePrefix) + "_flat"), config, g.nodes,
+      g.edges, &*out, "fatal_store", &stats);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal)
+      << result.status().ToString();
+  EXPECT_EQ(stats.restarts, 0);
+  EXPECT_FALSE(out->DatasetExists("fatal_store"));
+  ExpectNoStagingLeft(*out, "fatal_store", config.num_shards);
+}
+
+// --- DfsExchange contract ---------------------------------------------------
+
+/// Forty records whose keys spread over every home shard of a small plan.
+std::vector<mr::KeyValue> ExchangeRecords(int round, int src) {
+  std::vector<mr::KeyValue> records;
+  for (int k = 0; k < 40; ++k) {
+    std::string value = std::to_string(round);
+    value += '.';
+    value += std::to_string(src);
+    value += '.';
+    value += std::to_string(k);
+    records.push_back({std::to_string(k * 7 + src), std::move(value)});
+  }
+  return records;
+}
+
+// The DFS exchange against the in-memory one on the same publishes: the
+// same records in the same source-major order, with a shard's own bucket
+// never written to the DFS and never counted as DFS traffic.
+TEST_F(DistributedTest, DfsExchangeKeepsOwnBucketsOffTheDfs) {
+  constexpr int kShards = 3;
+  constexpr int kRounds = 2;
+  const flat::ShardPlan plan(kShards);
+  flat::InMemoryExchange memory(plan);
+  flat::DfsExchange::Options options;
+  options.poll_interval_ms = 1;
+  options.timeout_ms = 2000;  // a regression to waiting fails, not hangs
+  flat::DfsExchange exchange(coord_.get(), "xc", plan, options);
+
+  // Collecting a round before this shard published it is a clean error.
+  auto early = exchange.Collect(0, 1);
+  EXPECT_EQ(early.status().code(), StatusCode::kFailedPrecondition)
+      << early.status().ToString();
+
+  int64_t crossing_bytes = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int src = 0; src < kShards; ++src) {
+      ASSERT_TRUE(memory.Publish(round, src, ExchangeRecords(round, src)).ok());
+      ASSERT_TRUE(
+          exchange.Publish(round, src, ExchangeRecords(round, src)).ok());
+      std::vector<std::vector<mr::KeyValue>> by_dst(kShards);
+      for (mr::KeyValue& kv : ExchangeRecords(round, src)) {
+        by_dst[plan.HomeShard(kv.key)].push_back(std::move(kv));
+      }
+      for (int dst = 0; dst < kShards; ++dst) {
+        ASSERT_FALSE(by_dst[dst].empty()) << "every bucket must be tested";
+        if (dst != src) {
+          crossing_bytes += static_cast<int64_t>(
+              flat::SerializeExchangeRecords(by_dst[dst]).size());
+        }
+      }
+    }
+    for (int dst = 0; dst < kShards; ++dst) {
+      auto want = memory.Collect(round, dst);
+      auto got = exchange.Collect(round, dst);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->size(), want->size());
+      for (std::size_t i = 0; i < got->size(); ++i) {
+        EXPECT_EQ((*got)[i].key, (*want)[i].key) << "record " << i;
+        EXPECT_EQ((*got)[i].value, (*want)[i].value) << "record " << i;
+      }
+    }
+  }
+
+  for (int round = 0; round < kRounds; ++round) {
+    for (int src = 0; src < kShards; ++src) {
+      for (int dst = 0; dst < kShards; ++dst) {
+        const std::string bucket = "xc.x.r" + std::to_string(round) + ".f" +
+                                   std::to_string(src) + ".t" +
+                                   std::to_string(dst);
+        EXPECT_EQ(coord_->DatasetExists(bucket), src != dst) << bucket;
+      }
+    }
+  }
+  // Each own bucket is collected once.
+  EXPECT_EQ(exchange.Collect(0, 0).status().code(),
+            StatusCode::kFailedPrecondition);
+  const flat::ExchangeStats stats = exchange.stats();
+  EXPECT_EQ(stats.bytes_published, crossing_bytes);
+  EXPECT_EQ(stats.bytes_collected, crossing_bytes);
+  EXPECT_EQ(stats.records_published, memory.stats().records_published);
+  EXPECT_EQ(stats.records_collected, memory.stats().records_collected);
+  ASSERT_TRUE(flat::DfsExchange::CleanupPrefix(coord_.get(), "xc").ok());
 }
 
 TEST_F(DistributedTest, FlatShardSigkillRecoversBitExact) {
@@ -591,6 +786,13 @@ int main(int argc, char** argv) {
       std::string(argv[4]).rfind(agl::driver::kFatalShardPrefix, 0) == 0 &&
       std::string(argv[5]) == "1" &&
       !agl::fail::ApplySpec("mr.map=error(Internal,1)").ok()) {
+    return 2;
+  }
+  // Shard 1 of a "fatal_store*" job: fail its output-record publish.
+  if (argc == 8 && std::string(argv[1]) == "__agl_worker" &&
+      std::string(argv[4]).rfind(agl::driver::kFatalStorePrefix, 0) == 0 &&
+      std::string(argv[5]) == "1" &&
+      !agl::fail::ApplySpec("dfs.rename=error(Internal,1)@6x1").ok()) {
     return 2;
   }
   if (auto code = agl::driver::RunWorkerIfSpawned(argc, argv)) return *code;

@@ -1414,6 +1414,19 @@ TEST_F(ServeTest, StartRejectsFeaturesDatasetThatDoesNotFitTheTables) {
   auto hub = agl::Run(hub_config, state, ds.nodes, ds.edges, &dfs);
   EXPECT_EQ(hub.status().code(), StatusCode::kFailedPrecondition)
       << hub.status().ToString();
+  // A dataset in another part layout: the first re-publish would change
+  // its shape.
+  flat::GraphFlatConfig sharded = fconfig;
+  sharded.num_shards = 2;
+  ASSERT_TRUE(agl::Run(sharded, ds.nodes, ds.edges, &dfs, "sharded").ok());
+  ServeConfig layout_config = config;
+  layout_config.features_dataset = "sharded";
+  auto layout = agl::Run(layout_config, state, ds.nodes, ds.edges, &dfs);
+  EXPECT_EQ(layout.status().code(), StatusCode::kFailedPrecondition)
+      << layout.status().ToString();
+  layout_config.flat.num_shards = 2;
+  auto matched = agl::Run(layout_config, state, ds.nodes, ds.edges, &dfs);
+  EXPECT_TRUE(matched.ok()) << matched.status().ToString();
 }
 
 // A batch whose re-flatten fails (here: it makes a hub) still changed the
