@@ -3,67 +3,16 @@
 // Reports: (a) wall time and reduce-task skew with and without hub
 // re-indexing on a hubby graph; (b) neighborhood-size distribution under
 // the different sampling strategies; (c) GraphFlat scaling with worker
-// count; (d) shard-count sweep of the sharded pipeline (equal output,
-// partitioned work). The paper's claims: re-indexing fixes reducer load
-// balance, and sampling bounds neighborhood sizes ("decreased to an
-// acceptable size").
-//
-// Compiled twice: the full driver, and (with AGL_BENCH_SHARDS_ONLY) the
-// bench_graphflat_shards target that runs only the shard sweep so
-// scripts/run_benchmarks.sh records it as BENCH_graphflat_shards.json.
+// count. The paper's claims: re-indexing fixes reducer load balance, and
+// sampling bounds neighborhood sizes ("decreased to an acceptable size").
+// Sharded GraphFlat is measured by perfbench's pipeline_procs workload
+// (flat.wall_s, mr.max_reduce_task_records).
 
 #include <algorithm>
 #include <cstdio>
 
 #include "data/dataset.h"
 #include "flat/graphflat.h"
-
-namespace {
-
-/// (d) Shard-count sweep: same logical job partitioned across S shards.
-/// Feature counts/nodes must not drift with S (the property suite proves
-/// byte-identity; the bench tracks time and per-shard task skew).
-int RunShardSweep(const agl::data::Dataset& ds) {
-  using namespace agl;
-  std::printf("\n(d) sharded GraphFlat sweep (2 hops, uniform 10, "
-              "hub threshold 32)\n");
-  std::printf("%-10s %12s %10s %14s %16s\n", "shards", "time (s)", "speedup",
-              "features", "max reduce rec");
-  double t1 = 0;
-  int64_t features1 = -1;
-  for (int shards : {1, 2, 4, 7}) {
-    flat::GraphFlatConfig config;
-    config.hops = 2;
-    config.sampler = {sampling::Strategy::kUniform, 10};
-    config.hub_threshold = 32;
-    config.num_shards = shards;
-    config.job.num_workers = 2;  // per-shard jobs run concurrently
-    flat::GraphFlatStats stats;
-    auto features =
-        flat::RunGraphFlatInMemory(config, ds.nodes, ds.edges, &stats);
-    if (!features.ok()) {
-      std::fprintf(stderr, "%s\n", features.status().ToString().c_str());
-      return 1;
-    }
-    if (shards == 1) {
-      t1 = stats.elapsed_seconds;
-      features1 = stats.num_features;
-    }
-    if (stats.num_features != features1) {
-      std::fprintf(stderr, "shard sweep drift: %lld features at S=%d\n",
-                   static_cast<long long>(stats.num_features), shards);
-      return 1;
-    }
-    std::printf("%-10d %12.2f %10.2f %14lld %16lld\n", shards,
-                stats.elapsed_seconds, t1 / stats.elapsed_seconds,
-                static_cast<long long>(stats.num_features),
-                static_cast<long long>(
-                    stats.job_stats.max_reduce_task_records));
-  }
-  return 0;
-}
-
-}  // namespace
 
 int main() {
   using namespace agl;
@@ -83,10 +32,6 @@ int main() {
               static_cast<long long>(ds.num_edges()),
               static_cast<long long>(
                   *std::max_element(in_degree.begin(), in_degree.end())));
-
-#ifdef AGL_BENCH_SHARDS_ONLY
-  return RunShardSweep(ds);
-#endif
 
   // (a) Re-indexing ablation.
   std::printf("(a) hub re-indexing ablation (2 hops, uniform sampling 10)\n");
@@ -163,5 +108,5 @@ int main() {
                 t1 / stats.elapsed_seconds);
   }
 
-  return RunShardSweep(ds);
+  return 0;
 }

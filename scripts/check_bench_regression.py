@@ -12,6 +12,8 @@ Metric extraction per BENCH_<name>.json, most-specific first:
      drivers (e.g. bench_trainer_ssp)
   3. fallback: the whole-run "wall_seconds" as a single entry (only when
      it is at least --min-seconds; shorter runs are pure noise)
+  4. a perfbench contract result (BENCH_perfbench_<workload>.json: the
+     last stdout line of `perfbench/run.py --trace 1`), gated below
 
 Per benchmark the gate compares entries present in both files and takes
 the MEDIAN ratio fresh/baseline, so a single noisy entry cannot fail the
@@ -28,7 +30,9 @@ retry/backoff/recovery machinery, not the steady-state path.
 
 To refresh a baseline intentionally (after an accepted perf change):
     OUT_DIR=bench-results scripts/run_benchmarks.sh bench_<name>
-and commit the updated JSON alongside the change that explains it.
+and commit the updated JSON alongside the change that explains it. A
+perfbench baseline is the CI smoke step's command with its output sent
+to bench-results/BENCH_perfbench_<workload>.json.
 
 Usage:
     scripts/check_bench_regression.py --fresh bench-fresh \
@@ -38,6 +42,7 @@ Usage:
 import argparse
 import fnmatch
 import json
+import math
 import pathlib
 import re
 import statistics
@@ -48,6 +53,21 @@ import sys
 DEFAULT_ALLOWLIST = [
     "fig8_speedup",   # measures thread-level speedup of the host
 ]
+
+# A perfbench result fails unless "correct" is true. Its per-layer metrics
+# that took over from benches folded into perfbench are grouped by the bench
+# they replace; each group is judged on its own median ratio, turned by the
+# metric's "better" in BENCHMARK.json so that > 1 is worse.
+PERFBENCH_GATED = {
+    "pipeline_procs": {
+        "infer_batch": ["infer.evals", "infer.hit_ratio"],
+        "distributed": ["exchange.bytes", "ps.wire_bytes"],
+        "graphflat_shards": ["mr.max_reduce_task_records", "flat.wall_s"],
+    },
+    "serve_read": {"serve": ["store.hit_ratio", "serve.pass_ms"]},
+    "serve_mutate": {"serve": ["store.hit_ratio", "serve.pass_ms"]},
+}
+BENCHMARK_SPEC = pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 GBENCH_ROW = re.compile(
     r"^(BM_\S+)\s+([0-9.]+)\s+(ns|us|ms|s)\b")
@@ -83,6 +103,37 @@ def extract_entries(doc, min_seconds):
         if wall >= min_seconds:
             entries["wall_seconds"] = wall
     return entries, kind
+
+
+def perfbench_failures(name, fresh, base_path, threshold):
+    """Failure messages for one perfbench contract result."""
+    if fresh.get("correct") is not True:
+        return [f"{name}: perfbench run is not correct"]
+    groups = PERFBENCH_GATED.get(name.removeprefix("perfbench_"), {})
+    if not groups or not base_path.exists():
+        print(f"-- {name}: correct; no gated metrics or no committed baseline")
+        return []
+    better = {m["name"]: m["better"] for m in load(BENCHMARK_SPEC)["per_layer"]}
+    fresh_m, base_m = fresh["metrics"], load(base_path)["metrics"]
+    failures = []
+    for group, metrics in groups.items():
+        ratios = {}
+        for m in metrics:
+            if m not in fresh_m or m not in base_m:
+                failures.append(f"{name}/{group}: no {m} (run --trace 1)")
+                continue
+            new, old = fresh_m[m]["value"], base_m[m]["value"]
+            new, old = (old, new) if better[m] == "higher" else (new, old)
+            ratios[m] = new / old if old > 0 else (math.inf if new > 0 else 1.0)
+        median = statistics.median(ratios.values() or [1.0])
+        detail = ", ".join(f"{m} x{r:.3f}" for m, r in ratios.items())
+        ok = median <= threshold
+        print(f"{'ok' if ok else '!!'} {name}/{group}: median x{median:.3f} "
+              f"({detail})")
+        if not ok:
+            failures.append(f"{name}/{group}: median x{median:.3f} "
+                            f"> x{threshold:.2f}")
+    return failures
 
 
 def is_unusable_baseline(path):
@@ -128,6 +179,11 @@ def main():
     for fresh_path in fresh_files:
         name = fresh_path.stem.removeprefix("BENCH_")
         fresh = load(fresh_path)
+        if "metrics" in fresh:  # a perfbench contract result
+            failures += perfbench_failures(name, fresh,
+                                           base_dir / fresh_path.name,
+                                           args.threshold)
+            continue
         if fresh.get("label"):
             print(f"-- {name}: labeled snapshot, skipped")
             continue
@@ -190,8 +246,8 @@ def main():
         print("\nperf-regression gate FAILED:", file=sys.stderr)
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
-        print("  (intentional? refresh the baseline: OUT_DIR=bench-results "
-              "scripts/run_benchmarks.sh <bench> and commit)",
+        print("  (intentional? refresh the baseline as this script's "
+              "docstring says and commit)",
               file=sys.stderr)
         return 1
     print("\nperf-regression gate passed")

@@ -26,15 +26,11 @@ default_benches=(
   bench_table3_effectiveness
   bench_table4_efficiency
   bench_table5_inference
-  bench_infer_batch
-  bench_serve
   bench_analytics
   bench_fig7_convergence
   bench_fig8_speedup
   bench_trainer_ssp
-  bench_distributed
   bench_graphflat_scale
-  bench_graphflat_shards
   bench_kernels
 )
 

@@ -69,9 +69,8 @@ agl::Result<std::unique_ptr<serve::InferenceService>> Run(
 
 agl::Result<std::vector<subgraph::GraphFeature>> LoadGraphFeatures(
     const mr::LocalDfs& dfs, const std::string& dataset) {
-  // DfsFeatureSource resolves merged datasets and unmerged shard families
-  // alike, so every consumer of this facade reads sharded GraphFlat output
-  // transparently.
+  // A sharded GraphFlat publishes one unified dataset, read like any
+  // other; a dataset that was never published is kNotFound.
   AGL_ASSIGN_OR_RETURN(trainer::DfsFeatureSource source,
                        trainer::DfsFeatureSource::Open(dfs, dataset));
   return source.ReadAll();

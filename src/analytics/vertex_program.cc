@@ -6,6 +6,7 @@
 
 #include "common/timer.h"
 #include "flat/shard.h"
+#include "flat/table_map.h"
 #include "io/codec.h"
 #include "subgraph/graph_feature.h"
 #include "tensor/tensor.h"
@@ -13,20 +14,14 @@
 namespace agl::analytics {
 namespace {
 
-// Value tags for the records flowing through the superstep loop.
-constexpr char kTagNode = 'N';     // NodeRecord (map output)
-constexpr char kTagInEdge = 'I';   // EdgeRecord keyed by dst (gather side)
-constexpr char kTagOutEdge = 'O';  // EdgeRecord keyed by src (scatter side)
+using flat::kTagInEdge;   // EdgeRecord keyed by dst (gather side)
+using flat::kTagNode;     // NodeRecord (map output)
+using flat::kTagOutEdge;  // EdgeRecord keyed by src (scatter side)
+using flat::Tagged;
+
+// Value tags of the superstep loop, beside the map output's three.
 constexpr char kTagState = 'S';    // VertexState (one per vertex per round)
 constexpr char kTagMessage = 'M';  // scatter message keyed by destination
-
-std::string Tagged(char tag, const std::string& payload) {
-  std::string out;
-  out.reserve(payload.size() + 1);
-  out.push_back(tag);
-  out.append(payload);
-  return out;
-}
 
 /// The per-vertex record carried between supersteps: current value, the
 /// gather cache (sorted by source id — canonical bytes), and the scatter
@@ -143,30 +138,6 @@ void EmitStateAndScatter(const RoundCtx& ctx, const VertexState& state,
   }
   out->Emit(std::to_string(state.id), Tagged(kTagState, state.Serialize()));
 }
-
-/// Parses raw table rows and emits the gather/scatter stubs; runs once.
-class AnalyticsMapper : public mr::Mapper {
- public:
-  agl::Status Map(const mr::KeyValue& input, mr::Emitter* out) override {
-    if (input.value.empty()) {
-      return agl::Status::InvalidArgument("empty analytics input record");
-    }
-    const char tag = input.value[0];
-    const std::string payload = input.value.substr(1);
-    if (tag == kTagNode) {
-      AGL_ASSIGN_OR_RETURN(NodeRecord node, NodeRecord::Parse(payload));
-      out->Emit(std::to_string(node.id), Tagged(kTagNode, payload));
-      return agl::Status::OK();
-    }
-    if (tag == kTagInEdge) {  // raw (normalized) edge row
-      AGL_ASSIGN_OR_RETURN(EdgeRecord edge, EdgeRecord::Parse(payload));
-      out->Emit(std::to_string(edge.dst), Tagged(kTagInEdge, payload));
-      out->Emit(std::to_string(edge.src), Tagged(kTagOutEdge, payload));
-      return agl::Status::OK();
-    }
-    return agl::Status::InvalidArgument("unknown analytics input tag");
-  }
-};
 
 /// Round 0: joins each vertex's node row with its edge stubs into the
 /// initial VertexState and scatters the initial value (every vertex is
@@ -480,19 +451,9 @@ agl::Result<AnalyticsShardOutput> RunAnalyticsShard(
 
   // Map phase over the shard's table slice; the home filter drops the
   // duplicate stubs of edges mapped on both endpoint shards.
-  std::vector<mr::KeyValue> input;
-  input.reserve(shard_nodes.size() + shard_edges.size());
-  for (const NodeRecord& n : shard_nodes) {
-    input.push_back({"", Tagged(kTagNode, n.Serialize())});
-  }
-  for (const EdgeRecord& e : shard_edges) {
-    input.push_back({"", Tagged(kTagInEdge, e.Serialize())});
-  }
   AGL_ASSIGN_OR_RETURN(
       std::vector<mr::KeyValue> records,
-      mr::RunMapPhase(config.job, input,
-                      [] { return std::make_unique<AnalyticsMapper>(); },
-                      &local.job_stats));
+      flat::MapTables(config.job, shard_nodes, shard_edges, &local.job_stats));
   router.FilterToShard(shard, &records);
 
   // Init round: build states, scatter initial values.

@@ -1,59 +1,25 @@
 #include "flat/graphflat.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
 
+#include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "flat/shard.h"
 #include "flat/state.h"
+#include "flat/table_map.h"
 #include "io/codec.h"
 
 namespace agl::flat {
 namespace {
 
-// Value tags for the records flowing through the pipeline.
-constexpr char kTagNode = 'N';      // NodeRecord (map output, self info)
-constexpr char kTagInEdge = 'I';    // EdgeRecord keyed by dst
-constexpr char kTagOutEdge = 'O';   // EdgeRecord keyed by src
+// Value tags of the reduce rounds, beside the map output's kTagNode,
+// kTagInEdge and kTagOutEdge (flat/table_map.h).
 constexpr char kTagState = 'S';     // SubgraphState (self info, rounds >= 1)
 constexpr char kTagNeighbor = 'P';  // propagated neighbor SubgraphState
 constexpr char kTagFinal = 'F';     // flattened GraphFeature bytes
-
-std::string Tagged(char tag, const std::string& payload) {
-  std::string out;
-  out.reserve(payload.size() + 1);
-  out.push_back(tag);
-  out.append(payload);
-  return out;
-}
-
-// --- Map phase ------------------------------------------------------------
-
-/// Parses raw table rows and emits the three kinds of information of
-/// §3.2.1: self, in-edge, out-edge.
-class FlatMapper : public mr::Mapper {
- public:
-  agl::Status Map(const mr::KeyValue& input, mr::Emitter* out) override {
-    if (input.value.empty()) {
-      return agl::Status::InvalidArgument("empty input record");
-    }
-    const char tag = input.value[0];
-    const std::string payload = input.value.substr(1);
-    if (tag == kTagNode) {
-      AGL_ASSIGN_OR_RETURN(NodeRecord node, NodeRecord::Parse(payload));
-      out->Emit(std::to_string(node.id), Tagged(kTagNode, payload));
-      return agl::Status::OK();
-    }
-    if (tag == kTagInEdge) {  // raw edge row
-      AGL_ASSIGN_OR_RETURN(EdgeRecord edge, EdgeRecord::Parse(payload));
-      out->Emit(std::to_string(edge.dst), Tagged(kTagInEdge, payload));
-      out->Emit(std::to_string(edge.src), Tagged(kTagOutEdge, payload));
-      return agl::Status::OK();
-    }
-    return agl::Status::InvalidArgument("unknown input tag");
-  }
-};
 
 // --- Reduce rounds ----------------------------------------------------------
 
@@ -331,20 +297,6 @@ agl::Result<std::vector<mr::KeyValue>> ReindexAndSampleHubKeys(
 
 namespace {
 
-/// Raw-table rows tagged as map input, shared by both pipelines.
-std::vector<mr::KeyValue> BuildMapInput(const std::vector<NodeRecord>& nodes,
-                                        const std::vector<EdgeRecord>& edges) {
-  std::vector<mr::KeyValue> input;
-  input.reserve(nodes.size() + edges.size());
-  for (const NodeRecord& n : nodes) {
-    input.push_back({"", Tagged(kTagNode, n.Serialize())});
-  }
-  for (const EdgeRecord& e : edges) {
-    input.push_back({"", Tagged(kTagInEdge, e.Serialize())});
-  }
-  return input;
-}
-
 /// The job over the full tables, with the feature dims inferred from their
 /// first rows.
 FlatShardJob MakeJob(const GraphFlatConfig& config,
@@ -381,9 +333,7 @@ agl::Result<std::vector<mr::KeyValue>> RunPipeline(
   RoundContext ctx = MakeContext(MakeJob(config, nodes, edges));
   AGL_ASSIGN_OR_RETURN(
       std::vector<mr::KeyValue> records,
-      mr::RunMapPhase(config.job, BuildMapInput(nodes, edges),
-                      [] { return std::make_unique<FlatMapper>(); },
-                      &stats->job_stats));
+      MapTables(config.job, nodes, edges, &stats->job_stats));
 
   for (int round = 0; round <= config.hops; ++round) {
     AGL_ASSIGN_OR_RETURN(records,
@@ -487,6 +437,27 @@ agl::Result<std::vector<FlatShardOutput>> RunShards(
   return shards;
 }
 
+/// The sharded output layout, in one place: `store_slices` stores shard
+/// s's slice of `dataset` as mr::ShardDatasetName(dataset, s) for every s,
+/// then the slices are unified into `dataset`. On failure every slice is
+/// dropped and a previously published `dataset` is left as it was; an
+/// injected crash drops nothing, as a killed process would not.
+agl::Status PublishShardSlices(
+    int num_shards, mr::LocalDfs* dfs, const std::string& dataset,
+    const std::function<agl::Status()>& store_slices) {
+  std::vector<std::string> slices;
+  for (int s = 0; s < num_shards; ++s) {
+    slices.push_back(mr::ShardDatasetName(dataset, s));
+  }
+  agl::Status status = store_slices();
+  if (status.ok()) status = dfs->UnifyDatasets(dataset, slices);
+  if (!status.ok() && !fail::IsInjectedCrash(status)) {
+    // DropDataset also sweeps a killed writer's scratch.
+    for (const std::string& name : slices) (void)dfs->DropDataset(name);
+  }
+  return status;
+}
+
 }  // namespace
 
 void GraphFlatStats::Accumulate(const GraphFlatStats& other) {
@@ -516,9 +487,7 @@ agl::Result<FlatShardOutput> RunFlatShard(
   // the duplicate stubs of edges mapped on both endpoint shards.
   AGL_ASSIGN_OR_RETURN(
       std::vector<mr::KeyValue> records,
-      mr::RunMapPhase(config.job, BuildMapInput(shard_nodes, shard_edges),
-                      [] { return std::make_unique<FlatMapper>(); },
-                      &out.stats.job_stats));
+      MapTables(config.job, shard_nodes, shard_edges, &out.stats.job_stats));
   router.FilterToShard(shard, &records);
 
   for (int round = 0; round <= config.hops; ++round) {
@@ -635,14 +604,14 @@ agl::Status StoreFeaturePayloads(
   std::vector<std::vector<std::pair<NodeId, std::string>>> by_shard(
       plan.num_shards());
   for (auto& f : finals) by_shard[plan.HomeShardOf(f.first)].push_back(std::move(f));
-  std::vector<std::string> staging;
-  for (int s = 0; s < plan.num_shards(); ++s) {
-    staging.push_back(mr::ShardDatasetName(dataset, s));
-    AGL_RETURN_IF_ERROR(WriteSorted(config.output_parts,
-                                    std::move(by_shard[s]), dfs,
-                                    staging.back()));
-  }
-  return dfs->UnifyDatasets(dataset, staging);
+  return PublishShardSlices(plan.num_shards(), dfs, dataset, [&] {
+    for (int s = 0; s < plan.num_shards(); ++s) {
+      AGL_RETURN_IF_ERROR(WriteSorted(config.output_parts,
+                                      std::move(by_shard[s]), dfs,
+                                      mr::ShardDatasetName(dataset, s)));
+    }
+    return agl::Status::OK();
+  });
 }
 
 agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
@@ -676,19 +645,12 @@ agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
                                          const FlatShardRunner& run_shards) {
   Stopwatch watch;
   GraphFlatStats stats;
-  auto shards =
-      RunShards(config, nodes, edges, dfs->root(), dataset, run_shards, &stats);
-  std::vector<std::string> staging;
-  for (int s = 0; s < std::max(1, config.num_shards); ++s) {
-    staging.push_back(mr::ShardDatasetName(dataset, s));
-  }
-  if (!shards.ok()) {
-    // Every shard has stopped; drop the slices the finished ones stored
-    // (DropDataset also sweeps a killed writer's scratch).
-    for (const std::string& name : staging) (void)dfs->DropDataset(name);
-    return shards.status();
-  }
-  AGL_RETURN_IF_ERROR(dfs->UnifyDatasets(dataset, staging));
+  AGL_RETURN_IF_ERROR(
+      PublishShardSlices(std::max(1, config.num_shards), dfs, dataset, [&] {
+        return RunShards(config, nodes, edges, dfs->root(), dataset,
+                         run_shards, &stats)
+            .status();
+      }));
   stats.elapsed_seconds = watch.Seconds();
   return stats;
 }

@@ -136,7 +136,9 @@ agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
 /// partitions the tables over `config.num_shards`, runs the shards through
 /// `run_shards` (each stores its slice of `dataset` on `dfs`), and unifies
 /// the slices into the dataset RunGraphFlat writes, with the same stats.
-/// A failed job drops every slice, so it leaves no staging dataset.
+/// A failed job, unify included, drops every slice and leaves an earlier
+/// `dataset` as it was (an injected crash drops nothing, as a killed
+/// process would not).
 agl::Result<GraphFlatStats> RunGraphFlat(const GraphFlatConfig& config,
                                          const std::vector<NodeRecord>& nodes,
                                          const std::vector<EdgeRecord>& edges,
@@ -163,7 +165,8 @@ agl::Result<std::vector<mr::KeyValue>> ReindexAndSampleHubKeys(
 /// over `output_parts` part files, or, when `num_shards` > 1, one such
 /// slice per home shard unified under one name. The incremental re-flatten
 /// path publishes through it, so both write byte-identical datasets for
-/// the same payload set.
+/// the same payload set. A failed sharded publish drops its slices the way
+/// the sharded RunGraphFlat does.
 agl::Status StoreFeaturePayloads(
     const GraphFlatConfig& config,
     std::vector<std::pair<NodeId, std::string>> finals, mr::LocalDfs* dfs,

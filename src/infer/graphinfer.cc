@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "flat/shard.h"
 #include "flat/table_graph.h"
+#include "flat/table_map.h"
 #include "infer/embedding_cache.h"
 #include "infer/segmentation.h"
 #include "io/codec.h"
@@ -20,6 +21,7 @@ namespace {
 using flat::EdgeRecord;
 using flat::NodeId;
 using flat::NodeRecord;
+using flat::Tagged;
 using Direction = flat::TableGraph::Direction;
 
 // Record tags.
@@ -54,14 +56,6 @@ agl::Status DecodeStub(const std::string& bytes, NodeId* src, float* weight) {
   io::BufferReader r(bytes);
   AGL_RETURN_IF_ERROR(r.GetVarint64(src));
   return r.GetFloat(weight);
-}
-
-std::string Tagged(char tag, const std::string& payload) {
-  std::string out;
-  out.reserve(payload.size() + 1);
-  out.push_back(tag);
-  out.append(payload);
-  return out;
 }
 
 /// What every reduce round reads. The caller of RunInferCore fills in the

@@ -115,8 +115,8 @@ class LocalDfs {
 
 /// Canonical name of shard `shard`'s slice of dataset `base`
 /// ("<base>.shard-NN"): the staging layout sharded writers produce before
-/// UnifyDatasets, and the family readers fall back to when the merge has
-/// not run.
+/// UnifyDatasets. No reader takes a slice for the dataset: only the
+/// unified dataset holds every shard's records.
 std::string ShardDatasetName(const std::string& base, int shard);
 
 }  // namespace agl::mr

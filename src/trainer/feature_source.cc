@@ -1,30 +1,13 @@
 #include "trainer/feature_source.h"
 
-#include <iterator>
 #include <limits>
 
 namespace agl::trainer {
 
 agl::Result<DfsFeatureSource> DfsFeatureSource::Open(
     const mr::LocalDfs& dfs, const std::string& dataset) {
-  agl::Result<std::vector<std::string>> parts = dfs.ListParts(dataset);
-  if (parts.ok()) return DfsFeatureSource(std::move(parts).value());
-  if (parts.status().code() != agl::StatusCode::kNotFound) {
-    return parts.status();
-  }
-  // Transparent multi-shard fallback: a sharded GraphFlat whose merge has
-  // not (yet) unified its staging output leaves a "<dataset>.shard-NN"
-  // family behind; read it as one logical dataset, shards in order.
-  std::vector<std::string> family;
-  for (int s = 0; dfs.DatasetExists(mr::ShardDatasetName(dataset, s)); ++s) {
-    AGL_ASSIGN_OR_RETURN(std::vector<std::string> shard_parts,
-                         dfs.ListParts(mr::ShardDatasetName(dataset, s)));
-    family.insert(family.end(),
-                  std::make_move_iterator(shard_parts.begin()),
-                  std::make_move_iterator(shard_parts.end()));
-  }
-  if (family.empty()) return parts.status();
-  return DfsFeatureSource(std::move(family));
+  AGL_ASSIGN_OR_RETURN(std::vector<std::string> parts, dfs.ListParts(dataset));
+  return DfsFeatureSource(std::move(parts));
 }
 
 agl::Result<std::vector<subgraph::GraphFeature>> DfsFeatureSource::ReadShard(

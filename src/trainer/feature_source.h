@@ -23,10 +23,10 @@ namespace agl::trainer {
 /// A handle on one GraphFeature dataset.
 class DfsFeatureSource {
  public:
-  /// Binds to `dataset` inside `dfs`. A dataset produced by a sharded
-  /// GraphFlat reads transparently: the merged dataset when it exists,
-  /// otherwise the unmerged "<dataset>.shard-NN" family as one logical
-  /// dataset. Fails if neither is present.
+  /// Binds to `dataset` inside `dfs`; kNotFound when it is not published.
+  /// A sharded GraphFlat publishes one unified dataset, so its
+  /// "<dataset>.shard-NN" staging slices are never read: a slice alone is
+  /// part of a dataset, not the dataset.
   static agl::Result<DfsFeatureSource> Open(const mr::LocalDfs& dfs,
                                             const std::string& dataset);
 

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <set>
 
+#include "agl/agl.h"
 #include "flat/graphflat.h"
 #include "trainer/feature_source.h"
 #include "trainer/trainer.h"
@@ -120,29 +121,19 @@ TEST_F(FeatureSourceTest, MissingDatasetIsNotFound) {
             StatusCode::kNotFound);
 }
 
-TEST_F(FeatureSourceTest, ReadsUnmergedShardFamilyTransparently) {
-  // An unmerged "<dataset>.shard-NN" family (sharded GraphFlat staging
-  // layout) reads as one logical dataset with all parts bound in shard
-  // order.
+TEST_F(FeatureSourceTest, LoneShardSliceIsNotFound) {
+  // Only shard 0's "<dataset>.shard-NN" slice exists, as after a writer
+  // killed before its unify: reading it as the dataset would drop every
+  // other shard's targets, so the dataset is not found.
   auto records = dfs_->ReadDataset("features");
   ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 10u);
-  std::vector<std::string> a(records->begin(), records->begin() + 6);
-  std::vector<std::string> b(records->begin() + 6, records->end());
   ASSERT_TRUE(
-      dfs_->WriteDataset(mr::ShardDatasetName("fam", 0), a, 2).ok());
-  ASSERT_TRUE(
-      dfs_->WriteDataset(mr::ShardDatasetName("fam", 1), b, 2).ok());
+      dfs_->WriteDataset(mr::ShardDatasetName("fam", 0), *records, 2).ok());
 
-  auto src = DfsFeatureSource::Open(*dfs_, "fam");
-  ASSERT_TRUE(src.ok());
-  EXPECT_EQ(src->num_parts(), 4);
-  auto all = src->ReadAll();
-  ASSERT_TRUE(all.ok());
-  std::multiset<uint64_t> ids;
-  for (const auto& gf : *all) ids.insert(gf.target_id);
-  EXPECT_EQ(ids.size(), 10u);
-  EXPECT_EQ(std::set<uint64_t>(ids.begin(), ids.end()).size(), 10u);
+  EXPECT_EQ(DfsFeatureSource::Open(*dfs_, "fam").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(agl::LoadGraphFeatures(*dfs_, "fam").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(FeatureSourceTest, CorruptPartSurfacesAsError) {

@@ -13,6 +13,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -286,6 +289,78 @@ TEST(ShardInvarianceTest, DfsStoreUnifiesShardParts) {
     return FeatureBytes(*features);
   };
   EXPECT_TRUE(ReadSorted("sharded") == ReadSorted("single"));
+  std::filesystem::remove_all(root);
+}
+
+// Every file of a published dataset directory, by name, with its bytes.
+std::map<std::string, std::string> DatasetFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+// A sharded publish that fails on a slice write or on the unify's rename
+// returns the error, drops every slice it stored, and leaves the dataset
+// published before it byte-identical. At 2 shards the "dfs.rename" hits
+// are slice 0's publish, slice 1's publish, then the unify's.
+TEST(ShardInvarianceTest, FailedShardedPublishDropsItsSlices) {
+  const std::string root =
+      (std::filesystem::temp_directory_path() /
+       ("agl_shard_leak_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(root);
+  auto dfs = mr::LocalDfs::Open(root);
+  ASSERT_TRUE(dfs.ok());
+  GeneratedGraph g = MakeGraph(HubbyGraph(67));
+  GraphFlatConfig config = ShardedConfig(2, 2);
+  ASSERT_TRUE(RunGraphFlat(config, g.nodes, g.edges, &*dfs, "features").ok());
+  const auto published = DatasetFiles(root + "/features");
+
+  auto features = RunGraphFlatInMemory(config, g.nodes, g.edges);
+  ASSERT_TRUE(features.ok());
+  std::vector<std::pair<NodeId, std::string>> payloads;
+  for (const GraphFeature& gf : *features) {
+    payloads.emplace_back(gf.target_id, gf.Serialize());
+  }
+
+  auto expect_failed_cleanly = [&](const agl::Status& status,
+                                   const std::string& what) {
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << what;
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_FALSE(dfs->DatasetExists(mr::ShardDatasetName("features", s)))
+          << what << ": " << mr::ShardDatasetName("features", s);
+    }
+    EXPECT_TRUE(DatasetFiles(root + "/features") == published) << what;
+    const agl::Status valid = dfs->ValidateAllDatasets();
+    EXPECT_TRUE(valid.ok()) << what << ": " << valid.ToString();
+  };
+  // Runs `publish` with the `hit`th "dfs.rename" failing.
+  auto with_rename_failing = [](int64_t hit, const auto& publish) {
+    fail::SiteConfig fails = fail::ErrorConfig(1.0, StatusCode::kIoError);
+    fails.first_hit = hit;
+    fails.max_fires = 1;
+    fail::ScopedFailpoint fp("dfs.rename", fails);
+    return publish();
+  };
+  for (const int64_t hit : {2, 3}) {
+    expect_failed_cleanly(with_rename_failing(hit, [&] {
+                            return StoreFeaturePayloads(config, payloads,
+                                                        &*dfs, "features");
+                          }),
+                          "StoreFeaturePayloads, rename hit " +
+                              std::to_string(hit));
+  }
+  // The shards publish their slices first, so the unify's rename is hit 3.
+  expect_failed_cleanly(with_rename_failing(3, [&] {
+                          return RunGraphFlat(config, g.nodes, g.edges, &*dfs,
+                                              "features")
+                              .status();
+                        }),
+                        "RunGraphFlat, unify rename");
   std::filesystem::remove_all(root);
 }
 
