@@ -8,7 +8,9 @@
 #
 # With no arguments, runs the default table/figure set. Environment:
 #   BUILD_DIR    build tree to use (default: build; configured+built if missing)
-#   OUT_DIR      where BENCH_*.json land (default: bench-results)
+#   OUT_DIR      where BENCH_*.json land (default: bench-fresh). The
+#                committed CI baselines live in bench-results; refreshing
+#                one takes an explicit OUT_DIR=bench-results
 #   BENCH_LABEL  optional tag (e.g. "scalar-baseline"): suffixes the output
 #                file name and is recorded in the JSON, so before/after
 #                pairs of the same bench can sit side by side in OUT_DIR
@@ -19,7 +21,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${BUILD_DIR:-$repo_root/build}"
-out_dir="${OUT_DIR:-$repo_root/bench-results}"
+out_dir="${OUT_DIR:-$repo_root/bench-fresh}"
 
 default_benches=(
   bench_table2_datasets

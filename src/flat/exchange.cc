@@ -184,13 +184,18 @@ agl::Status DfsExchange::Publish(int round, int src_shard,
   int64_t bytes = 0;
   // Every peer bucket is written — an empty one included — so a collector
   // can distinguish "src published nothing for me" from "src has not
-  // published yet". The own bucket stays in memory.
+  // published yet". The own bucket stays in memory. A bucket that already
+  // exists was published by this shard's earlier attempt (the driver
+  // sweeps the prefix at job start) and holds these very bytes, since a
+  // bucket is a deterministic function of the shard's input: it is kept,
+  // because replacing it would race a peer that is reading it.
   for (int dst = 0; dst < s; ++dst) {
     if (dst == src_shard) continue;
+    const std::string bucket = BucketName(prefix_, round, src_shard, dst);
+    if (dfs_->DatasetExists(bucket)) continue;
     const std::string payload = SerializeExchangeRecords(by_dst[dst]);
     bytes += static_cast<int64_t>(payload.size());
-    AGL_RETURN_IF_ERROR(dfs_->WriteDataset(
-        BucketName(prefix_, round, src_shard, dst), {payload}, 1));
+    AGL_RETURN_IF_ERROR(dfs_->WriteDataset(bucket, {payload}, 1));
   }
   common::MutexLock lock(&mu_);
   own_[{round, src_shard}] = std::move(by_dst[src_shard]);
@@ -270,8 +275,11 @@ agl::Result<std::vector<mr::KeyValue>> DfsExchange::Collect(int round,
 agl::Result<std::vector<std::string>> DfsExchange::AllGather(
     const std::string& tag, int shard, std::string payload) {
   Stopwatch watch;
-  AGL_RETURN_IF_ERROR(dfs_->WriteDataset(GatherName(prefix_, tag, shard),
-                                         {std::move(payload)}, 1));
+  // Kept when present, for the same reason as Publish's peer buckets.
+  const std::string deposit = GatherName(prefix_, tag, shard);
+  if (!dfs_->DatasetExists(deposit)) {
+    AGL_RETURN_IF_ERROR(dfs_->WriteDataset(deposit, {std::move(payload)}, 1));
+  }
   const int s = plan_.num_shards();
   std::vector<std::string> payloads(s);
   for (int i = 0; i < s; ++i) {

@@ -132,8 +132,10 @@ class InMemoryExchange : public Exchange {
 /// instance's Publish of the same round (kFailedPrecondition otherwise,
 /// never a wait). Because every dataset is written with the
 /// crash-consistent scratch+rename publish, a shard process that dies
-/// mid-publish leaves no readable partial, and its restarted attempt
-/// recomputes its own bucket and re-publishes byte-identical peer buckets.
+/// mid-publish leaves no readable partial. Its restarted attempt
+/// recomputes its own bucket and writes only the peer buckets (and
+/// AllGather deposits) not yet published: the published ones hold the
+/// same bytes, and are never replaced under a peer reading them.
 /// Datasets are retained for the life of the job (restart safety) and
 /// removed with CleanupPrefix afterwards. `bytes_published` and
 /// `bytes_collected` count only the buckets that cross the DFS.

@@ -58,29 +58,117 @@ agl::Status DecodeStub(const std::string& bytes, NodeId* src, float* weight) {
   return r.GetFloat(weight);
 }
 
-/// What every reduce round reads. The caller of RunInferCore fills in the
-/// slices and the cache fields; RunInferCore sets the rest.
+/// The (node, round) pairs one slice's pass reads. The walk starts at the
+/// targets' round-K pairs and follows in-edges backwards: a pair the store
+/// holds is fed in as it is and not expanded; any other pair is evaluated
+/// and reads its node's and every in-neighbour's value one round earlier.
+/// So a node at in-depth d is read only at rounds <= K - d, the values the
+/// targets depend on (Theorem 1), and round 0 is the raw features.
+struct Demand {
+  explicit Demand(int num_layers)
+      : evaluated(num_layers + 2), stored(num_layers + 1) {}
+
+  /// evaluated[r], r = 1..K: the nodes evaluated at round r. Entries 0 and
+  /// K + 1 stay empty, so round r - 1 and r + 1 are always valid indices.
+  std::vector<std::unordered_set<NodeId>> evaluated;
+  /// stored[r], r = 1..K: the values the store held, each looked up once.
+  std::vector<std::unordered_map<NodeId, std::vector<float>>> stored;
+  /// Every node whose value some round reads (the values are unused).
+  std::unordered_map<NodeId, int> reached;
+};
+
+/// The demand of `targets`; a null `store` holds nothing.
+Demand Walk(const flat::TableGraph& graph, const std::vector<NodeId>& targets,
+            int num_layers, EmbeddingStore* store, uint64_t model_version) {
+  Demand demand(num_layers);
+  // A target outside the node table has no features and gets no score.
+  std::vector<NodeId> need;
+  for (NodeId t : targets) {
+    if (graph.NodeRow(t) >= 0) need.push_back(t);
+  }
+  for (int round = num_layers; round >= 0; --round) {
+    std::vector<NodeId> next;
+    std::unordered_set<NodeId> seen;
+    auto read = [&](NodeId id) {
+      if (seen.insert(id).second) next.push_back(id);
+    };
+    for (NodeId v : need) {
+      demand.reached.emplace(v, round);
+      if (round == 0) continue;
+      std::vector<float> h;
+      if (store != nullptr && store->Lookup({v, round, model_version}, &h)) {
+        demand.stored[round].emplace(v, std::move(h));
+        continue;
+      }
+      demand.evaluated[round].insert(v);
+      read(v);
+      for (std::size_t e : graph.Adjacent(v, Direction::kIn)) {
+        read(graph.edges()[e].src);
+      }
+    }
+    need = std::move(next);
+  }
+  return demand;
+}
+
+/// The normalised in-edge row of every node, src ids in column order. The
+/// adjacency is normalised exactly as the trainer does it (our stand-in for
+/// the paper's degree-joining preprocessing), over `nodes` and `edges` in
+/// table order, self-loops included where the model adds them.
+using InRows =
+    std::unordered_map<NodeId, std::vector<std::pair<NodeId, float>>>;
+
+agl::Result<InRows> NormalizedInRows(const gnn::ModelConfig& model,
+                                     const std::vector<NodeRecord>& nodes,
+                                     const std::vector<EdgeRecord>& edges) {
+  std::unordered_map<NodeId, int64_t> local_of;
+  local_of.reserve(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    local_of.emplace(nodes[i].id, static_cast<int64_t>(i));
+  }
+  std::vector<tensor::CooEntry> entries;
+  entries.reserve(edges.size());
+  for (const EdgeRecord& e : edges) {
+    auto sit = local_of.find(e.src);
+    auto dit = local_of.find(e.dst);
+    if (sit == local_of.end() || dit == local_of.end()) {
+      return agl::Status::NotFound("edge references missing node");
+    }
+    entries.push_back({dit->second, sit->second, e.weight});
+  }
+  const tensor::SparseMatrix norm = gnn::GnnModel(model).NormalizeAdjacency(
+      tensor::SparseMatrix::FromCoo(static_cast<int64_t>(nodes.size()),
+                                    static_cast<int64_t>(nodes.size()),
+                                    std::move(entries)));
+  InRows rows;
+  rows.reserve(nodes.size());
+  for (int64_t dst = 0; dst < norm.rows(); ++dst) {
+    auto& row = rows[nodes[dst].id];
+    for (int64_t p = norm.row_ptr()[dst]; p < norm.row_ptr()[dst + 1]; ++p) {
+      row.emplace_back(nodes[norm.col_idx()[p]].id, norm.values()[p]);
+    }
+  }
+  return rows;
+}
+
+/// What every reduce round reads.
 struct RoundContext {
-  int round = 0;       // 0 = propagation bootstrap; 1..K layer slices;
-                       // K+1 = prediction slice
+  int round = 0;  // 1..K: applies layer slice round - 1
   int num_layers = 0;
   gnn::ModelConfig model;
-  const std::vector<ModelSlice>* slices = nullptr;
+  const ModelSlice* slice = nullptr;
+  /// The nodes evaluated next round: the ones that read their own value.
+  const std::unordered_set<NodeId>* next = nullptr;
   std::atomic<int64_t>* embedding_evals = nullptr;
-
-  // Cross-slice embedding store (batched driver only; nullptr otherwise).
-  EmbeddingStore* cache = nullptr;
-  /// In-BFS depth of each slice-graph node from the slice targets.
-  const std::unordered_map<NodeId, int>* depth = nullptr;
-  /// True when the slice graph kept the whole input graph (no frontier
-  /// truncation): every round of every node is then exact.
-  bool cache_all_rounds = false;
+  /// Receives every evaluated value; nullptr when the pass bypasses it.
+  EmbeddingStore* store = nullptr;
   uint64_t model_version = 0;
 };
 
-/// One GraphInfer Reduce round. Round 0 only bootstraps propagation (our
-/// node/edge tables are not pre-joined; see GraphFlat's round-0 note).
-/// Rounds 1..K apply slice k-1; round K+1 applies the prediction slice.
+/// One GraphInfer Reduce round over the nodes evaluated at it: joins the
+/// arrived in-neighbour values with the in-edge stubs, applies the layer
+/// slice, and propagates the new value along the out-edges the next round
+/// reads. The last layer round applies the prediction slice in place.
 class InferReducer : public mr::Reducer {
  public:
   explicit InferReducer(const RoundContext& ctx) : ctx_(ctx) {}
@@ -90,7 +178,6 @@ class InferReducer : public mr::Reducer {
                      mr::Emitter* out) override {
     std::vector<float> self_emb;
     bool have_self = false;
-    std::vector<NeighborEmbedding> neighbors;
     std::vector<std::pair<NodeId, float>> in_stubs;
     std::vector<std::string> out_edges;
     std::vector<std::pair<NodeId, std::vector<float>>> arrived;
@@ -127,181 +214,177 @@ class InferReducer : public mr::Reducer {
       }
     }
     if (!have_self) {
-      // Structure-only node (no node-table row): drop.
-      return agl::Status::OK();
+      return agl::Status::Corruption("GraphInfer: node " + key +
+                                     " has no round-" +
+                                     std::to_string(ctx_.round - 1) +
+                                     " value");
     }
     const NodeId self_id = static_cast<NodeId>(std::stoull(key));
 
-    std::vector<float> new_emb;
-    if (ctx_.round == 0) {
-      new_emb = self_emb;  // bootstrap: propagate raw features
-    } else if (ctx_.round <= ctx_.num_layers) {
-      const bool cacheable = Cacheable(self_id);
-      const CacheKey cache_key{self_id, ctx_.round, ctx_.model_version};
-      if (cacheable && ctx_.cache->Lookup(cache_key, &new_emb)) {
-        // Cross-slice hit: an earlier slice already materialized this
-        // segment embedding (possibly via the spill file). Skip the
-        // neighbor join and the slice application entirely.
-      } else {
-        // Join arrived neighbor embeddings with the normalized in-edge
-        // weights; the self-loop stub (src == self) uses the self
-        // embedding.
-        std::unordered_map<NodeId, const std::vector<float>*> by_src;
-        by_src.reserve(arrived.size());
-        for (const auto& [aid, h] : arrived) by_src.emplace(aid, &h);
-        neighbors.reserve(in_stubs.size());
-        for (const auto& [src, w] : in_stubs) {
-          if (src == self_id) {
-            neighbors.push_back({src, w, self_emb});
-            continue;
-          }
-          auto it = by_src.find(src);
-          if (it != by_src.end()) neighbors.push_back({src, w, *it->second});
-        }
-        AGL_ASSIGN_OR_RETURN(
-            new_emb, ApplySlice(ctx_.model, (*ctx_.slices)[ctx_.round - 1],
-                                self_emb, neighbors));
-        ctx_.embedding_evals->fetch_add(1, std::memory_order_relaxed);
-        if (cacheable) ctx_.cache->Insert(cache_key, new_emb);
+    // Join arrived neighbor embeddings with the normalized in-edge weights,
+    // in the canonical stub order; the self-loop stub (src == self) uses the
+    // self embedding.
+    std::unordered_map<NodeId, const std::vector<float>*> by_src;
+    by_src.reserve(arrived.size());
+    for (const auto& [aid, h] : arrived) by_src.emplace(aid, &h);
+    std::vector<NeighborEmbedding> neighbors;
+    neighbors.reserve(in_stubs.size());
+    for (const auto& [src, w] : in_stubs) {
+      if (src == self_id) {
+        neighbors.push_back({src, w, self_emb});
+        continue;
       }
-    } else {
-      // Prediction round: output scores, nothing else.
-      const std::vector<float> scores =
-          ApplyPredictionSlice(ctx_.model, self_emb);
-      out->Emit(key, Tagged(kTagScore, EncodeEmbedding(self_id, scores)));
-      return agl::Status::OK();
+      auto it = by_src.find(src);
+      if (it != by_src.end()) neighbors.push_back({src, w, *it->second});
+    }
+    AGL_ASSIGN_OR_RETURN(
+        const std::vector<float> new_emb,
+        ApplySlice(ctx_.model, *ctx_.slice, self_emb, neighbors));
+    ctx_.embedding_evals->fetch_add(1, std::memory_order_relaxed);
+    if (ctx_.store != nullptr) {
+      ctx_.store->Insert({self_id, ctx_.round, ctx_.model_version}, new_emb);
     }
 
-    // Propagate the new embedding along out-edges for the next round and
-    // carry the structure forward.
-    const bool propagate = ctx_.round < ctx_.num_layers;
-    const std::string emb_bytes = EncodeEmbedding(self_id, new_emb);
-    if (propagate) {
-      for (const std::string& payload : out_edges) {
-        io::BufferReader r(payload);
-        uint64_t dst;
-        AGL_RETURN_IF_ERROR(r.GetVarint64(&dst));
-        out->Emit(std::to_string(dst), Tagged(kTagNeighbor, emb_bytes));
-      }
-      for (const std::string& payload : out_edges) {
-        out->Emit(key, Tagged(kTagOutEdge, payload));
-      }
-      for (const auto& [src, w] : in_stubs) {
-        out->Emit(key, Tagged(kTagInStub, EncodeStub(src, w)));
-      }
+    if (ctx_.round == ctx_.num_layers) {
+      // Only targets are evaluated at round K: output their scores.
+      out->Emit(key, Tagged(kTagScore,
+                            EncodeEmbedding(self_id, ApplyPredictionSlice(
+                                                         ctx_.model, new_emb))));
+      return agl::Status::OK();
     }
-    out->Emit(key, Tagged(kTagEmb, emb_bytes));
+    const std::string emb_bytes = EncodeEmbedding(self_id, new_emb);
+    for (const std::string& payload : out_edges) {
+      io::BufferReader r(payload);
+      uint64_t dst;
+      AGL_RETURN_IF_ERROR(r.GetVarint64(&dst));
+      out->Emit(std::to_string(dst), Tagged(kTagNeighbor, emb_bytes));
+    }
+    if (ctx_.next->count(self_id) > 0) {
+      out->Emit(key, Tagged(kTagEmb, emb_bytes));
+    }
     return agl::Status::OK();
   }
 
  private:
-  /// Whether node `id`'s embedding for the current round may be cached and
-  /// served from the cache. Requires the value to be *slice-independent*:
-  /// a node at in-BFS depth d from the slice targets carries its complete
-  /// r-hop in-neighborhood (and hence a bit-exact, slice-invariant round-r
-  /// value) only while round + d <= K — beyond that horizon the truncated
-  /// frontier makes the locally computed value depend on the slice, so it
-  /// is neither stored nor substituted.
-  bool Cacheable(NodeId id) const {
-    if (ctx_.cache == nullptr || !ctx_.cache->enabled()) return false;
-    if (ctx_.cache_all_rounds) return true;
-    auto it = ctx_.depth->find(id);
-    if (it == ctx_.depth->end()) return false;
-    return ctx_.round + it->second <= ctx_.num_layers;
-  }
-
   RoundContext ctx_;
 };
 
-/// The MapReduce round schedule over one (possibly pruned) input graph —
-/// the body both RunGraphInfer and the batched driver share.
-agl::Result<InferResult> RunInferCore(const InferConfig& config,
-                                      const std::vector<NodeRecord>& nodes,
-                                      const std::vector<EdgeRecord>& edges,
-                                      RoundContext ctx) {
-  if (nodes.empty()) {
-    return agl::Status::InvalidArgument("GraphInfer: empty node table");
-  }
-  AGL_RETURN_IF_ERROR(CheckFeatureWidths(nodes, config.model.in_dim));
-  Stopwatch watch;
-  const double cpu_start = ProcessCpuSeconds();
-
-  // Pre-normalize the adjacency exactly as the trainer does (our stand-in
-  // for the paper's degree-joining preprocessing): each in-edge stub carries
-  // its normalized weight, self-loops included where the model adds them.
-  std::unordered_map<NodeId, int64_t> local_of;
-  local_of.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    local_of.emplace(nodes[i].id, static_cast<int64_t>(i));
-  }
-  std::vector<tensor::CooEntry> entries;
-  entries.reserve(edges.size());
-  for (const EdgeRecord& e : edges) {
-    auto sit = local_of.find(e.src);
-    auto dit = local_of.find(e.dst);
-    if (sit == local_of.end() || dit == local_of.end()) {
-      return agl::Status::NotFound("edge references missing node");
+/// The records the pass feeds into round `round` from outside the previous
+/// round's reduce: the in-edge stubs of the nodes evaluated now, the
+/// round - 1 values no reducer produced (raw features at round 1, stored
+/// values later) sent to the nodes that read them, and the out-edges along
+/// which this round's values reach the nodes evaluated next round.
+std::vector<mr::KeyValue> FedRecords(int round, const flat::TableGraph& graph,
+                                     const Demand& demand,
+                                     const InRows& rows) {
+  const std::unordered_set<NodeId>& now = demand.evaluated[round];
+  const std::unordered_set<NodeId>& before = demand.evaluated[round - 1];
+  std::unordered_map<NodeId, std::string> encoded;
+  auto fed = [&](NodeId id) -> const std::string& {
+    auto [it, inserted] = encoded.try_emplace(id);
+    if (inserted) {
+      it->second = EncodeEmbedding(
+          id, round == 1 ? graph.nodes()[graph.NodeRow(id)].features
+                         : demand.stored[round - 1].at(id));
     }
-    entries.push_back({dit->second, sit->second, e.weight});
-  }
-  gnn::GnnModel model_for_norm(config.model);
-  const tensor::SparseMatrix norm = model_for_norm.NormalizeAdjacency(
-      tensor::SparseMatrix::FromCoo(static_cast<int64_t>(nodes.size()),
-                                    static_cast<int64_t>(nodes.size()),
-                                    std::move(entries)));
-
-  // Map-equivalent bootstrap input: self embeddings (raw features), in-edge
-  // stubs with normalized weights, out-edge lists.
+    return it->second;
+  };
   std::vector<mr::KeyValue> records;
-  records.reserve(nodes.size() + 2 * norm.nnz());
-  int64_t live_bytes = 0;
-  for (const NodeRecord& n : nodes) {
-    const std::string key = std::to_string(n.id);
-    records.push_back(
-        {key, Tagged(kTagEmb, EncodeEmbedding(n.id, n.features))});
-  }
-  for (int64_t dst = 0; dst < norm.rows(); ++dst) {
-    const std::string dst_key = std::to_string(nodes[dst].id);
-    for (int64_t p = norm.row_ptr()[dst]; p < norm.row_ptr()[dst + 1]; ++p) {
-      const NodeId src_id = nodes[norm.col_idx()[p]].id;
-      records.push_back(
-          {dst_key,
-           Tagged(kTagInStub, EncodeStub(src_id, norm.values()[p]))});
-      if (src_id != nodes[dst].id) {
-        io::BufferWriter w;
-        w.PutVarint64(nodes[dst].id);
-        records.push_back(
-            {std::to_string(src_id), Tagged(kTagOutEdge, w.Release())});
+  for (NodeId v : now) {
+    const std::string key = std::to_string(v);
+    if (before.count(v) == 0) records.push_back({key, Tagged(kTagEmb, fed(v))});
+    for (const auto& [src, w] : rows.at(v)) {
+      records.push_back({key, Tagged(kTagInStub, EncodeStub(src, w))});
+      if (src != v && before.count(src) == 0) {
+        records.push_back({key, Tagged(kTagNeighbor, fed(src))});
       }
     }
   }
+  for (NodeId dst : demand.evaluated[round + 1]) {
+    for (const auto& [src, w] : rows.at(dst)) {
+      if (src == dst || now.count(src) == 0) continue;
+      io::BufferWriter payload;
+      payload.PutVarint64(dst);
+      records.push_back(
+          {std::to_string(src), Tagged(kTagOutEdge, payload.Release())});
+    }
+  }
+  return records;
+}
 
-  ctx.num_layers = config.model.num_layers;
-  ctx.model = config.model;
+/// One target slice's pass: walks its demand, scores the targets whose
+/// round-K value is stored directly, evaluates the rest over the MapReduce
+/// rounds, and appends the scores and the pass's costs to `out`. A pass
+/// whose targets are all stored runs no round.
+agl::Status RunSlice(const InferConfig& config,
+                     const std::vector<ModelSlice>& slices,
+                     uint64_t model_version, const flat::TableGraph& graph,
+                     const std::vector<NodeId>& targets, EmbeddingStore* store,
+                     InferResult* out) {
+  const int num_layers = config.model.num_layers;
+  // GCN's symmetric normalization folds in *out*-degrees, which the K-hop
+  // cut changes. A GCN slice therefore normalizes over its whole cut, and a
+  // cut that drops part of the graph yields values of its own: the store
+  // stays out of that pass. Every other model normalizes over in-edges
+  // only, which each evaluated node keeps in full, so its values are the
+  // whole graph's.
+  std::pair<std::vector<NodeRecord>, std::vector<EdgeRecord>> cut;
+  const bool gcn = config.model.type == gnn::ModelType::kGcn;
+  if (gcn) {
+    std::vector<std::pair<NodeId, int>> seeds;
+    for (NodeId t : targets) seeds.emplace_back(t, 0);
+    cut = graph.Slice(graph.Levels(seeds, Direction::kIn, num_layers),
+                      /*src_reached=*/true);
+    if (cut.first.size() != graph.nodes().size() ||
+        cut.second.size() != graph.edges().size()) {
+      store = nullptr;
+    }
+  }
+  const Demand demand =
+      Walk(graph, targets, num_layers, store, model_version);
+  for (const auto& [id, h] : demand.stored[num_layers]) {
+    out->scores.emplace_back(id, ApplyPredictionSlice(config.model, h));
+  }
+  if (demand.evaluated[num_layers].empty()) return agl::Status::OK();
+
+  if (!gcn) cut = graph.Slice(demand.reached, /*src_reached=*/true);
+  AGL_RETURN_IF_ERROR(CheckFeatureWidths(cut.first, config.model.in_dim));
+  AGL_ASSIGN_OR_RETURN(
+      const InRows rows,
+      NormalizedInRows(config.model, cut.first, cut.second));
+
   std::atomic<int64_t> embedding_evals{0};
+  RoundContext ctx;
+  ctx.num_layers = num_layers;
+  ctx.model = config.model;
   ctx.embedding_evals = &embedding_evals;
-
-  InferResult result;
+  ctx.store = store;
+  ctx.model_version = model_version;
   // Sharded execution mirrors GraphFlat: records live on their key's home
   // shard, one reduce job runs per shard per round, and propagated
   // neighbor embeddings are exchanged across the partition between rounds.
   // num_shards == 1 degenerates to the single global job.
   const int num_shards = std::max(1, config.num_shards);
   flat::ShardRouter router{flat::ShardPlan(num_shards)};
-  std::vector<std::vector<mr::KeyValue>> seeded;
-  seeded.push_back(std::move(records));
-  std::vector<std::vector<mr::KeyValue>> shard_records =
-      router.Exchange(std::move(seeded));
+  std::vector<std::vector<mr::KeyValue>> shard_records;
   std::vector<mr::JobStats> shard_stats(num_shards);
-  for (int round = 0; round <= config.model.num_layers + 1; ++round) {
+  // The evaluated rounds form a suffix: a pair is evaluated only for a pair
+  // evaluated one round later.
+  for (int round = 1; round <= num_layers; ++round) {
+    if (demand.evaluated[round].empty()) continue;
     Stopwatch round_watch;
-    ctx.round = round;
-    const RoundContext round_ctx = ctx;
+    shard_records.push_back(FedRecords(round, graph, demand, rows));
+    shard_records = router.Exchange(std::move(shard_records));
+    int64_t live_bytes = 0;
     for (const auto& recs : shard_records) {
       for (const mr::KeyValue& kv : recs) {
         live_bytes += static_cast<int64_t>(kv.key.size() + kv.value.size());
       }
     }
+    ctx.round = round;
+    ctx.slice = &slices[round - 1];
+    ctx.next = &demand.evaluated[round + 1];
+    const RoundContext round_ctx = ctx;
     AGL_RETURN_IF_ERROR(flat::ParallelOverShards(num_shards, [&](int s) {
       AGL_ASSIGN_OR_RETURN(
           shard_records[s],
@@ -312,70 +395,20 @@ agl::Result<InferResult> RunInferCore(const InferConfig& config,
                              &shard_stats[s]));
       return agl::Status::OK();
     }));
-    // Cross-key (neighbor) records exist only while rounds still
-    // propagate; afterwards everything is self-keyed and already home.
-    if (round < config.model.num_layers) {
-      shard_records = router.Exchange(std::move(shard_records));
-    }
-    result.costs.memory_gb_minutes +=
+    out->costs.memory_gb_minutes +=
         static_cast<double>(live_bytes) / (1024.0 * 1024.0 * 1024.0) *
         (round_watch.Seconds() / 60.0);
-    live_bytes = 0;
   }
 
   for (const auto& recs : shard_records) {
     for (const mr::KeyValue& kv : recs) {
-      if (kv.value.empty() || kv.value[0] != kTagScore) continue;
       NodeId id;
       std::vector<float> scores;
       AGL_RETURN_IF_ERROR(DecodeEmbedding(kv.value.substr(1), &id, &scores));
-      result.scores.emplace_back(id, std::move(scores));
+      out->scores.emplace_back(id, std::move(scores));
     }
   }
-  std::sort(result.scores.begin(), result.scores.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  result.costs.time_seconds = watch.Seconds();
-  result.costs.cpu_core_minutes = (ProcessCpuSeconds() - cpu_start) / 60.0;
-  result.costs.embedding_evaluations = embedding_evals.load();
-  return result;
-}
-
-/// Target-subset pruning: runs the round schedule over the union of the
-/// targets' K-hop in-neighborhoods, found by walking only that frontier,
-/// and adds the targets' scores and the run's costs to `out`. Nodes outside
-/// can never influence a target's embedding (Theorem 1), so dropping them
-/// up front is the inference-side analogue of the trainer's graph pruning.
-agl::Status RunPruned(const InferConfig& config,
-                      const flat::TableGraph& graph,
-                      const std::vector<NodeId>& targets, RoundContext ctx,
-                      InferResult* out) {
-  std::vector<std::pair<NodeId, int>> seeds;
-  for (NodeId t : targets) seeds.emplace_back(t, 0);
-  const std::unordered_map<NodeId, int> depth =
-      graph.Levels(seeds, Direction::kIn, config.model.num_layers);
-  const auto [nodes, edges] = graph.Slice(depth, /*src_reached=*/true);
-  ctx.depth = &depth;
-  // The pruning kept every node and edge: the slice covers the graph.
-  ctx.cache_all_rounds = nodes.size() == graph.nodes().size() &&
-                         edges.size() == graph.edges().size();
-  // GCN's symmetric normalization folds in *out*-degrees, which frontier
-  // truncation changes, so a pruned GCN slice has no slice-invariant
-  // embeddings to share — the cache stays out of the loop there (the
-  // complete-graph case is still safe and still cached).
-  if (config.model.type == gnn::ModelType::kGcn && !ctx.cache_all_rounds) {
-    ctx.cache = nullptr;
-  }
-  AGL_ASSIGN_OR_RETURN(InferResult result,
-                       RunInferCore(config, nodes, edges, ctx));
-  out->costs.embedding_evaluations += result.costs.embedding_evaluations;
-  out->costs.memory_gb_minutes += result.costs.memory_gb_minutes;
-  out->costs.cpu_core_minutes += result.costs.cpu_core_minutes;
-  // Keep only the targets' (the depth-0 nodes') scores: neighborhood nodes
-  // were computed with possibly pruned in-neighborhoods of their own.
-  for (auto& entry : result.scores) {
-    if (depth.at(entry.first) == 0) out->scores.push_back(std::move(entry));
-  }
+  out->costs.embedding_evaluations += embedding_evals.load();
   return agl::Status::OK();
 }
 
@@ -465,18 +498,11 @@ agl::Result<InferResult> RunGraphInfer(
     const std::vector<EdgeRecord>& edges) {
   AGL_ASSIGN_OR_RETURN(std::vector<ModelSlice> slices,
                        SegmentModel(state, config.model));
-  RoundContext ctx;
-  ctx.slices = &slices;
-  if (config.target_ids.empty()) {
-    return RunInferCore(config, nodes, edges, ctx);
-  }
-
-  Stopwatch watch;
-  InferResult out;
-  AGL_RETURN_IF_ERROR(RunPruned(config, flat::TableGraph(nodes, edges),
-                                config.target_ids, ctx, &out));
-  out.costs.time_seconds = watch.Seconds();
-  return out;
+  InferConfig single = config;
+  single.batch_slices = 1;
+  EmbeddingCache no_store(0);
+  return RunGraphInferBatched(single, slices, /*model_version=*/0,
+                              flat::TableGraph(nodes, edges), &no_store);
 }
 
 agl::Result<InferResult> RunGraphInferBatched(
@@ -484,21 +510,29 @@ agl::Result<InferResult> RunGraphInferBatched(
     const std::map<std::string, tensor::Tensor>& state,
     const std::vector<NodeRecord>& nodes,
     const std::vector<EdgeRecord>& edges) {
+  AGL_ASSIGN_OR_RETURN(std::vector<ModelSlice> slices,
+                       SegmentModel(state, config.model));
   EmbeddingCache cache(config.cache_budget_bytes);
   if (cache.enabled() && !config.cache_spill_path.empty()) {
     AGL_RETURN_IF_ERROR(cache.EnableSpill(config.cache_spill_path));
   }
-  return RunGraphInferBatched(config, state, flat::TableGraph(nodes, edges),
-                              &cache);
+  return RunGraphInferBatched(config, slices, StateFingerprint(state),
+                              flat::TableGraph(nodes, edges), &cache);
 }
 
 agl::Result<InferResult> RunGraphInferBatched(
-    const InferConfig& config,
-    const std::map<std::string, tensor::Tensor>& state,
-    const flat::TableGraph& graph, EmbeddingStore* store) {
+    const InferConfig& config, const std::vector<ModelSlice>& slices,
+    uint64_t model_version, const flat::TableGraph& graph,
+    EmbeddingStore* store) {
   if (store == nullptr) {
     return agl::Status::InvalidArgument(
         "RunGraphInferBatched: external store must not be null");
+  }
+  if (slices.size() != static_cast<std::size_t>(config.model.num_layers) + 1) {
+    return agl::Status::InvalidArgument(
+        "RunGraphInferBatched: " + std::to_string(slices.size()) +
+        " model slices for a " + std::to_string(config.model.num_layers) +
+        "-layer model");
   }
   const std::vector<NodeRecord>& nodes = graph.nodes();
   if (nodes.empty()) {
@@ -506,9 +540,6 @@ agl::Result<InferResult> RunGraphInferBatched(
   }
   Stopwatch watch;
   const double cpu_start = ProcessCpuSeconds();
-
-  AGL_ASSIGN_OR_RETURN(std::vector<ModelSlice> slices,
-                       SegmentModel(state, config.model));
 
   std::vector<NodeId> targets = config.target_ids;
   if (targets.empty()) {
@@ -518,18 +549,16 @@ agl::Result<InferResult> RunGraphInferBatched(
   const std::vector<std::vector<NodeId>> target_slices =
       PartitionTargets(targets, config.batch_slices);
 
-  RoundContext ctx;
-  ctx.slices = &slices;
-  ctx.cache = store;
-  ctx.model_version = StateFingerprint(state);
   // A shared store accumulates counters across calls; report this call's
   // delta so InferCosts keeps its per-run meaning.
   const EmbeddingCacheStats before = store->stats();
+  EmbeddingStore* live = store->enabled() ? store : nullptr;
 
   InferResult out;
   out.num_slices = static_cast<int>(target_slices.size());
   for (const std::vector<NodeId>& slice_targets : target_slices) {
-    AGL_RETURN_IF_ERROR(RunPruned(config, graph, slice_targets, ctx, &out));
+    AGL_RETURN_IF_ERROR(RunSlice(config, slices, model_version, graph,
+                                 slice_targets, live, &out));
   }
   std::sort(out.scores.begin(), out.scores.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });

@@ -1,18 +1,25 @@
 // GraphInfer (§3.4): distributed MapReduce inference with model slices.
 //
 // A trained K-layer model is segmented into K+1 slices. The pipeline runs
-// the message-passing scheme K+1 times: round k merges each node's in-edge
-// neighbors' layer-(k-1) embeddings through slice k and propagates the new
-// embedding along out-edges; the last round applies the prediction slice.
-// Every node's layer-k embedding is computed exactly once — this is the
-// source of the Table 5 win over per-GraphFeature ("Original") inference,
-// whose overlapping neighborhoods recompute shared embeddings many times.
+// the message-passing scheme over K rounds: round k merges each node's
+// in-edge neighbors' layer-(k-1) embeddings through slice k and propagates
+// the new embedding along out-edges; the last round also applies the
+// prediction slice. Every node's layer-k embedding is computed at most
+// once — this is the source of the Table 5 win over per-GraphFeature
+// ("Original") inference, whose overlapping neighborhoods recompute shared
+// embeddings many times.
+//
+// A pass is demand-driven: it walks in-edges back from the targets, so a
+// node at in-depth d is evaluated only for rounds <= K - d — exactly the
+// values the targets' scores depend on (Theorem 1).
 //
 // RunGraphInferBatched extends the win *across* pipeline runs: the target
 // nodes are partitioned into slices that flow through the rounds one after
-// another, and a cross-slice EmbeddingCache lets round r of a later slice
-// reuse any segment embedding an earlier slice already materialized,
-// instead of re-deriving the overlapping K-hop halos from scratch.
+// another, and an EmbeddingStore shared by the slices (and, in serving, by
+// every pass) holds each evaluated (node, round) value. The walk stops at
+// a pair the store holds and feeds that value in, so a later slice never
+// re-derives what an earlier one stored, and a pass whose targets are all
+// stored runs no MapReduce round at all.
 
 #pragma once
 
@@ -27,6 +34,7 @@
 #include "flat/table_graph.h"
 #include "flat/tables.h"
 #include "gnn/model.h"
+#include "infer/segmentation.h"
 #include "mr/mapreduce.h"
 
 namespace agl::infer {
@@ -51,7 +59,7 @@ struct InferConfig {
 
   // --- Batched driver (RunGraphInferBatched) only -----------------------
   /// Number of slices the targets are partitioned into; each slice runs
-  /// the full MapReduce round schedule over its pruned K-hop neighborhood.
+  /// the MapReduce rounds over what its targets read and the store lacks.
   /// Scores are bit-identical to running the slices independently through
   /// RunGraphInfer, for every (batch_slices, num_shards, cache budget)
   /// combination.
@@ -79,10 +87,12 @@ struct InferCosts {
   double memory_gb_minutes = 0;
   /// Embedding evaluations performed (layer applications per node); the
   /// Original baseline repeats these across overlapping neighborhoods, and
-  /// the batched driver's cache hits skip them entirely.
+  /// a store hit skips the evaluation and everything it would have read.
   int64_t embedding_evaluations = 0;
 
-  // Cross-slice EmbeddingCache counters (zero outside the batched driver).
+  // EmbeddingStore counters of this call (zero without a store). The walk
+  // looks up each (node, round) pair a slice reads once, so hits + misses
+  // is the number of pairs it read above round 0.
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   int64_t cache_evictions = 0;
@@ -119,17 +129,18 @@ agl::Result<InferResult> RunGraphInferBatched(
     const std::vector<flat::EdgeRecord>& edges);
 
 /// Same, over a caller-owned graph index and EmbeddingStore — the serving
-/// loop hands every pass its one flat::TableGraph (so a pass prunes by
-/// walking only the targets' K-hop frontier) and the same persistent store,
-/// so embeddings survive across requests and process restarts. The
-/// store's entries must fingerprint the same weights as `state`
-/// (CacheKey.version == StateFingerprint(state)); `config.cache_budget_bytes`
-/// and `config.cache_spill_path` are ignored. The cache counters in
-/// InferCosts report this call's delta, not the store's lifetime totals.
+/// loop hands every pass its one flat::TableGraph (so a pass walks only the
+/// targets' in-neighborhood), the same persistent store, so embeddings
+/// survive across requests and process restarts, and the model constants
+/// it computed once: `slices` (SegmentModel of the state dict) and
+/// `model_version` (its StateFingerprint, the version of every store key).
+/// `config.cache_budget_bytes` and `config.cache_spill_path` are ignored.
+/// The cache counters in InferCosts report this call's delta, not the
+/// store's lifetime totals.
 agl::Result<InferResult> RunGraphInferBatched(
-    const InferConfig& config,
-    const std::map<std::string, tensor::Tensor>& state,
-    const flat::TableGraph& graph, EmbeddingStore* store);
+    const InferConfig& config, const std::vector<ModelSlice>& slices,
+    uint64_t model_version, const flat::TableGraph& graph,
+    EmbeddingStore* store);
 
 /// kInvalidArgument naming the first node whose feature width is not
 /// `in_dim` — the input check every GraphInfer pass (and

@@ -56,12 +56,14 @@ void InferenceService::Pending::Complete(agl::Status status, Scores scores) {
   cv_.SignalAll();
 }
 
-InferenceService::InferenceService(
-    const ServeConfig& config, std::map<std::string, tensor::Tensor> state,
-    std::vector<flat::NodeRecord> nodes, std::vector<flat::EdgeRecord> edges)
+InferenceService::InferenceService(const ServeConfig& config,
+                                   std::vector<infer::ModelSlice> slices,
+                                   uint64_t model_version,
+                                   std::vector<flat::NodeRecord> nodes,
+                                   std::vector<flat::EdgeRecord> edges)
     : config_(config),
-      state_(std::move(state)),
-      model_version_(infer::StateFingerprint(state_)),
+      slices_(std::move(slices)),
+      model_version_(model_version),
       graph_(std::move(nodes), std::move(edges)),
       fingerprint_(graph_.nodes(), graph_.edges()) {
   node_ids_.reserve(graph_.nodes().size());
@@ -81,13 +83,15 @@ agl::Result<std::unique_ptr<InferenceService>> InferenceService::Start(
     return agl::Status::InvalidArgument(
         "InferenceService: empty node table");
   }
-  // The checks every pass runs, up front: a bad artifact or node table
-  // fails the start, not the first request.
-  AGL_RETURN_IF_ERROR(infer::SegmentModel(state, config.infer.model).status());
+  // The model constants every pass uses, computed once; a bad artifact or
+  // node table fails the start, not the first request.
+  AGL_ASSIGN_OR_RETURN(std::vector<infer::ModelSlice> slices,
+                       infer::SegmentModel(state, config.infer.model));
   AGL_RETURN_IF_ERROR(
       infer::CheckFeatureWidths(nodes, config.infer.model.in_dim));
   std::unique_ptr<InferenceService> svc(new InferenceService(
-      config, state, std::move(nodes), std::move(edges)));
+      config, std::move(slices), infer::StateFingerprint(state),
+      std::move(nodes), std::move(edges)));
   if (!config.features_dataset.empty()) {
     AGL_ASSIGN_OR_RETURN(
         svc->features_,
@@ -263,8 +267,8 @@ void InferenceService::ProcessScoreBatch(std::vector<Item> batch) {
   cfg.cache_budget_bytes = 0;
   cfg.cache_spill_path.clear();
   Stopwatch watch;
-  auto result =
-      infer::RunGraphInferBatched(cfg, state_, graph_, store_.get());
+  auto result = infer::RunGraphInferBatched(cfg, slices_, model_version_,
+                                            graph_, store_.get());
   const double seconds = watch.Seconds();
   {
     common::MutexLock lock(&mu_);
@@ -273,6 +277,9 @@ void InferenceService::ProcessScoreBatch(std::vector<Item> batch) {
     stats_.infer_seconds += seconds;
     if (result.ok()) {
       stats_.served += static_cast<int64_t>(batch.size());
+      stats_.embedding_evaluations += result->costs.embedding_evaluations;
+      stats_.store_lookups +=
+          result->costs.cache_hits + result->costs.cache_misses;
     } else {
       stats_.failed += static_cast<int64_t>(batch.size());
     }

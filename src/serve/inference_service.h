@@ -7,7 +7,11 @@
 // shares one PersistentEmbeddingStore — so segment embeddings survive
 // across requests *and* across process restarts: a service re-opened over
 // the same DFS root serves warm hits out of the previous process's
-// published spill file.
+// published spill file. A pass evaluates only the (node, round) pairs its
+// targets read and the store lacks; when every target's round-K value is
+// stored, it runs no MapReduce round and only applies the prediction
+// slice. The segmented model and its store version are computed once, at
+// Start.
 //
 // Mutations (serve/mutation.h) interleave with requests on the same FIFO:
 //
@@ -108,6 +112,10 @@ struct ServeStats {
   int64_t reflatten_dirty_targets = 0;
   int64_t reflatten_publishes = 0;  // re-flattens that re-published
   double infer_seconds = 0;    // time inside RunGraphInferBatched
+  /// Summed over the successful passes' InferCosts: layer evaluations, and
+  /// store lookups (one per (node, round) pair a pass read above round 0).
+  int64_t embedding_evaluations = 0;
+  int64_t store_lookups = 0;
   /// Lifetime counters of the persistent store (hits/misses/spill/...).
   infer::EmbeddingCacheStats store;
   /// Whether Start re-attached a previous process's published snapshot.
@@ -194,7 +202,8 @@ class InferenceService {
   };
 
   InferenceService(const ServeConfig& config,
-                   std::map<std::string, tensor::Tensor> state,
+                   std::vector<infer::ModelSlice> slices,
+                   uint64_t model_version,
                    std::vector<flat::NodeRecord> nodes,
                    std::vector<flat::EdgeRecord> edges);
 
@@ -203,7 +212,8 @@ class InferenceService {
   void ProcessControlItem(Item item);
 
   const ServeConfig config_;
-  const std::map<std::string, tensor::Tensor> state_;
+  /// SegmentModel of the state dict passed to Start.
+  const std::vector<infer::ModelSlice> slices_;
   const uint64_t model_version_;
   /// Immutable universe of node ids (the supported mutations never add or
   /// remove nodes), so admission-time validation needs no lock.

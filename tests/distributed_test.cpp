@@ -22,14 +22,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "analytics/programs.h"
@@ -38,7 +43,9 @@
 #include "common/subprocess.h"
 #include "data/dataset.h"
 #include "driver/driver.h"
+#include "flat/exchange.h"
 #include "flat/graphflat.h"
+#include "flat/shard.h"
 #include "mr/local_dfs.h"
 #include "nn/state_io.h"
 #include "testing/graph_gen.h"
@@ -286,6 +293,12 @@ std::vector<mr::KeyValue> ExchangeRecords(int round, int src) {
   return records;
 }
 
+/// The DFS dataset of the (round, src, dst) exchange bucket.
+std::string Bucket(const std::string& prefix, int round, int src, int dst) {
+  return prefix + ".x.r" + std::to_string(round) + ".f" +
+         std::to_string(src) + ".t" + std::to_string(dst);
+}
+
 // The DFS exchange against the in-memory one on the same publishes: the
 // same records in the same source-major order, with a shard's own bucket
 // never written to the DFS and never counted as DFS traffic.
@@ -338,9 +351,7 @@ TEST_F(DistributedTest, DfsExchangeKeepsOwnBucketsOffTheDfs) {
   for (int round = 0; round < kRounds; ++round) {
     for (int src = 0; src < kShards; ++src) {
       for (int dst = 0; dst < kShards; ++dst) {
-        const std::string bucket = "xc.x.r" + std::to_string(round) + ".f" +
-                                   std::to_string(src) + ".t" +
-                                   std::to_string(dst);
+        const std::string bucket = Bucket("xc", round, src, dst);
         EXPECT_EQ(coord_->DatasetExists(bucket), src != dst) << bucket;
       }
     }
@@ -354,6 +365,160 @@ TEST_F(DistributedTest, DfsExchangeKeepsOwnBucketsOffTheDfs) {
   EXPECT_EQ(stats.records_published, memory.stats().records_published);
   EXPECT_EQ(stats.records_collected, memory.stats().records_collected);
   ASSERT_TRUE(flat::DfsExchange::CleanupPrefix(coord_.get(), "xc").ok());
+}
+
+/// Forwards to a DfsExchange and keeps, per (round, dst), the peer bucket
+/// bytes of every Publish, serialized as the DFS stores them.
+class RecordingExchange : public flat::Exchange {
+ public:
+  RecordingExchange(flat::Exchange* inner, flat::ShardPlan plan)
+      : inner_(inner), plan_(plan) {}
+
+  agl::Status Publish(int round, int src_shard,
+                      std::vector<mr::KeyValue> records) override {
+    std::vector<std::vector<mr::KeyValue>> by_dst(plan_.num_shards());
+    for (const mr::KeyValue& kv : records) {
+      by_dst[plan_.HomeShard(kv.key)].push_back(kv);
+    }
+    for (int dst = 0; dst < plan_.num_shards(); ++dst) {
+      if (dst != src_shard) {
+        buckets[{round, dst}] = flat::SerializeExchangeRecords(by_dst[dst]);
+      }
+    }
+    return inner_->Publish(round, src_shard, std::move(records));
+  }
+  agl::Result<std::vector<mr::KeyValue>> Collect(int round,
+                                                 int dst_shard) override {
+    return inner_->Collect(round, dst_shard);
+  }
+  agl::Result<std::vector<std::string>> AllGather(
+      const std::string& tag, int shard, std::string payload) override {
+    return inner_->AllGather(tag, shard, std::move(payload));
+  }
+  void Abort(agl::Status status) override { inner_->Abort(std::move(status)); }
+  flat::ExchangeStats stats() const override { return inner_->stats(); }
+
+  std::map<std::pair<int, int>, std::string> buckets;
+
+ private:
+  flat::Exchange* inner_;
+  flat::ShardPlan plan_;
+};
+
+// A restarted shard keeps the peer buckets its first attempt published.
+// That loses nothing only because the restart recomputes them byte for
+// byte: here shard 1 runs again, on the same input and a fresh exchange
+// instance, after all three shards ran once.
+TEST_F(DistributedTest, RestartedShardRecomputesItsPublishedBuckets) {
+  GeneratedGraph g = MakeGraph(TestGraph(19));
+  constexpr int kShards = 3;
+  const flat::ShardPlan plan(kShards);
+  flat::FlatShardJob job;
+  job.config.hops = 2;
+  job.config.num_shards = kShards;
+  job.config.job.num_workers = 2;
+  job.node_feature_dim = static_cast<int64_t>(g.nodes[0].features.size());
+  job.edge_feature_dim = static_cast<int64_t>(g.edges[0].features.size());
+  const flat::ShardedTables tables =
+      flat::ShardRouter{plan}.PartitionTables(g.nodes, g.edges);
+  flat::DfsExchange::Options options;
+  options.poll_interval_ms = 1;
+  options.timeout_ms = 20000;
+
+  flat::DfsExchange first(coord_.get(), "restart", plan, options);
+  ASSERT_TRUE(flat::ParallelOverShards(kShards, [&](int s) {
+                return flat::RunFlatShard(job, s, tables.nodes[s],
+                                          tables.edges[s], &first, nullptr)
+                    .status();
+              }).ok());
+
+  flat::DfsExchange again(coord_.get(), "restart", plan, options);
+  RecordingExchange restarted(&again, plan);
+  auto rerun = flat::RunFlatShard(job, 1, tables.nodes[1], tables.edges[1],
+                                  &restarted, nullptr);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  ASSERT_EQ(restarted.buckets.size(), 2u * (kShards - 1));
+  for (const auto& [where, bytes] : restarted.buckets) {
+    const std::string name = Bucket("restart", where.first, 1, where.second);
+    auto published = coord_->ReadDataset(name);
+    ASSERT_TRUE(published.ok()) << name << ": "
+                                << published.status().ToString();
+    ASSERT_EQ(published->size(), 1u) << name;
+    EXPECT_TRUE((*published)[0] == bytes) << name << " differs";
+  }
+  // The restart wrote nothing: every peer bucket was already there.
+  EXPECT_EQ(again.stats().bytes_published, 0);
+  ASSERT_TRUE(flat::DfsExchange::CleanupPrefix(coord_.get(), "restart").ok());
+}
+
+/// Inode of a bucket's single part file, or 0.
+ino_t PartInode(const mr::LocalDfs& dfs, const std::string& bucket) {
+  auto parts = dfs.ListParts(bucket);
+  struct stat st {};
+  if (!parts.ok() || parts->size() != 1 ||
+      ::stat((*parts)[0].c_str(), &st) != 0) {
+    return 0;
+  }
+  return st.st_ino;
+}
+
+// A re-publish of a published round changes nothing on the DFS: it
+// succeeds with every DFS write failing, and leaves the very part files in
+// place. So a peer's collect that races it reads the first publish's bytes
+// and never a bucket between remove and rename (which read as Corruption).
+// The threaded loop below races the two for real and must never fail.
+TEST_F(DistributedTest, CollectRacingARepublishNeverSeesCorruption) {
+  constexpr int kShards = 2;
+  const flat::ShardPlan plan(kShards);
+  flat::DfsExchange::Options options;
+  options.poll_interval_ms = 1;
+  options.timeout_ms = 2000;
+  flat::DfsExchange first(coord_.get(), "race", plan, options);
+  ASSERT_TRUE(first.Publish(0, 0, ExchangeRecords(0, 0)).ok());
+  agl::Result<std::vector<std::string>> peer_gathered =
+      agl::Status::Internal("not run");
+  std::thread peer(
+      [&] { peer_gathered = first.AllGather("tag", 1, "payload-1"); });
+  auto gathered = first.AllGather("tag", 0, "payload-0");
+  peer.join();
+  ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+  ASSERT_TRUE(peer_gathered.ok()) << peer_gathered.status().ToString();
+  const std::string bucket = Bucket("race", 0, 0, 1);
+  const ino_t inode = PartInode(*coord_, bucket);
+  ASSERT_NE(inode, 0u);
+  auto want = coord_->ReadDataset(bucket);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  {
+    fail::ScopedFailpoint no_write("dfs.write", fail::ErrorConfig(1.0));
+    fail::ScopedFailpoint no_rename("dfs.rename", fail::ErrorConfig(1.0));
+    flat::DfsExchange restarted(coord_.get(), "race", plan, options);
+    const agl::Status republished =
+        restarted.Publish(0, 0, ExchangeRecords(0, 0));
+    EXPECT_TRUE(republished.ok()) << republished.ToString();
+    EXPECT_EQ(restarted.stats().bytes_published, 0);
+    auto regathered = restarted.AllGather("tag", 0, "payload-0");
+    ASSERT_TRUE(regathered.ok()) << regathered.status().ToString();
+    EXPECT_EQ(*regathered, *gathered);
+  }
+  EXPECT_EQ(PartInode(*coord_, bucket), inode);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread collector([&] {
+    while (!done.load()) {
+      auto got = coord_->ReadDataset(bucket);
+      if (!got.ok() || *got != *want) failures.fetch_add(1);
+    }
+  });
+  for (int i = 0; i < 200; ++i) {
+    flat::DfsExchange restarted(coord_.get(), "race", plan, options);
+    ASSERT_TRUE(restarted.Publish(0, 0, ExchangeRecords(0, 0)).ok());
+  }
+  done.store(true);
+  collector.join();
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_TRUE(flat::DfsExchange::CleanupPrefix(coord_.get(), "race").ok());
 }
 
 TEST_F(DistributedTest, FlatShardSigkillRecoversBitExact) {

@@ -7,6 +7,10 @@
 // and unbounded, with the spill path engaged and with faults injected into
 // it. The cache only ever substitutes a value the reducer would have
 // recomputed byte-for-byte, so any divergence here is a real bug.
+//
+// The work is pinned as well: a pass evaluates each (node, round) pair its
+// targets read at most once, only inside the horizon round + depth <= K,
+// and nothing the store already holds.
 
 #include <gtest/gtest.h>
 
@@ -19,16 +23,21 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #if !defined(_WIN32)
 #include <unistd.h>
 #endif
 
 #include "common/failpoint.h"
+#include "common/mutex.h"
 #include "data/dataset.h"
+#include "flat/table_graph.h"
 #include "infer/embedding_cache.h"
 #include "infer/graphinfer.h"
+#include "infer/segmentation.h"
 
 namespace agl::infer {
 namespace {
@@ -60,6 +69,30 @@ std::vector<flat::NodeId> AllIds(const data::Dataset& ds) {
   ids.reserve(ds.nodes.size());
   for (const auto& n : ds.nodes) ids.push_back(n.id);
   return ids;
+}
+
+/// In-BFS depth of every node within `layers` hops of `targets`.
+std::unordered_map<flat::NodeId, int> Depths(
+    const flat::TableGraph& graph, const std::vector<flat::NodeId>& targets,
+    int layers) {
+  std::vector<std::pair<flat::NodeId, int>> seeds;
+  for (flat::NodeId t : targets) seeds.emplace_back(t, 0);
+  return graph.Levels(seeds, flat::TableGraph::Direction::kIn, layers);
+}
+
+/// The evaluations of a pass without a store, in closed form: a node at
+/// in-depth d < K from its slice's targets is evaluated at rounds 1..K-d.
+int64_t UncachedEvaluations(const data::Dataset& ds,
+                            const std::vector<flat::NodeId>& targets,
+                            int batch_slices, int layers) {
+  const flat::TableGraph graph(ds.nodes, ds.edges);
+  int64_t total = 0;
+  for (const auto& slice : PartitionTargets(targets, batch_slices)) {
+    for (const auto& [id, depth] : Depths(graph, slice, layers)) {
+      total += layers - depth;
+    }
+  }
+  return total;
 }
 
 /// The unbatched reference: each slice through its own RunGraphInfer call
@@ -146,18 +179,23 @@ TEST_P(BatchedSweepTest, BitExactAcrossSlicesShardsAndBudgets) {
             " budget=" + std::to_string(budget);
         EXPECT_EQ(batched->num_slices, reference->num_slices) << what;
         ExpectScoresIdentical(*batched, *reference, what);
+        const int64_t uncached =
+            UncachedEvaluations(ds, targets, batch_slices, layers);
+        EXPECT_EQ(reference->costs.embedding_evaluations, uncached) << what;
         if (budget == 0) {
           // Cache disabled: identical work to the slice-by-slice runs.
-          EXPECT_EQ(batched->costs.embedding_evaluations,
-                    reference->costs.embedding_evaluations)
-              << what;
+          EXPECT_EQ(batched->costs.embedding_evaluations, uncached) << what;
           EXPECT_EQ(batched->costs.cache_hits, 0) << what;
           EXPECT_EQ(batched->costs.cache_misses, 0) << what;
         } else {
-          // Cached: never MORE work, and every hit is a skipped eval.
-          EXPECT_EQ(batched->costs.embedding_evaluations +
-                        batched->costs.cache_hits,
-                    reference->costs.embedding_evaluations)
+          // Cached: never more work than without the store.
+          EXPECT_LE(batched->costs.embedding_evaluations, uncached) << what;
+        }
+        if (budget < 0 && type != gnn::ModelType::kGcn) {
+          // Unbounded: no (node, round) pair is evaluated twice, so no
+          // more evaluations than there are pairs.
+          EXPECT_LE(batched->costs.embedding_evaluations,
+                    static_cast<int64_t>(ds.nodes.size()) * layers)
               << what;
         }
       }
@@ -192,12 +230,197 @@ TEST(BatchedInferTest, CacheSavesEvaluationsOnOverlappingSlices) {
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
 
   ExpectScoresIdentical(*cached, *independent, "cached vs independent");
+  EXPECT_EQ(independent->costs.embedding_evaluations,
+            UncachedEvaluations(ds, AllIds(ds), 4, 2));
   EXPECT_GT(cached->costs.cache_hits, 0);
   EXPECT_GT(cached->costs.cache_misses, 0);
   EXPECT_LT(cached->costs.embedding_evaluations,
             independent->costs.embedding_evaluations);
-  EXPECT_EQ(cached->costs.embedding_evaluations + cached->costs.cache_hits,
-            independent->costs.embedding_evaluations);
+  // The unbounded cache evaluates every (node, round) pair exactly once:
+  // every node is a target, so every pair is read.
+  EXPECT_EQ(cached->costs.embedding_evaluations,
+            static_cast<int64_t>(ds.nodes.size()) * 2);
+}
+
+/// An EmbeddingStore that forwards to an EmbeddingCache and counts its
+/// traffic per (node, round) pair.
+class CountingStore : public EmbeddingStore {
+ public:
+  using Pair = std::pair<uint64_t, int32_t>;
+
+  explicit CountingStore(int64_t budget) : inner_(budget) {}
+
+  bool enabled() const override { return inner_.enabled(); }
+  bool Lookup(const CacheKey& key, std::vector<float>* out) override {
+    {
+      common::MutexLock lock(&mu_);
+      ++lookups_[{key.node, key.round}];
+    }
+    return inner_.Lookup(key, out);
+  }
+  void Insert(const CacheKey& key,
+              const std::vector<float>& embedding) override {
+    {
+      common::MutexLock lock(&mu_);
+      ++inserts_[{key.node, key.round}];
+    }
+    inner_.Insert(key, embedding);
+  }
+  void Invalidate(uint64_t node, int32_t min_round) override {
+    inner_.Invalidate(node, min_round);
+  }
+  EmbeddingCacheStats stats() const override { return inner_.stats(); }
+
+  /// Hands out the counts since the last call and starts new ones.
+  std::pair<std::map<Pair, int>, std::map<Pair, int>> TakeCounts() {
+    common::MutexLock lock(&mu_);
+    return {std::exchange(lookups_, {}), std::exchange(inserts_, {})};
+  }
+
+ private:
+  EmbeddingCache inner_;
+  common::Mutex mu_;
+  std::map<Pair, int> lookups_ GUARDED_BY(mu_);
+  std::map<Pair, int> inserts_ GUARDED_BY(mu_);
+};
+
+struct Pass {
+  std::vector<flat::NodeId> targets;
+  int batch_slices = 1;
+};
+
+// Three passes over one store, each over targets that overlap the earlier
+// ones: a pass looks up each pair at most once, only inside its slices'
+// horizon, and evaluates (= inserts) only pairs no earlier pass stored.
+TEST(BatchedInferTest, WalkReadsEachPairOnceInsideTheHorizon) {
+  data::Dataset ds = SmallUug(70, 3);
+  const flat::TableGraph graph(ds.nodes, ds.edges);
+  const std::vector<flat::NodeId> all = AllIds(ds);
+  for (gnn::ModelType type :
+       {gnn::ModelType::kGraphSage, gnn::ModelType::kGat}) {
+    for (int layers : {2, 3}) {
+      const std::string what = std::string(gnn::ModelTypeName(type)) +
+                               " layers=" + std::to_string(layers);
+      gnn::ModelConfig mconfig = SmallModel(type, layers, ds.feature_dim);
+      const auto state = gnn::GnnModel(mconfig).StateDict();
+      auto slices = SegmentModel(state, mconfig);
+      ASSERT_TRUE(slices.ok()) << slices.status().ToString();
+      CountingStore store(-1);
+      std::set<CountingStore::Pair> evaluated;
+      const std::vector<Pass> passes = {
+          {{all[3], all[17], all[42]}, 1},
+          {{all[17], all[5], all[60], all[3], all[33]}, 1},
+          {{all.begin(), all.begin() + 40}, 3},
+      };
+      for (std::size_t i = 0; i < passes.size(); ++i) {
+        SCOPED_TRACE(what + " pass " + std::to_string(i));
+        InferConfig config;
+        config.model = mconfig;
+        config.job.num_workers = 2;
+        config.target_ids = passes[i].targets;
+        config.batch_slices = passes[i].batch_slices;
+        auto result = RunGraphInferBatched(
+            config, *slices, StateFingerprint(state), graph, &store);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        auto reference = RunSliceBySlice(config, state, ds,
+                                         passes[i].targets,
+                                         passes[i].batch_slices);
+        ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+        ExpectScoresIdentical(*result, *reference, what);
+
+        // A pair may be read once per slice, at round + depth <= K for the
+        // depth from that slice's targets.
+        const auto target_slices =
+            PartitionTargets(passes[i].targets, passes[i].batch_slices);
+        std::vector<std::unordered_map<flat::NodeId, int>> depths;
+        for (const auto& slice : target_slices) {
+          depths.push_back(Depths(graph, slice, layers));
+        }
+        const auto [lookups, inserts] = store.TakeCounts();
+        int64_t total_lookups = 0;
+        for (const auto& [pair, count] : lookups) {
+          total_lookups += count;
+          int inside = 0;
+          for (const auto& depth : depths) {
+            auto it = depth.find(pair.first);
+            if (it != depth.end() && pair.second + it->second <= layers) {
+              ++inside;
+            }
+          }
+          EXPECT_GE(pair.second, 1) << "node " << pair.first;
+          EXPECT_GE(inside, count) << "node " << pair.first << " round "
+                                   << pair.second << " read " << count
+                                   << "x by " << inside << " slice(s)";
+          if (passes[i].batch_slices == 1) {
+            EXPECT_EQ(count, 1) << "node " << pair.first;
+          }
+        }
+        EXPECT_EQ(total_lookups,
+                  result->costs.cache_hits + result->costs.cache_misses);
+        int64_t total_inserts = 0;
+        for (const auto& [pair, count] : inserts) {
+          total_inserts += count;
+          EXPECT_EQ(count, 1) << "node " << pair.first;
+          EXPECT_TRUE(evaluated.insert(pair).second)
+              << "node " << pair.first << " round " << pair.second
+              << " evaluated again";
+        }
+        EXPECT_EQ(total_inserts, result->costs.embedding_evaluations);
+      }
+    }
+  }
+}
+
+// Once every target's round-K value is stored, a pass applies the
+// prediction slice to the stored bytes: no evaluation and no MapReduce
+// round — every reduce task fails while it runs — with the cold scores.
+// GCN takes the store only over a cut that keeps the whole graph, hence
+// all nodes as targets there.
+TEST(BatchedInferTest, StoredTargetsRunNoEvaluationAndNoRound) {
+  data::Dataset ds = SmallUug(50, 3);
+  const flat::TableGraph graph(ds.nodes, ds.edges);
+  const std::vector<flat::NodeId> all = AllIds(ds);
+  const std::vector<flat::NodeId> some = {all[4], all[9], all[30], all[31]};
+  for (gnn::ModelType type :
+       {gnn::ModelType::kGraphSage, gnn::ModelType::kGat,
+        gnn::ModelType::kGcn}) {
+    SCOPED_TRACE(gnn::ModelTypeName(type));
+    gnn::ModelConfig mconfig = SmallModel(type, 2, ds.feature_dim);
+    const auto state = gnn::GnnModel(mconfig).StateDict();
+    auto slices = SegmentModel(state, mconfig);
+    ASSERT_TRUE(slices.ok()) << slices.status().ToString();
+    const std::vector<flat::NodeId>& warm =
+        type == gnn::ModelType::kGcn ? all : some;
+    InferConfig config;
+    config.model = mconfig;
+    config.target_ids = warm;
+    config.job.max_task_attempts = 1;
+    EmbeddingCache store(-1);
+    auto cold = RunGraphInferBatched(config, *slices,
+                                     StateFingerprint(state), graph, &store);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_GT(cold->costs.embedding_evaluations, 0);
+    auto reference = RunSliceBySlice(config, state, ds, warm, 1);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ExpectScoresIdentical(*cold, *reference, "cold pass");
+
+    fail::ScopedFailpoint no_reduce("mr.reduce", fail::ErrorConfig(1.0));
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      auto warm_pass = RunGraphInferBatched(
+          config, *slices, StateFingerprint(state), graph, &store);
+      ASSERT_TRUE(warm_pass.ok()) << warm_pass.status().ToString();
+      EXPECT_EQ(warm_pass->costs.embedding_evaluations, 0);
+      EXPECT_EQ(warm_pass->costs.cache_hits,
+                static_cast<int64_t>(warm.size()));
+      EXPECT_EQ(warm_pass->costs.cache_misses, 0);
+      ExpectScoresIdentical(*warm_pass, *reference, "warm pass");
+    }
+    // The failpoint does fail a pass that has to evaluate.
+    EmbeddingCache empty(-1);
+    EXPECT_FALSE(RunGraphInferBatched(config, *slices,
+                                      StateFingerprint(state), graph, &empty)
+                     .ok());
+  }
 }
 
 TEST(BatchedInferTest, ExplicitTargetSubsetWithDuplicates) {

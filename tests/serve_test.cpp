@@ -596,6 +596,48 @@ TEST_F(ServeTest, ServedScoresMatchOfflineAcrossCoalescingPatterns) {
   EXPECT_GT(service.stats().store.hits, 0);
 }
 
+// A repeated read of stored targets is a store read: one lookup per
+// target (its round-K pair), no evaluation, the same bytes.
+TEST_F(ServeTest, WarmRepeatedReadRunsNoEvaluation) {
+  data::Dataset ds = SmallUug(60);
+  const std::vector<flat::NodeId> all = AllIds(ds);
+  const std::vector<flat::NodeId> targets = {all[2], all[11], all[40]};
+  for (gnn::ModelType type :
+       {gnn::ModelType::kGraphSage, gnn::ModelType::kGat}) {
+    SCOPED_TRACE(gnn::ModelTypeName(type));
+    std::filesystem::remove_all(root_);
+    mr::LocalDfs dfs = OpenDfs();
+    gnn::ModelConfig mconfig = SmallModel(type, 2, ds.feature_dim);
+    const auto state = gnn::GnnModel(mconfig).StateDict();
+    ServeConfig config;
+    config.infer.model = mconfig;
+    auto svc = agl::Run(config, state, ds.nodes, ds.edges, &dfs);
+    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+    InferenceService& service = **svc;
+    const InferenceService::Scores cold =
+        ColdScores(config.infer, state, ds.nodes, ds.edges, targets);
+
+    auto first = service.Score(targets);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ExpectScoresIdentical(*first, cold, "first read");
+    const ServeStats after_first = service.stats();
+    EXPECT_GT(after_first.embedding_evaluations, 0);
+    EXPECT_EQ(after_first.store_lookups,
+              after_first.store.hits + after_first.store.misses);
+
+    auto again = service.Score(targets);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    ExpectScoresIdentical(*again, cold, "repeated read");
+    const ServeStats after_again = service.stats();
+    EXPECT_EQ(after_again.embedding_evaluations,
+              after_first.embedding_evaluations);
+    EXPECT_EQ(after_again.store_lookups - after_first.store_lookups,
+              static_cast<int64_t>(targets.size()));
+    EXPECT_EQ(after_again.store.hits - after_first.store.hits,
+              static_cast<int64_t>(targets.size()));
+  }
+}
+
 TEST_F(ServeTest, AdmissionBoundRejectsAndShutdownDrains) {
   data::Dataset ds = SmallUug(80, 4);
   gnn::ModelConfig mconfig =
